@@ -35,10 +35,22 @@
 //! Success rates are reported, not asserted; the algorithms carry no
 //! general-graph guarantee.
 //!
+//! # Grid C — million-node cells
+//!
+//! `singular` on the ring and the square torus at `n = 2²⁰` (two seeds
+//! each; `n = 4096` under `LE_QUICK`), with Grid A's envelopes
+//! hard-asserted. The synchronous engine visits only the nodes that act
+//! in a round, so a 1.5 M-round ring election costs its messages, not
+//! `n` node visits per round. The table reports each cell's slowest
+//! trial and the process's peak resident set (`VmHWM`); both are
+//! machine-dependent and stay out of the CSV.
+//!
 //! Topologies are pinned per cell via `SyncSimBuilder::topology`; runs
 //! that omit the builder call follow the process-latched `LE_TOPOLOGY`
 //! knob instead (printed in the preamble), exactly as `LE_BACKEND`
 //! latches the port-map backend.
+
+use std::time::Instant;
 
 use clique_model::topology::TopologySpec;
 use clique_model::Topology;
@@ -53,11 +65,13 @@ const ROUND_SLACK: usize = 12;
 /// Message envelope: `MSG_FACTOR·m`.
 const MSG_FACTOR: f64 = 24.0;
 
-/// One measured trial of Grid A.
+/// One measured trial of Grids A and C.
 struct Cell {
     rounds: usize,
     msgs: u64,
     ok: bool,
+    /// Wall-clock of the trial (build and run).
+    secs: f64,
 }
 
 /// The Grid A topology families, instantiated per n.
@@ -82,6 +96,7 @@ fn expander_degree(n: usize) -> usize {
 }
 
 fn run_singular(topo: &Topology, seed: u64, arena: &mut clique_sync::SyncArena) -> Cell {
+    let t0 = Instant::now();
     let outcome = SyncSimBuilder::new(topo.n())
         .seed(seed)
         .topology(topo.clone())
@@ -95,10 +110,25 @@ fn run_singular(topo: &Topology, seed: u64, arena: &mut clique_sync::SyncArena) 
         rounds: outcome.rounds,
         msgs: outcome.stats.total(),
         ok: outcome.validate_explicit().is_ok(),
+        secs: t0.elapsed().as_secs_f64(),
     }
 }
 
-/// Grid A: aggregate one `(family, n)` cell, hard-assert its envelopes,
+/// The process's peak resident set in MB (`VmHWM`), where `/proc` has it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
+}
+
+/// Grids A and C: aggregate one `(family, n)` cell, hard-assert its envelopes,
 /// emit the CSV row, and render the table row.
 fn summarize_singular(
     family: &str,
@@ -189,6 +219,7 @@ fn run_baseline(
 fn main() {
     let ns = sweep(&[64usize, 256, 1024], &[64]);
     let baseline_ns = sweep(&[64usize, 256], &[64]);
+    let big_ns = sweep(&[1usize << 20], &[4096]);
     let seed_list = seeds(if le_bench::quick() { 4 } else { 12 });
 
     println!(
@@ -264,7 +295,29 @@ fn main() {
         }
     }
 
-    let mut table_a = Table::new(vec![
+    // Grid C: singular at a million nodes, submitted last so the rows
+    // of Grids A and B come first in the CSV and the trace.
+    let mut grid_c = Vec::new();
+    for &n in &big_ns {
+        for (family, topo) in [
+            ("ring", Topology::ring(n).expect("n ≥ 3")),
+            ("torus", Topology::torus_square(n).expect("square n")),
+        ] {
+            let label = format!("singular {family} n={n}");
+            grid_c.push(runner.task(label.clone(), move |ws| {
+                let cells = ws.cell(&label, &seeds(2), |seed, arenas| {
+                    run_singular(&topo, seed, &mut arenas.sync)
+                });
+                let mut row = summarize_singular(family, &topo, &cells, ws);
+                let slowest = cells.iter().map(|c| c.secs).fold(0.0, f64::max);
+                row.push(format!("{slowest:.2}"));
+                row.push(peak_rss_mb().map_or_else(|| "n/a".to_string(), |mb| format!("{mb:.0}")));
+                row
+            }));
+        }
+    }
+
+    let singular_columns = [
         "family",
         "n",
         "m",
@@ -275,7 +328,8 @@ fn main() {
         "≤ 24m",
         "msgs/m",
         "success",
-    ]);
+    ];
+    let mut table_a = Table::new(singular_columns.to_vec());
     table_a.title(format!(
         "Grid A: singularly-optimal LE on general graphs ({} seeds/cell)",
         seed_list.len()
@@ -305,11 +359,24 @@ fn main() {
         }
     }
     println!("{table_b}");
+
+    let mut table_c =
+        Table::new([&singular_columns[..], &["s/trial (max)", "peak RSS MB"]].concat());
+    table_c.title("Grid C: singularly-optimal LE at a million nodes (2 seeds/cell)".to_string());
+    for handle in grid_c {
+        match runner.wait(handle) {
+            Some(row) => {
+                table_c.add_row(row);
+            }
+            None => restored += 1,
+        }
+    }
+    println!("{table_c}");
     if restored > 0 {
         println!("({restored} row(s) restored from a checkpointed run; see the CSV)");
     }
     println!(
-        "Grid A held the singular envelopes (unique leader every seed, \
+        "Grids A and C held the singular envelopes (unique leader every seed, \
          messages ≤ {MSG_FACTOR}·m, rounds ≤ 3·D + {ROUND_SLACK}) on every topology."
     );
     runner.finish();

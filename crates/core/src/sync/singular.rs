@@ -127,6 +127,8 @@ impl Config {
 pub struct Node {
     id: Id,
     cfg: Config,
+    /// The round-1 candidacy coin has been flipped.
+    coin_flipped: bool,
     /// The best wave seen so far (our own, if we are its candidate).
     best: Option<Wave>,
     /// Port toward the parent in `best`'s tree (`None` at the root).
@@ -164,6 +166,7 @@ impl Node {
         Node {
             id,
             cfg,
+            coin_flipped: false,
             best: None,
             parent: None,
             forward_pending: false,
@@ -242,6 +245,7 @@ impl SyncNode for Node {
         // Round 1: flip the candidacy coin; candidates root their own
         // wave and flood it below.
         if ctx.round() == 1 {
+            self.coin_flipped = true;
             let n = ctx.n();
             if coin(ctx.rng(), self.cfg.candidate_probability(n)) {
                 let wave = Wave {
@@ -353,6 +357,21 @@ impl SyncNode for Node {
     /// colliding flood fronts.
     fn is_terminated(&self) -> bool {
         self.halted
+    }
+
+    /// Idle once the round-1 coin is flipped and nothing is queued: no
+    /// replies, no pending forward or decide, and no decide flood in its
+    /// grace rounds. Then a send phase does nothing, and so does an empty
+    /// receive phase: its echo check cannot fire, because that check
+    /// already ran at the end of the hook that last changed the echo
+    /// state. Most of a ring's nodes spend Θ(D) rounds like this, waiting
+    /// for a wave or for their children's acks.
+    fn is_idle(&self) -> bool {
+        self.coin_flipped
+            && self.replies.is_empty()
+            && !self.forward_pending
+            && !self.decide_pending
+            && !self.sent_decide
     }
 }
 

@@ -104,7 +104,8 @@ struct TopoInner {
     max_degree: usize,
     /// Structural hash of `(kind, params, n)` — the arena-recycling key.
     fingerprint: u64,
-    /// Lazily computed eccentricity maximum (all-pairs BFS).
+    /// Lazily computed eccentricity maximum (all-pairs BFS) of the
+    /// graphs without a closed form.
     diameter: OnceLock<usize>,
 }
 
@@ -446,47 +447,53 @@ impl Topology {
         count == n
     }
 
-    /// The graph diameter (all-pairs BFS, memoized after the first
-    /// call). O(n·m) once — fine at experiment sizes; the generators'
-    /// closed forms (ring `⌊n/2⌋`, torus `⌊w/2⌋+⌊h/2⌋`) are what the
-    /// experiment tables check this against.
+    /// The graph diameter. O(1) for the clique, ring (`⌊n/2⌋`) and
+    /// torus (`⌊w/2⌋ + ⌊h/2⌋`); an all-pairs BFS for random-regular and
+    /// edge-list graphs, O(n·m) once and memoized after the first call.
     ///
     /// # Panics
     ///
     /// Panics if the graph is disconnected (only possible via
     /// [`Topology::from_edges`]).
     pub fn diameter(&self) -> usize {
-        if self.is_clique() {
-            return 1;
+        match self.inner.kind {
+            TopologyKind::Clique => 1,
+            TopologyKind::Ring => self.inner.n / 2,
+            TopologyKind::Torus { w, h } => (w / 2 + h / 2) as usize,
+            TopologyKind::Regular { .. } | TopologyKind::Edges => {
+                *self.inner.diameter.get_or_init(|| self.bfs_diameter())
+            }
         }
-        *self.inner.diameter.get_or_init(|| {
-            let n = self.inner.n;
-            let mut dist = vec![u32::MAX; n];
-            let mut queue = std::collections::VecDeque::new();
-            let mut diameter = 0usize;
-            for s in 0..n {
-                dist.iter_mut().for_each(|d| *d = u32::MAX);
-                dist[s] = 0;
-                queue.push_back(s as u32);
-                let mut reached = 1usize;
-                while let Some(u) = queue.pop_front() {
-                    let du = dist[u as usize];
-                    diameter = diameter.max(du as usize);
-                    for &v in self.neighbors(NodeIndex(u as usize)) {
-                        if dist[v as usize] == u32::MAX {
-                            dist[v as usize] = du + 1;
-                            reached += 1;
-                            queue.push_back(v);
-                        }
+    }
+
+    /// The largest BFS eccentricity over all sources.
+    fn bfs_diameter(&self) -> usize {
+        let n = self.inner.n;
+        let mut dist = vec![u32::MAX; n];
+        let mut queue = std::collections::VecDeque::new();
+        let mut diameter = 0usize;
+        for s in 0..n {
+            dist.iter_mut().for_each(|d| *d = u32::MAX);
+            dist[s] = 0;
+            queue.push_back(s as u32);
+            let mut reached = 1usize;
+            while let Some(u) = queue.pop_front() {
+                let du = dist[u as usize];
+                diameter = diameter.max(du as usize);
+                for &v in self.neighbors(NodeIndex(u as usize)) {
+                    if dist[v as usize] == u32::MAX {
+                        dist[v as usize] = du + 1;
+                        reached += 1;
+                        queue.push_back(v);
                     }
                 }
-                assert!(
-                    reached == n,
-                    "diameter of a disconnected topology is undefined"
-                );
             }
-            diameter
-        })
+            assert!(
+                reached == n,
+                "diameter of a disconnected topology is undefined"
+            );
+        }
+        diameter
     }
 
     /// Structural hash of `(generator, parameters, n)` — the key arenas
@@ -938,6 +945,20 @@ mod tests {
         assert_eq!(sq.kind(), TopologyKind::Torus { w: 8, h: 8 });
         assert_eq!(sq.diameter(), 8);
         assert!(Topology::torus_square(60).is_err());
+    }
+
+    #[test]
+    fn closed_form_diameters_match_bfs() {
+        for n in 3..=12 {
+            let t = Topology::ring(n).unwrap();
+            assert_eq!(t.diameter(), t.bfs_diameter(), "ring {n}");
+        }
+        for w in 3..=7 {
+            for h in 3..=6 {
+                let t = Topology::torus(w, h).unwrap();
+                assert_eq!(t.diameter(), t.bfs_diameter(), "torus {w}x{h}");
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,8 @@ const STREAM_IDS: u64 = u64::MAX - 1;
 const STREAM_NODE_BASE: u64 = 0;
 
 /// Reusable simulation state for repeated trials: the `Θ(n²)` [`PortMap`],
-/// the per-node arena inboxes, the flattened wake plan, and the outbox.
+/// the per-node arena inboxes, the flattened wake plan, the outbox, and
+/// the engine's per-round worklists.
 ///
 /// Constructing a `SyncSim` from scratch pays the dense `PortMap`
 /// allocation and initialization every trial (~0.1–0.2 s at `n = 4096`),
@@ -67,6 +68,7 @@ const STREAM_NODE_BASE: u64 = 0;
 pub struct SyncArena {
     ports: Option<PortMap>,
     wake_plan: Vec<(usize, Vec<NodeIndex>)>,
+    work: Worklists,
     // `+ Send` keeps the whole arena `Send`, so sweep worker threads can
     // own recycled arenas (message types are `Send` by trait bound).
     buffers: Option<Box<dyn Any + Send>>,
@@ -134,6 +136,59 @@ impl<M> Default for SyncBuffers<M> {
             outbox: Vec::new(),
         }
     }
+}
+
+/// The node indices a round visits. A round costs O(active nodes +
+/// messages) because the engine walks these lists, never `0..n`, and
+/// it walks each in ascending order, so inbox order (sender order) and
+/// the order of observer and trace events are those of a full scan.
+#[derive(Debug, Default)]
+struct Worklists {
+    /// Ascending: the nodes whose send phase runs this round. Between
+    /// rounds it holds the awake, unterminated nodes that are not
+    /// [`SyncNode::is_idle`]; the wake phase merges in its wake-ups.
+    poll: Vec<usize>,
+    /// Per node, the last round whose poll list held it (0: none).
+    polled_in: Vec<usize>,
+    /// This round's adversarial wake-ups.
+    woken: Vec<usize>,
+    /// This round's mail recipients that are not on the poll list, in
+    /// order of first arrival.
+    mail: Vec<usize>,
+    /// Ascending: `poll` merged with `mail`, the nodes whose hooks may
+    /// have run this round.
+    active: Vec<usize>,
+}
+
+impl Worklists {
+    /// Empties the lists and sizes the stamps for `n` fresh nodes.
+    fn reset(&mut self, n: usize) {
+        self.poll.clear();
+        self.polled_in.clear();
+        self.polled_in.resize(n, 0);
+        self.woken.clear();
+        self.mail.clear();
+        self.active.clear();
+    }
+}
+
+/// Writes the union of the disjoint ascending runs `a` and `b` into
+/// `out`, ascending. Each element of the shorter run is placed by binary
+/// search and the longer run is copied a slice at a time, so merging a
+/// few nodes into a long poll list costs little more than a copy.
+fn merge_ascending<'a>(mut a: &'a [usize], mut b: &'a [usize], out: &mut Vec<usize>) {
+    if a.len() < b.len() {
+        std::mem::swap(&mut a, &mut b);
+    }
+    out.clear();
+    for &x in b {
+        let cut = a.partition_point(|&y| y < x);
+        out.extend_from_slice(&a[..cut]);
+        a = &a[cut..];
+        debug_assert_ne!(a.first(), Some(&x), "node {x} is on both runs");
+        out.push(x);
+    }
+    out.extend_from_slice(a);
 }
 
 /// Configures and constructs a [`SyncSim`].
@@ -357,6 +412,8 @@ impl SyncSimBuilder {
             stages += 1;
         }
         wake_plan.truncate(stages);
+        let mut work = std::mem::take(&mut arena.work);
+        work.reset(n);
         let tracer = match self.trace {
             Some(sink) => Tracer::with_sink(sink, ALL_CLASSES),
             None => Tracer::from_env(),
@@ -379,6 +436,8 @@ impl SyncSimBuilder {
             wake_cursor: 0,
             max_rounds: self.max_rounds.unwrap_or(4 * n + 64),
             awake: vec![false; n],
+            live: 0,
+            work,
             stats,
             tracer,
             pending: bufs.pending,
@@ -410,6 +469,10 @@ pub struct SyncSim<N: SyncNode> {
     wake_cursor: usize,
     max_rounds: usize,
     awake: Vec<bool>,
+    /// Awake, unterminated nodes; the run is quiescent once this is zero
+    /// and no wake-ups remain.
+    live: usize,
+    work: Worklists,
     stats: MessageStats,
     /// Structured event tracing (disabled path: one `bool` load per site).
     tracer: Tracer,
@@ -504,8 +567,8 @@ impl<N: SyncNode> SyncSim<N> {
 
     /// Runs to quiescence (or the round cap) like [`SyncSim::run`], then
     /// returns the recyclable state — the port map, arena inboxes, outbox,
-    /// and wake plan — to `arena` for the next trial instead of dropping
-    /// it. The outcome is identical to [`SyncSim::run`]'s.
+    /// wake plan and worklists — to `arena` for the next trial instead of
+    /// dropping it. The outcome is identical to [`SyncSim::run`]'s.
     ///
     /// # Errors
     ///
@@ -541,6 +604,11 @@ impl<N: SyncNode> SyncSim<N> {
     /// quiescent (no awake unterminated node remains and no wake-ups are
     /// pending).
     ///
+    /// The round visits only the nodes on its worklists: this round's
+    /// wake-ups, the nodes to poll, and this round's mail recipients. It
+    /// costs O(active nodes + messages), not Θ(n); nodes that report
+    /// [`SyncNode::is_idle`] and receive no mail are skipped.
+    ///
     /// # Errors
     ///
     /// Propagates [`ModelError`] from port resolution.
@@ -560,6 +628,9 @@ impl<N: SyncNode> SyncSim<N> {
             for &u in woken {
                 if !self.awake[u.0] {
                     self.awake[u.0] = true;
+                    self.live += 1;
+                    self.work.woken.push(u.0);
+                    self.work.polled_in[u.0] = round;
                     let mut outbox = std::mem::take(&mut self.outbox);
                     let mut ctx = Context {
                         id: self.ids.id_of(u),
@@ -584,81 +655,38 @@ impl<N: SyncNode> SyncSim<N> {
                 }
             }
             self.wake_cursor += 1;
+            // Freshly woken nodes send this round, idle or not.
+            let work = &mut self.work;
+            work.woken.sort_unstable();
+            merge_ascending(&work.poll, &work.woken, &mut work.active);
+            std::mem::swap(&mut work.poll, &mut work.active);
+            work.woken.clear();
         }
 
-        // Phase 2: send phase for awake, unterminated nodes.
-        for u in 0..self.n {
-            if !self.awake[u] || self.nodes[u].is_terminated() {
-                continue;
-            }
-            let mut outbox = std::mem::take(&mut self.outbox);
-            outbox.clear();
-            {
-                let mut ctx = Context {
-                    id: self.ids.id_of(NodeIndex(u)),
-                    n: self.n,
-                    ports: self.ports.ports_of(NodeIndex(u)),
-                    round,
-                    rng: &mut self.node_rngs[u],
-                    outbox: &mut outbox,
-                    sends_allowed: true,
-                };
-                self.nodes[u].send_phase(&mut ctx);
-            }
-            for (port, msg) in outbox.drain(..) {
-                let dst = self.ports.resolve(
-                    NodeIndex(u),
-                    port,
-                    self.resolver.as_mut(),
-                    &mut self.resolver_rng,
-                )?;
-                self.stats.record(round, NodeIndex(u));
-                self.last_activity_round = round;
-                observer.on_message(
-                    round,
-                    Endpoint {
-                        node: NodeIndex(u),
-                        port,
-                    },
-                    dst,
-                );
-                if self.tracer.enabled() {
-                    let at = At::Round(round as u32);
-                    self.tracer.emit(TraceEvent::Send {
-                        at,
-                        src: u as u32,
-                        port: port.0 as u32,
-                        dst: dst.node.0 as u32,
-                        cls: None,
-                    });
-                    // Synchronous delivery lands in the same round; mail to
-                    // a terminated node is swallowed, not delivered.
-                    if !self.nodes[dst.node.0].is_terminated() {
-                        self.tracer.emit(TraceEvent::Deliver {
-                            at,
-                            src: u as u32,
-                            dst: dst.node.0 as u32,
-                            cls: None,
-                        });
-                    }
-                }
-                if self.nodes[dst.node.0].is_terminated() {
-                    self.messages_to_terminated += 1;
-                } else {
-                    self.pending[dst.node.0].push(Received {
-                        port: dst.port,
-                        msg,
-                    });
-                }
-            }
-            self.outbox = outbox;
+        // Phase 2: send phase for the polled nodes, in ascending order.
+        for i in 0..self.work.poll.len() {
+            self.send_from(self.work.poll[i], round, observer)?;
         }
+
+        // Every node whose hooks may run this round: the senders plus the
+        // other mail recipients, ascending.
+        let work = &mut self.work;
+        if work.mail.is_empty() {
+            std::mem::swap(&mut work.poll, &mut work.active);
+        } else {
+            work.mail.sort_unstable();
+            merge_ascending(&work.poll, &work.mail, &mut work.active);
+            work.mail.clear();
+        }
+        work.poll.clear();
 
         // Phase 3: receive phase; asleep nodes with mail wake up. Each
         // node's pending buffer is swapped into the `inbox` double buffer
         // for the duration of the call and swapped back cleared, so no
-        // buffer is ever dropped or re-allocated.
-        for v in 0..self.n {
+        // buffer is ever dropped or re-allocated. Every listed node runs
+        // its receive phase, even one that turned idle in this round's
+        // send phase: `is_idle` is consulted only at the end of a round.
+        for &v in &self.work.active {
             if self.nodes[v].is_terminated() {
                 // A node that terminated during this round's send phase may
                 // still have mail queued from earlier senders; swallow it
@@ -667,10 +695,9 @@ impl<N: SyncNode> SyncSim<N> {
                 self.pending[v].clear();
                 continue;
             }
-            let woke_by_message = !self.awake[v] && !self.pending[v].is_empty();
-            if !self.awake[v] && !woke_by_message {
-                continue;
-            }
+            // Polled nodes are awake, so an asleep one is here for its mail.
+            let woke_by_message = !self.awake[v];
+            debug_assert!(!woke_by_message || !self.pending[v].is_empty());
             std::mem::swap(&mut self.pending[v], &mut self.inbox);
             let mut outbox = std::mem::take(&mut self.outbox);
             {
@@ -685,6 +712,7 @@ impl<N: SyncNode> SyncSim<N> {
                 };
                 if woke_by_message {
                     self.awake[v] = true;
+                    self.live += 1;
                     self.nodes[v].on_wake(&mut ctx, WakeCause::Message);
                     observer.on_wake(round, NodeIndex(v), WakeCause::Message);
                     if self.tracer.enabled() {
@@ -703,9 +731,13 @@ impl<N: SyncNode> SyncSim<N> {
             std::mem::swap(&mut self.pending[v], &mut self.inbox);
         }
 
-        // Track decision changes (and enforce irrevocability).
-        for u in 0..self.n {
-            let d = self.nodes[u].decision();
+        // Decisions and termination change only inside hooks, so the
+        // active nodes are the only ones to check: track decision changes
+        // (enforcing irrevocability), retire terminated nodes, and queue
+        // next round's poll list. Every active node is awake by now.
+        for &u in &self.work.active {
+            let node = &self.nodes[u];
+            let d = node.decision();
             if d != self.last_decisions[u] {
                 assert!(
                     !self.last_decisions[u].is_decided(),
@@ -723,6 +755,12 @@ impl<N: SyncNode> SyncSim<N> {
                 }
                 self.last_activity_round = round;
             }
+            if node.is_terminated() {
+                self.live -= 1;
+            } else if !node.is_idle() {
+                self.work.poll.push(u);
+                self.work.polled_in[u] = round + 1;
+            }
         }
 
         observer.on_round_end(round);
@@ -734,8 +772,89 @@ impl<N: SyncNode> SyncSim<N> {
         }
 
         let pending_wakes = self.wake_cursor < self.wake_plan.len();
-        let any_active = (0..self.n).any(|u| self.awake[u] && !self.nodes[u].is_terminated());
-        Ok(pending_wakes || any_active)
+        Ok(pending_wakes || self.live > 0)
+    }
+
+    /// Runs `u`'s send phase, if it has not terminated, and routes its
+    /// outbox: each message is resolved, counted, and queued in the
+    /// recipient's pending inbox, or swallowed if the recipient has
+    /// terminated. A recipient off the poll list goes on the mail list
+    /// with its first message of the round.
+    fn send_from(
+        &mut self,
+        u: usize,
+        round: usize,
+        observer: &mut dyn Observer,
+    ) -> Result<(), ModelError> {
+        if self.nodes[u].is_terminated() {
+            return Ok(());
+        }
+        let mut outbox = std::mem::take(&mut self.outbox);
+        outbox.clear();
+        {
+            let mut ctx = Context {
+                id: self.ids.id_of(NodeIndex(u)),
+                n: self.n,
+                ports: self.ports.ports_of(NodeIndex(u)),
+                round,
+                rng: &mut self.node_rngs[u],
+                outbox: &mut outbox,
+                sends_allowed: true,
+            };
+            self.nodes[u].send_phase(&mut ctx);
+        }
+        for (port, msg) in outbox.drain(..) {
+            let dst = self.ports.resolve(
+                NodeIndex(u),
+                port,
+                self.resolver.as_mut(),
+                &mut self.resolver_rng,
+            )?;
+            self.stats.record(round, NodeIndex(u));
+            self.last_activity_round = round;
+            observer.on_message(
+                round,
+                Endpoint {
+                    node: NodeIndex(u),
+                    port,
+                },
+                dst,
+            );
+            if self.tracer.enabled() {
+                let at = At::Round(round as u32);
+                self.tracer.emit(TraceEvent::Send {
+                    at,
+                    src: u as u32,
+                    port: port.0 as u32,
+                    dst: dst.node.0 as u32,
+                    cls: None,
+                });
+                // Synchronous delivery lands in the same round; mail to
+                // a terminated node is swallowed, not delivered.
+                if !self.nodes[dst.node.0].is_terminated() {
+                    self.tracer.emit(TraceEvent::Deliver {
+                        at,
+                        src: u as u32,
+                        dst: dst.node.0 as u32,
+                        cls: None,
+                    });
+                }
+            }
+            if self.nodes[dst.node.0].is_terminated() {
+                self.messages_to_terminated += 1;
+            } else {
+                let pending = &mut self.pending[dst.node.0];
+                if pending.is_empty() && self.work.polled_in[dst.node.0] != round {
+                    self.work.mail.push(dst.node.0);
+                }
+                pending.push(Received {
+                    port: dst.port,
+                    msg,
+                });
+            }
+        }
+        self.outbox = outbox;
+        Ok(())
     }
 
     /// Emits the end-of-run trace events — the topology metadata record,
@@ -795,6 +914,7 @@ impl<N: SyncNode> SyncSim<N> {
             ids,
             ports,
             wake_plan,
+            work,
             mut pending,
             mut inbox,
             mut outbox,
@@ -812,6 +932,7 @@ impl<N: SyncNode> SyncSim<N> {
         outbox.clear();
         arena.ports = Some(ports);
         arena.wake_plan = wake_plan;
+        arena.work = work;
         arena.buffers = Some(Box::new(SyncBuffers {
             pending,
             inbox,
@@ -834,6 +955,7 @@ impl<N: SyncNode> SyncSim<N> {
 mod tests {
     use super::*;
     use crate::node::Received;
+    use crate::observer::RecordingObserver;
     use clique_model::ports::Port;
 
     #[test]
@@ -1209,6 +1331,278 @@ mod tests {
                 .unwrap();
             assert_eq!(o.stats.total(), 12 * 11);
         }
+    }
+
+    #[test]
+    fn merge_interleaves_disjoint_runs_in_order() {
+        let mut out = vec![99];
+        merge_ascending(&[1, 4, 6, 9], &[0, 5, 10], &mut out);
+        assert_eq!(out, vec![0, 1, 4, 5, 6, 9, 10]);
+        merge_ascending(&[2, 3], &[], &mut out);
+        assert_eq!(out, vec![2, 3]);
+        merge_ascending(&[], &[5], &mut out);
+        assert_eq!(out, vec![5]);
+        merge_ascending(&[7], &[1, 2, 3], &mut out);
+        assert_eq!(out, vec![1, 2, 3, 7]);
+    }
+
+    /// Hides `is_idle`, so the engine polls the wrapped node every round
+    /// it is awake and unterminated.
+    struct Polled<N>(N);
+
+    impl<N: SyncNode> SyncNode for Polled<N> {
+        type Message = N::Message;
+        fn on_wake(&mut self, ctx: &mut Context<'_, N::Message>, cause: WakeCause) {
+            self.0.on_wake(ctx, cause);
+        }
+        fn send_phase(&mut self, ctx: &mut Context<'_, N::Message>) {
+            self.0.send_phase(ctx);
+        }
+        fn receive_phase(
+            &mut self,
+            ctx: &mut Context<'_, N::Message>,
+            inbox: &[Received<N::Message>],
+        ) {
+            self.0.receive_phase(ctx, inbox);
+        }
+        fn decision(&self) -> Decision {
+            self.0.decision()
+        }
+        fn is_terminated(&self) -> bool {
+            self.0.is_terminated()
+        }
+    }
+
+    /// Runs the simulation `builder` configures with `factory`'s nodes,
+    /// and again with every node wrapped in [`Polled`]. Asserts that both
+    /// runs produce the same outcome and the same observer events, and
+    /// returns them.
+    fn same_as_polled<N, F>(
+        builder: impl Fn() -> SyncSimBuilder,
+        factory: F,
+    ) -> (Outcome, RecordingObserver)
+    where
+        N: SyncNode,
+        N::Message: 'static,
+        F: Fn(Id, usize) -> N + Copy,
+    {
+        let mut record = RecordingObserver::default();
+        let outcome = builder()
+            .build(factory)
+            .unwrap()
+            .run_observed(&mut record)
+            .unwrap();
+        let mut polled_record = RecordingObserver::default();
+        let polled = builder()
+            .build(|id, n| Polled(factory(id, n)))
+            .unwrap()
+            .run_observed(&mut polled_record)
+            .unwrap();
+        assert_eq!(format!("{outcome:?}"), format!("{polled:?}"));
+        assert_eq!(format!("{record:?}"), format!("{polled_record:?}"));
+        (outcome, record)
+    }
+
+    /// Passes hop-counted tokens around a ring: each token a node receives
+    /// goes out over its other port next round until the count runs out.
+    /// The node is idle whenever it holds no token, so between visits the
+    /// engine skips it, and mail reaches it while it is awake and idle. It
+    /// never decides.
+    #[derive(Default)]
+    struct Token {
+        held: Vec<(Port, u32)>,
+    }
+
+    impl SyncNode for Token {
+        type Message = u32;
+        fn on_wake(&mut self, ctx: &mut Context<'_, u32>, cause: WakeCause) {
+            if cause == WakeCause::Adversary {
+                // Twice around the ring: 2n sends.
+                self.held.push((Port(0), 2 * ctx.n() as u32 - 1));
+            }
+        }
+        fn send_phase(&mut self, ctx: &mut Context<'_, u32>) {
+            for (port, hops) in std::mem::take(&mut self.held) {
+                ctx.send(port, hops);
+            }
+        }
+        fn receive_phase(&mut self, _ctx: &mut Context<'_, u32>, inbox: &[Received<u32>]) {
+            for m in inbox.iter().filter(|m| m.msg > 0) {
+                self.held.push((Port(1 - m.port.0), m.msg - 1));
+            }
+        }
+        fn decision(&self) -> Decision {
+            Decision::Undecided
+        }
+        fn is_idle(&self) -> bool {
+            self.held.is_empty()
+        }
+    }
+
+    fn token_ring(n: usize) -> SyncSimBuilder {
+        SyncSimBuilder::new(n)
+            .topology(clique_model::Topology::ring(n).unwrap())
+            .max_rounds(6 * n)
+    }
+
+    fn round_robin(n: usize) -> SyncSimBuilder {
+        SyncSimBuilder::new(n).resolver(Box::new(clique_model::ports::RoundRobinResolver))
+    }
+
+    #[test]
+    fn idle_nodes_wake_and_receive_by_message() {
+        let (outcome, record) = same_as_polled(
+            || token_ring(8).wake(WakeSchedule::single(NodeIndex(0))),
+            |_, _| Token::default(),
+        );
+        // One hop a round. The first lap wakes the idle sleepers; the
+        // second reaches them awake and idle.
+        assert_eq!(outcome.stats.total(), 16);
+        assert_eq!(outcome.rounds, 16);
+        let message_wakes = record
+            .wakes
+            .iter()
+            .filter(|w| w.2 == WakeCause::Message)
+            .count();
+        assert_eq!(message_wakes, 7);
+        // Idle, undecided nodes keep the run alive to the cap.
+        assert_eq!(outcome.halt, HaltReason::MaxRounds);
+    }
+
+    #[test]
+    fn staged_wakeups_join_the_poll_list() {
+        let (outcome, record) = same_as_polled(
+            || {
+                token_ring(8).wake(WakeSchedule::staged(vec![
+                    (1, vec![NodeIndex(0)]),
+                    (3, vec![NodeIndex(4)]),
+                ]))
+            },
+            |_, _| Token::default(),
+        );
+        // Node 0's token has not reached node 4 when the adversary wakes
+        // it in round 3; both tokens move in that round.
+        assert!(record
+            .wakes
+            .contains(&(3, NodeIndex(4), WakeCause::Adversary)));
+        assert_eq!(record.messages.iter().filter(|m| m.0 == 3).count(), 2);
+        assert_eq!(outcome.stats.total(), 32);
+        assert_eq!(outcome.halt, HaltReason::MaxRounds);
+    }
+
+    /// Sends on ports 3, 1 and 5 in the round the adversary wakes it and
+    /// becomes leader; a node woken by mail becomes a non-leader.
+    #[derive(Default)]
+    struct Shout {
+        shout: bool,
+        decision: Decision,
+    }
+
+    impl SyncNode for Shout {
+        type Message = ();
+        fn on_wake(&mut self, _ctx: &mut Context<'_, ()>, cause: WakeCause) {
+            self.shout = cause == WakeCause::Adversary;
+        }
+        fn send_phase(&mut self, ctx: &mut Context<'_, ()>) {
+            if std::mem::take(&mut self.shout) {
+                for p in [3, 1, 5] {
+                    ctx.send(Port(p), ());
+                }
+                self.decision = Decision::Leader;
+            }
+        }
+        fn receive_phase(&mut self, _ctx: &mut Context<'_, ()>, inbox: &[Received<()>]) {
+            if !inbox.is_empty() && !self.decision.is_decided() {
+                self.decision = Decision::NonLeader { leader: None };
+            }
+        }
+        fn decision(&self) -> Decision {
+            self.decision
+        }
+        fn is_idle(&self) -> bool {
+            !self.shout
+        }
+    }
+
+    #[test]
+    fn events_come_in_node_order_not_arrival_order() {
+        // Wake-ups listed out of order still send in node order...
+        let (_, record) = same_as_polled(
+            || round_robin(8).wake(WakeSchedule::subset(vec![NodeIndex(5), NodeIndex(2)])),
+            |_, _| Shout::default(),
+        );
+        let senders: Vec<usize> = record.messages.iter().map(|m| m.1.node.0).collect();
+        assert_eq!(senders, [2, 2, 2, 5, 5, 5]);
+        // ...and mail that reaches nodes 3, 1, 5 in that order wakes them,
+        // and reports their decisions, in node order.
+        let (_, record) = same_as_polled(
+            || round_robin(8).wake(WakeSchedule::single(NodeIndex(7))),
+            |_, _| Shout::default(),
+        );
+        let recipients: Vec<usize> = record.messages.iter().map(|m| m.2.node.0).collect();
+        assert_eq!(recipients, [3, 1, 5]);
+        let woken: Vec<usize> = record.wakes.iter().map(|w| w.1 .0).collect();
+        assert_eq!(woken, [7, 1, 3, 5]);
+        let decided: Vec<usize> = record.decisions.iter().map(|d| d.1 .0).collect();
+        assert_eq!(decided, [1, 3, 5, 7]);
+    }
+
+    #[test]
+    fn mail_to_a_node_that_quits_in_its_own_send_phase_is_swallowed() {
+        /// Broadcasts and decides in round 2's send phase: mail from
+        /// lower-indexed senders is already queued for it by then.
+        struct Quitter {
+            decision: Decision,
+        }
+        impl SyncNode for Quitter {
+            type Message = ();
+            fn send_phase(&mut self, ctx: &mut Context<'_, ()>) {
+                if ctx.round() == 2 {
+                    for p in ctx.all_ports() {
+                        ctx.send(p, ());
+                    }
+                    self.decision = Decision::Leader;
+                }
+            }
+            fn receive_phase(&mut self, _ctx: &mut Context<'_, ()>, inbox: &[Received<()>]) {
+                assert!(inbox.is_empty(), "every message goes to a quitter");
+            }
+            fn decision(&self) -> Decision {
+                self.decision
+            }
+        }
+        let (outcome, _) = same_as_polled(
+            || SyncSimBuilder::new(5).seed(4),
+            |_, _| Quitter {
+                decision: Decision::Undecided,
+            },
+        );
+        assert_eq!(outcome.stats.total(), 20);
+        assert_eq!(outcome.messages_to_terminated, 20);
+        assert_eq!(outcome.rounds, 2);
+        assert_eq!(outcome.halt, HaltReason::Quiescent);
+    }
+
+    #[test]
+    fn all_idle_silent_runs_still_hit_the_round_cap() {
+        struct Idle;
+        impl SyncNode for Idle {
+            type Message = ();
+            fn send_phase(&mut self, _ctx: &mut Context<'_, ()>) {}
+            fn receive_phase(&mut self, _ctx: &mut Context<'_, ()>, _inbox: &[Received<()>]) {}
+            fn decision(&self) -> Decision {
+                Decision::Undecided
+            }
+            fn is_idle(&self) -> bool {
+                true
+            }
+        }
+        let (outcome, record) =
+            same_as_polled(|| SyncSimBuilder::new(6).max_rounds(10), |_, _| Idle);
+        assert_eq!(outcome.halt, HaltReason::MaxRounds);
+        assert_eq!(outcome.rounds, 1);
+        assert_eq!(outcome.awake_count(), 6);
+        assert_eq!(record.rounds, (1..=10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -26,6 +26,12 @@
 //! The engine halts when no awake node can act anymore (quiescence), or at a
 //! configurable round cap.
 //!
+//! A round costs O(active nodes + messages), not Θ(n): the engine visits
+//! only this round's wake-ups, its mail recipients, and the awake,
+//! unterminated nodes that are not [`SyncNode::is_idle`]. It visits them in
+//! ascending order, so every inbox and every observer and trace event is
+//! ordered as if all `n` nodes had been scanned.
+//!
 //! # Example
 //!
 //! A one-round protocol where every node broadcasts its ID and elects the

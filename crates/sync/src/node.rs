@@ -149,7 +149,8 @@ impl<'a, M> Context<'a, M> {
 /// The engine calls the hooks in this order each round: `on_wake` (once, at
 /// the round the node wakes), then `send_phase`, then `receive_phase`. A
 /// node whose [`SyncNode::is_terminated`] returns `true` is never activated
-/// again.
+/// again; one whose [`SyncNode::is_idle`] returns `true` is skipped until
+/// mail reaches it.
 pub trait SyncNode {
     /// Payload type of this algorithm's messages.
     ///
@@ -193,6 +194,24 @@ pub trait SyncNode {
     /// the asynchronous-style competitions) override this.
     fn is_terminated(&self) -> bool {
         self.decision().is_decided()
+    }
+
+    /// Whether the engine may skip this node until mail reaches it.
+    ///
+    /// The engine asks after every round in which the node's hooks ran.
+    /// Returning `true` promises that, in a round where no message
+    /// reaches the node, [`SyncNode::send_phase`] sends nothing and
+    /// changes nothing (it draws no coins either), and
+    /// [`SyncNode::receive_phase`] with an empty inbox changes nothing.
+    /// The engine then calls neither hook in such a round; in a round
+    /// where mail arrives it calls only `receive_phase`. Honest answers
+    /// leave every execution, trace and observer event unchanged, and
+    /// rounds cost O(active nodes + messages) instead of Θ(n).
+    ///
+    /// The default, `false`, polls the node every round while it is awake
+    /// and unterminated.
+    fn is_idle(&self) -> bool {
+        false
     }
 }
 

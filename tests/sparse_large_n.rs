@@ -1,7 +1,10 @@
-//! Large-`n` smoke tests for the hashed port-map backends (sparse and
+//! Large-`n` smoke tests. For the hashed port-map backends (sparse and
 //! chunked): one Las Vegas trial at `n = 65536` — the size where the
 //! dense tables would need ~120 GB — must elect a leader within a
-//! generous wall-clock budget and a sparse-sized memory footprint.
+//! generous wall-clock budget and a sparse-sized memory footprint. For
+//! the synchronous engine's worklists: one `singular` trial on a
+//! 65536-node ring, 98 k rounds in which only a few nodes act, must
+//! finish within a minute.
 //!
 //! Ignored by default so tier-1 wall-clock stays flat; CI runs it
 //! explicitly (release profile) as the large-n regression gate:
@@ -12,7 +15,8 @@
 
 use std::time::{Duration, Instant};
 
-use improved_le::model::PortBackend;
+use improved_le::algorithms::sync::singular;
+use improved_le::model::{PortBackend, Topology};
 use improved_le::sync::{SyncArena, SyncSimBuilder};
 
 #[test]
@@ -77,5 +81,45 @@ fn elects_at_n_65536_within_budget(backend: PortBackend) {
     assert!(
         resident * 100 < dense,
         "sparse resident {resident} B is not far below dense {dense} B"
+    );
+}
+
+#[test]
+#[ignore = "large-n smoke: run explicitly (CI) in release mode"]
+fn singular_elects_on_a_65536_ring_within_budget() {
+    // The worklist engine runs this trial in ~0.3 s on a 2-vCPU VM. An
+    // engine that scans all n nodes every round needs minutes: 3D rounds
+    // of n node visits is 6.4 G visits.
+    const BUDGET: Duration = Duration::from_secs(60);
+    let topo = Topology::ring(65536).expect("n >= 3");
+    let (d, m) = (topo.diameter(), topo.m());
+
+    let started = Instant::now();
+    let outcome = SyncSimBuilder::new(topo.n())
+        .seed(0)
+        .topology(topo)
+        .build(|id, _| singular::Node::new(id, singular::Config::default()))
+        .expect("valid configuration")
+        .run()
+        .expect("no resolver faults");
+    let elapsed = started.elapsed();
+
+    outcome
+        .validate_explicit()
+        .expect("singular elects explicitly");
+    let msgs = outcome.stats.total();
+    println!(
+        "singular ring n = 65536: {msgs} messages, {} rounds, {elapsed:?}",
+        outcome.rounds
+    );
+    assert!(
+        outcome.rounds <= 3 * d + 12,
+        "{} rounds exceed 3·{d} + 12",
+        outcome.rounds
+    );
+    assert!(msgs <= 24 * m, "{msgs} messages exceed 24·{m}");
+    assert!(
+        elapsed < BUDGET,
+        "large-n trial took {elapsed:?}, budget {BUDGET:?}"
     );
 }
