@@ -293,6 +293,100 @@ fn golden_fingerprint_async_seed0_with_transparent_network() {
     }
 }
 
+/// Golden fingerprints for the *faulty* network path: Algorithm 2
+/// (`k = 2`) at `seed = 0` on `exp_congestion`'s congested-loss network
+/// (rate 8, queue cap 8, 5 % loss, stop-and-wait ARQ), pinning
+/// `(time_bits, messages, fault counters, leader)` at two scales. A third
+/// case adds a crash with recovery of the waker while its first wake-up
+/// pings are still unacknowledged, so recovery re-arms retransmission
+/// timers.
+///
+/// The transparent-network goldens above schedule only wake-ups and plain
+/// deliveries. These also pin the pop order of reliable data copies,
+/// acknowledgements and retransmission timers, whose backed-off horizons
+/// (`rto · 2^k`) reach furthest into the future of any event. Re-record
+/// procedure: as for [`golden_fingerprint_async_seed0`], printing
+/// `(time.to_bits(), stats.total(), stats.faults, unique_leader())`.
+#[test]
+fn golden_fingerprint_async_seed0_faulty_network() {
+    use improved_le::asynchronous::{FaultPlan, NetworkConfig, Reliability};
+    use improved_le::model::metrics::FaultCounters;
+
+    let congested_loss = || {
+        NetworkConfig::new()
+            .link_rate(8.0)
+            .queue_cap(8)
+            .loss(0.05)
+            .reliable(Reliability::default())
+    };
+    // Every case delivers every payload (goodput = payloads) and drops,
+    // abandons or loses nothing at a full link queue.
+    let faults = |[payloads, retransmits, acks, loss_drops, crash_drops, duplicates]: [u64; 6]| {
+        FaultCounters {
+            payloads,
+            goodput: payloads,
+            retransmits,
+            acks,
+            loss_drops,
+            crash_drops,
+            duplicates,
+            ..FaultCounters::default()
+        }
+    };
+    let cases = [
+        (
+            64usize,
+            congested_loss(),
+            4626306702102791776u64,
+            2031u64,
+            faults([2031, 220, 2145, 220, 0, 114]),
+            15usize,
+        ),
+        (
+            256,
+            congested_loss(),
+            4630647286795457072,
+            14809,
+            faults([14809, 1619, 15598, 1619, 0, 789]),
+            70,
+        ),
+        (
+            64,
+            congested_loss().faults(FaultPlan::new().crash_recovering(NodeIndex(0), 0.5, 2.5)),
+            4625472540603717693,
+            2025,
+            faults([2025, 262, 2164, 221, 41, 139]),
+            15,
+        ),
+    ];
+    for (n, net, golden_time_bits, golden_msgs, golden_faults, golden_leader) in cases {
+        let o = AsyncSimBuilder::new(n)
+            .seed(0)
+            .wake(AsyncWakeSchedule::single(NodeIndex(0)))
+            .network(net)
+            .build(|_, _| a_tr::Node::new(a_tr::Config::new(2)))
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_eq!(
+            (
+                o.time.to_bits(),
+                o.stats.total(),
+                o.stats.faults,
+                o.unique_leader()
+            ),
+            (
+                golden_time_bits,
+                golden_msgs,
+                golden_faults,
+                Some(NodeIndex(golden_leader))
+            ),
+            "faulty-network golden drifted at n = {n} (time = {})",
+            o.time
+        );
+    }
+}
+
 #[test]
 fn seed_isolation_between_components() {
     // Changing only the wake schedule must not change the ID assignment
