@@ -1,8 +1,6 @@
 //! The asynchronous event-driven engine.
 
 use std::any::Any;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use clique_model::ids::{Id, IdAssignment, IdSpace};
 use clique_model::metrics::MessageStats;
@@ -21,6 +19,7 @@ use crate::network::reliability::{Outstanding, RelState};
 use crate::network::{LinkTable, NetworkConfig, Reliability};
 use crate::node::{AsyncContext, AsyncNode, Received};
 use crate::outcome::{AsyncHaltReason, AsyncOutcome};
+use crate::queue::EventQueue;
 use crate::wakeup::AsyncWakeSchedule;
 
 /// Seed stream tags (mirroring the synchronous engine), so every consumer of
@@ -89,46 +88,11 @@ enum WireFate {
     Lost,
 }
 
-/// A scheduled event. Ordered by `(time, seq)`; `seq` is the global push
-/// counter, which makes the pop order fully deterministic and acts as the
-/// FIFO tie-break for simultaneous deliveries.
-struct Event<M> {
-    time: f64,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-
-impl<M> Eq for Event<M> {}
-
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        // Times are always finite: the engine validates every adversary
-        // delay (rejecting NaN/out-of-range) before scheduling.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("event times are finite")
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// Reusable simulation state for repeated asynchronous trials: the
 /// [`PortMap`], the per-link FIFO-floor storage (a flat `Θ(n²)` array on
 /// the dense backend, a hashed touched-links map on the sparse one), the
-/// event queue's heap storage, and the outbox.
+/// event queue's storage (its near and far heaps and its per-bucket ring
+/// vectors, each keeping its capacity), and the outbox.
 ///
 /// The asynchronous mirror of [`clique_sync::SyncArena`]: build through
 /// [`AsyncSimBuilder::build_in`], finish with [`AsyncSim::run_reusing`],
@@ -212,10 +176,12 @@ impl std::fmt::Debug for AsyncArena {
     }
 }
 
-/// The message-typed recyclable buffers of an [`AsyncArena`], stored
-/// type-erased so one arena serves algorithms with different message types.
+/// The message-typed recyclable buffers of an [`AsyncArena`] — the event
+/// queue, the outbox and the reliability protocol's per-link state —
+/// stored type-erased so one arena serves algorithms with different
+/// message types.
 struct AsyncBuffers<M> {
-    queue: BinaryHeap<Event<M>>,
+    queue: EventQueue<EventKind<M>>,
     outbox: Vec<(Port, M)>,
     rel: RelState<M>,
 }
@@ -223,7 +189,7 @@ struct AsyncBuffers<M> {
 impl<M> Default for AsyncBuffers<M> {
     fn default() -> Self {
         AsyncBuffers {
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             outbox: Vec::new(),
             rel: RelState::default(),
         }
@@ -410,8 +376,8 @@ impl AsyncSimBuilder {
 
     /// Instantiates the simulation like [`AsyncSimBuilder::build`], but
     /// recycles the `Θ(n²)` port map, the `Θ(n²)` FIFO-floor array, and
-    /// the event-queue storage held by `arena` instead of allocating fresh
-    /// ones. Pair with [`AsyncSim::run_reusing`] to return the state to
+    /// the event queue's heaps and bucket ring held by `arena` instead of
+    /// allocating fresh ones. Pair with [`AsyncSim::run_reusing`] to return the state to
     /// the arena afterwards. The execution is identical to a freshly built
     /// one.
     ///
@@ -495,15 +461,9 @@ impl AsyncSimBuilder {
             .unwrap_or_else(|| AsyncWakeSchedule::single(NodeIndex(0)));
 
         let mut queue = bufs.queue;
-        let mut seq = 0u64;
         let mut last_scheduled_wake = 0.0f64;
         for &(t, u) in wake.entries() {
-            queue.push(Event {
-                time: t,
-                seq,
-                kind: EventKind::Wake(u),
-            });
-            seq += 1;
+            queue.push(t, EventKind::Wake(u));
             last_scheduled_wake = last_scheduled_wake.max(t);
         }
 
@@ -515,19 +475,9 @@ impl AsyncSimBuilder {
                     "crash fault targets {} outside the {n}-node network",
                     cf.node
                 );
-                queue.push(Event {
-                    time: cf.at,
-                    seq,
-                    kind: EventKind::Crash(cf.node),
-                });
-                seq += 1;
+                queue.push(cf.at, EventKind::Crash(cf.node));
                 if let Some(back) = cf.recover_at {
-                    queue.push(Event {
-                        time: back,
-                        seq,
-                        kind: EventKind::Recover(cf.node),
-                    });
-                    seq += 1;
+                    queue.push(back, EventKind::Recover(cf.node));
                 }
             }
             if let Some(rc) = net.fault_plan().random() {
@@ -539,12 +489,7 @@ impl AsyncSimBuilder {
                     // Uniform over (0, window]: a crash at exactly 0 would
                     // be indistinguishable from never scheduling the node.
                     let t = rc.window * (1.0 - fault_rng.gen::<f64>());
-                    queue.push(Event {
-                        time: t,
-                        seq,
-                        kind: EventKind::Crash(NodeIndex(v)),
-                    });
-                    seq += 1;
+                    queue.push(t, EventKind::Crash(NodeIndex(v)));
                 }
             }
         }
@@ -572,12 +517,12 @@ impl AsyncSimBuilder {
             delay_rng: rng_from_seed(derive_seed(self.seed, STREAM_DELAYS)),
             transcript: Transcript::new(n),
             queue,
-            seq,
             fifo_front,
             max_events: self
                 .max_events
                 .unwrap_or(64 * (n as u64) * (n as u64) + 4096),
             awake: vec![false; n],
+            awake_count: 0,
             stats,
             tracer,
             outbox: bufs.outbox,
@@ -619,8 +564,7 @@ pub struct AsyncSim<N: AsyncNode> {
     delay_rng: SmallRng,
     /// Per-node sent/delivered counts, maintained for adaptive adversaries.
     transcript: Transcript,
-    queue: BinaryHeap<Event<N::Message>>,
-    seq: u64,
+    queue: EventQueue<EventKind<N::Message>>,
     /// Per directed link `src·n + dst`: the latest delivery time already
     /// scheduled, enforcing FIFO order. Flat under the dense backend
     /// (this sits on the per-message dispatch path), hashed under the
@@ -628,6 +572,8 @@ pub struct AsyncSim<N: AsyncNode> {
     fifo_front: LinkTable,
     max_events: u64,
     awake: Vec<bool>,
+    /// Nodes woken so far (the `true` entries of `awake`).
+    awake_count: usize,
     stats: MessageStats,
     /// Structured event tracing (disabled path: one `bool` load per site).
     tracer: Tracer,
@@ -762,8 +708,8 @@ impl<N: AsyncNode> AsyncSim<N> {
 
     /// Runs until the event queue drains (or the event cap fires) like
     /// [`AsyncSim::run`], then returns the recyclable state — the port
-    /// map, FIFO floors, queue storage, and outbox — to `arena` for the
-    /// next trial instead of dropping it. The outcome is identical to
+    /// map, FIFO floors, the event queue's heaps and bucket ring, and the
+    /// outbox — to `arena` for the next trial instead of dropping it. The outcome is identical to
     /// [`AsyncSim::run`]'s.
     ///
     /// # Errors
@@ -935,7 +881,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                 data_seq,
                 attempt,
             } => {
-                // Timers are uncancellable heap entries; one is live only
+                // Timers are uncancellable queue entries; one is live only
                 // if the exact (payload, attempt) it was armed for is
                 // still in flight. Stale pops are non-events and must not
                 // advance the reported time complexity.
@@ -1034,17 +980,15 @@ impl<N: AsyncNode> AsyncSim<N> {
             })
             .collect();
         for (dst, data_seq, attempt) in rearm {
-            self.queue.push(Event {
-                time: self.now + rel_cfg.timeout_after(attempt),
-                seq: self.seq,
-                kind: EventKind::Retry {
+            self.queue.push(
+                self.now + rel_cfg.timeout_after(attempt),
+                EventKind::Retry {
                     src: v,
                     dst,
                     data_seq,
                     attempt,
                 },
-            });
-            self.seq += 1;
+            );
         }
     }
 
@@ -1076,9 +1020,12 @@ impl<N: AsyncNode> AsyncSim<N> {
                 outbox: &mut outbox,
             };
             if let Some(cause) = wake {
-                self.awake[u.0] = true;
+                if !self.awake[u.0] {
+                    self.awake[u.0] = true;
+                    self.awake_count += 1;
+                }
                 self.nodes[u.0].on_wake(&mut ctx, cause);
-                if self.awake.iter().all(|&a| a) && self.wake_all_time.is_none() {
+                if self.awake_count == self.n && self.wake_all_time.is_none() {
                     self.wake_all_time = Some(self.now);
                 }
             }
@@ -1143,7 +1090,7 @@ impl<N: AsyncNode> AsyncSim<N> {
             let delay = self.adversary.delay(&obs, &mut self.delay_rng);
             // Enforced in every build profile: a NaN here would survive any
             // clamp, poison `deliver_at` and the FIFO floor, and break the
-            // event heap's ordering (which requires finite times).
+            // event queue's ordering (which requires non-NaN times).
             if !(delay > 0.0 && delay <= 1.0) {
                 return Err(ModelError::InvalidDelay {
                     adversary: self.adversary.name(),
@@ -1155,17 +1102,15 @@ impl<N: AsyncNode> AsyncSim<N> {
             let deliver_at = (self.now + delay).max(*floor);
             *floor = deliver_at;
             self.stats.record(self.now.floor() as usize + 1, src);
-            self.queue.push(Event {
-                time: deliver_at,
-                seq: self.seq,
-                kind: EventKind::Deliver {
+            self.queue.push(
+                deliver_at,
+                EventKind::Deliver {
                     src,
                     dst: dst.node,
                     dst_port: dst.port,
                     msg,
                 },
-            });
-            self.seq += 1;
+            );
             return Ok(());
         }
 
@@ -1198,17 +1143,15 @@ impl<N: AsyncNode> AsyncSim<N> {
             // lost payload.
             match self.transmit_raw(src, dst.node, class)? {
                 WireFate::At(t) => {
-                    self.queue.push(Event {
-                        time: t,
-                        seq: self.seq,
-                        kind: EventKind::Deliver {
+                    self.queue.push(
+                        t,
+                        EventKind::Deliver {
                             src,
                             dst: dst.node,
                             dst_port: dst.port,
                             msg,
                         },
-                    });
-                    self.seq += 1;
+                    );
                 }
                 WireFate::QueueDrop | WireFate::Lost => {
                     self.stats.faults.lost_payloads += 1;
@@ -1352,18 +1295,16 @@ impl<N: AsyncNode> AsyncSim<N> {
         }
         let class = N::classify(&msg);
         if let WireFate::At(t) = self.transmit_raw(src, dst, class)? {
-            self.queue.push(Event {
-                time: t,
-                seq: self.seq,
-                kind: EventKind::DeliverData {
+            self.queue.push(
+                t,
+                EventKind::DeliverData {
                     src,
                     dst,
                     dst_port,
                     data_seq,
                     msg,
                 },
-            });
-            self.seq += 1;
+            );
         }
         // Count the attempt and arm the timer whether or not the copy
         // survived the wire — the sender cannot know.
@@ -1375,17 +1316,15 @@ impl<N: AsyncNode> AsyncSim<N> {
         o.attempts += 1;
         let attempt = o.attempts;
         let rel_cfg = self.rel_cfg.expect("reliable send requires a config");
-        self.queue.push(Event {
-            time: self.now + rel_cfg.timeout_after(attempt),
-            seq: self.seq,
-            kind: EventKind::Retry {
+        self.queue.push(
+            self.now + rel_cfg.timeout_after(attempt),
+            EventKind::Retry {
                 src,
                 dst,
                 data_seq,
                 attempt,
             },
-        });
-        self.seq += 1;
+        );
         Ok(())
     }
 
@@ -1410,12 +1349,8 @@ impl<N: AsyncNode> AsyncSim<N> {
             });
         }
         if let WireFate::At(t) = self.transmit_raw(from, to, MessageClass::Ack)? {
-            self.queue.push(Event {
-                time: t,
-                seq: self.seq,
-                kind: EventKind::DeliverAck { to, from, data_seq },
-            });
-            self.seq += 1;
+            self.queue
+                .push(t, EventKind::DeliverAck { to, from, data_seq });
         }
         Ok(())
     }
@@ -1966,7 +1901,7 @@ mod tests {
     fn hostile_delay_strategies_are_rejected_in_all_profiles() {
         // Regression: a NaN used to pass `raw.clamp(f64::MIN_POSITIVE, 1.0)`
         // unchanged in release builds (clamp propagates NaN), poisoning the
-        // delivery time, the FIFO floor, and the event heap's ordering. The
+        // delivery time, the FIFO floor, and the event queue's ordering. The
         // engine must now fail the run with a descriptive error — in release
         // builds too — for NaN and for every out-of-range value.
         struct Hostile(f64);

@@ -66,6 +66,7 @@ pub mod engine;
 pub mod network;
 pub mod node;
 pub mod outcome;
+mod queue;
 pub mod wakeup;
 
 pub use adversary::delay::{BimodalDelay, ConstDelay, DelayStrategy, UniformDelay};
