@@ -377,9 +377,9 @@ impl AsyncSimBuilder {
     /// Instantiates the simulation like [`AsyncSimBuilder::build`], but
     /// recycles the `Θ(n²)` port map, the `Θ(n²)` FIFO-floor array, and
     /// the event queue's heaps and bucket ring held by `arena` instead of
-    /// allocating fresh ones. Pair with [`AsyncSim::run_reusing`] to return the state to
-    /// the arena afterwards. The execution is identical to a freshly built
-    /// one.
+    /// allocating fresh ones. Pair with [`AsyncSim::run_reusing`] to
+    /// return the state to the arena afterwards. The execution is
+    /// identical to a freshly built one.
     ///
     /// # Errors
     ///
@@ -709,8 +709,8 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// Runs until the event queue drains (or the event cap fires) like
     /// [`AsyncSim::run`], then returns the recyclable state — the port
     /// map, FIFO floors, the event queue's heaps and bucket ring, and the
-    /// outbox — to `arena` for the next trial instead of dropping it. The outcome is identical to
-    /// [`AsyncSim::run`]'s.
+    /// outbox — to `arena` for the next trial instead of dropping it. The
+    /// outcome is identical to [`AsyncSim::run`]'s.
     ///
     /// # Errors
     ///

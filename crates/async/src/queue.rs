@@ -221,7 +221,8 @@ mod tests {
     /// same seeded interleaving of `ops` pushes and pops (`next_time` picks
     /// each push time from the last popped time), asserting the same
     /// `(time, seq, kind)` pop sequence and the same `len()` after every
-    /// operation, then the same drain order. Returns the queue for reuse.
+    /// operation, then the same drain order. The queue is borrowed, so a
+    /// test can hand in a cleared, previously used one.
     fn differential(
         queue: &mut EventQueue<u64>,
         seed: u64,
