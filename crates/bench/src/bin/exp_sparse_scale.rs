@@ -6,9 +6,11 @@
 //! the regime where a `Θ(n²)`-word port map is pure waste. This sweep runs
 //! the Θ(n)-message Las Vegas algorithm (Theorem 3.16) and the
 //! `Θ(√n·log^{3/2} n)`-message Monte Carlo algorithm of \[16\] at
-//! `n = 65536` and `n = 131072` on the sparse backend, where the dense
-//! tables would need ~120 GB and ~480 GB respectively (the
-//! `dense_equiv_bytes` column); the implicit `peak_resident_bytes` column
+//! `n = 65536` and `n = 131072` on the sparse backend, sizes the `auto`
+//! budget's cost model prices at ~120 GB and ~480 GB (the
+//! `dense_equiv_bytes` column: the flat layout's 28 bytes per ordered
+//! pair; today's dense store holds 8 bytes per pair, 32 GiB at 65536, and
+//! stops at 65536 nodes). The implicit `peak_resident_bytes` column
 //! records what the sparse backend actually held.
 //!
 //! Expected shape: Las Vegas never fails and stays within 3 rounds; both
@@ -175,7 +177,9 @@ fn main() {
     }
     println!(
         "note: every cell runs on PortBackend::Sparse; dense_equiv_bytes is \
-         what the flat tables would have allocated per simulation."
+         the auto budget's cost model (28 bytes per ordered pair of the \
+         flat layout), not the dense store's footprint (8 bytes per pair, \
+         n <= 65536)."
     );
     runner.finish();
 }

@@ -1,6 +1,6 @@
 //! Shared error types for the clique model.
 
-use crate::{NodeIndex, Port};
+use crate::{NodeIndex, Port, PortBackend};
 
 /// Errors produced while constructing or manipulating model primitives.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -11,6 +11,16 @@ pub enum ModelError {
     NetworkTooSmall {
         /// The offending node count.
         n: usize,
+    },
+    /// The requested port-map backend cannot index a network this large
+    /// (the dense backend's `u16` tables stop at `n = 65536`).
+    NetworkTooLarge {
+        /// The backend that was asked for.
+        backend: PortBackend,
+        /// The requested node count.
+        n: usize,
+        /// The largest node count the backend supports.
+        limit: usize,
     },
     /// A port index was not in `0..n-1`.
     PortOutOfRange {
@@ -73,6 +83,10 @@ impl std::fmt::Display for ModelError {
             ModelError::NetworkTooSmall { n } => {
                 write!(f, "network must contain at least 2 nodes, got {n}")
             }
+            ModelError::NetworkTooLarge { backend, n, limit } => write!(
+                f,
+                "the {backend} port-map backend supports at most {limit} nodes, got {n}"
+            ),
             ModelError::PortOutOfRange {
                 node,
                 port,
@@ -115,6 +129,15 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "network must contain at least 2 nodes, got 1"
+        );
+        let e = ModelError::NetworkTooLarge {
+            backend: PortBackend::Dense,
+            n: 65537,
+            limit: 65536,
+        };
+        assert_eq!(
+            e.to_string(),
+            "the dense port-map backend supports at most 65536 nodes, got 65537"
         );
         let e = ModelError::DuplicateId { id: 9 };
         assert_eq!(e.to_string(), "duplicate ID 9 in assignment");

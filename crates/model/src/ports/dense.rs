@@ -1,48 +1,42 @@
-//! The dense backend: today's flat tables, verbatim.
+//! The dense backend: four flat `u16` tables, 8 bytes per ordered node
+//! pair, for `n ≤ 65536`.
 //!
-//! All tables are dense row-major arrays (`O(n²)` words, allocated once in
-//! [`DenseStore::new`]): a forward table `(u, i) → (v, j)`, a peer-to-port
-//! table `(u, v) → i`, and — the piece that makes uniform resolution O(1) —
-//! one *partitioned permutation* per node over its peers and one over its
-//! ports. The first `degree(u)` entries of `u`'s peer permutation are its
-//! connected peers; the remainder are the unconnected ones, so a uniform
-//! fresh peer is a single indexed draw (partial Fisher–Yates) instead of
-//! rejection sampling, and connecting a pair is two O(1) swaps. The port
-//! permutation is maintained identically for free-port draws. Every
-//! operation on the store is O(1) with no hashing — which is why this
-//! backend stays the default wherever its `Θ(n²)` words fit.
+//! Each node keeps a *partitioned permutation* over its peers and one over
+//! its ports, each with its inverse, allocated once in [`DenseStore::new`].
+//! The first `degree(u)` entries of `u`'s rows are its connected peers and
+//! assigned ports, so a uniform fresh peer or free port is one indexed draw
+//! (partial Fisher–Yates) and connecting a pair is two O(1) swaps.
+//!
+//! The permutations are also the link table. Fixing a link moves `u`'s
+//! peer and its local port to the same position of `u`'s two rows, and
+//! the connected prefix does not move again until [`DenseStore::reset`].
+//! So `u`'s port to `v` is the port at `v`'s peer position, and the peer
+//! behind port `p` is the peer at `p`'s port position. Every operation is
+//! O(1) with no hashing.
 
-use super::{Endpoint, Port, PortStore};
+use super::{Endpoint, Port, PortBackend, PortStore};
 use crate::error::ModelError;
 use crate::NodeIndex;
 
-/// Sentinel for "unassigned" entries of the flat tables.
-const EMPTY_U32: u32 = u32::MAX;
-/// Sentinel for unassigned forward-table entries.
-const EMPTY_U64: u64 = u64::MAX;
+/// The diagonal entry of `peer_pos`. No degree reaches it
+/// (`degree ≤ n − 1 ≤ u16::MAX`), so a node is never its own peer.
+const NOT_A_PEER: u16 = u16::MAX;
 
 /// The flat-table storage backend (see the module docs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct DenseStore {
     n: usize,
-    /// `forward[u·(n−1) + i] = (v << 32) | j` for each assigned port `i` of
-    /// `u`, [`EMPTY_U64`] otherwise.
-    forward: Vec<u64>,
-    /// `port_of[u·n + v] = i` iff `u`'s port `i` connects to `v`,
-    /// [`EMPTY_U32`] otherwise.
-    port_of: Vec<u32>,
     /// Row `u` is a permutation of all nodes `≠ u`; the first `degree[u]`
     /// entries are the connected peers, the rest the unconnected ones.
-    peer_perm: Vec<u32>,
+    peer_perm: Vec<u16>,
     /// `peer_pos[u·n + v]` = position of `v` in row `u` of `peer_perm`
-    /// (diagonal entries unused).
-    peer_pos: Vec<u32>,
-    /// Row `u` is a permutation of `u`'s ports; the first `degree[u]`
-    /// entries are assigned, the rest free.
-    port_perm: Vec<u32>,
-    /// `port_pos[u·(n−1) + p]` = position of port `p` in row `u` of
-    /// `port_perm`.
-    port_pos: Vec<u32>,
+    /// ([`NOT_A_PEER`] on the diagonal).
+    peer_pos: Vec<u16>,
+    /// Row `u` is a permutation of `u`'s ports; the port at position
+    /// `k < degree[u]` links `u` to the peer at `peer_perm` position `k`.
+    port_perm: Vec<u16>,
+    /// `port_pos[u·(n−1) + p]` = position of port `p` in row `u`.
+    port_pos: Vec<u16>,
     /// Links incident to each node (also: assigned ports of each node).
     degree: Vec<u32>,
     /// Total number of links fixed so far.
@@ -54,31 +48,35 @@ pub(super) struct DenseStore {
 }
 
 impl DenseStore {
+    /// The largest network whose node indices fit the `u16` entries.
+    const MAX_N: usize = u16::MAX as usize + 1;
+
     /// Allocates and eagerly initializes the flat tables for an `n`-node
-    /// clique (`n ≥ 2`, validated by the facade).
-    pub(super) fn new(n: usize) -> Self {
-        debug_assert!(n >= 2);
-        debug_assert!(n < EMPTY_U32 as usize, "node indices must fit in u32");
+    /// clique (`n ≥ 2`, validated by the facade), or returns
+    /// [`ModelError::NetworkTooLarge`] before allocating past `MAX_N`.
+    pub(super) fn new(n: usize) -> Result<Self, ModelError> {
+        if n > Self::MAX_N {
+            let (backend, limit) = (PortBackend::Dense, Self::MAX_N);
+            return Err(ModelError::NetworkTooLarge { backend, n, limit });
+        }
         let ports = n - 1;
-        let mut peer_perm = vec![0u32; n * ports];
-        let mut peer_pos = vec![EMPTY_U32; n * n];
-        let mut port_perm = vec![0u32; n * ports];
-        let mut port_pos = vec![0u32; n * ports];
+        let mut peer_perm = vec![0u16; n * ports];
+        let mut peer_pos = vec![NOT_A_PEER; n * n];
+        let mut port_perm = vec![0u16; n * ports];
+        let mut port_pos = vec![0u16; n * ports];
         for u in 0..n {
             let row = u * ports;
             for k in 0..ports {
                 // Row u enumerates 0..n skipping u, in ascending order.
                 let v = k + usize::from(k >= u);
-                peer_perm[row + k] = v as u32;
-                peer_pos[u * n + v] = k as u32;
-                port_perm[row + k] = k as u32;
-                port_pos[row + k] = k as u32;
+                peer_perm[row + k] = v as u16;
+                peer_pos[u * n + v] = k as u16;
+                port_perm[row + k] = k as u16;
+                port_pos[row + k] = k as u16;
             }
         }
-        DenseStore {
+        Ok(DenseStore {
             n,
-            forward: vec![EMPTY_U64; n * ports],
-            port_of: vec![EMPTY_U32; n * n],
             peer_perm,
             peer_pos,
             port_perm,
@@ -86,38 +84,40 @@ impl DenseStore {
             degree: vec![0; n],
             links: 0,
             dirty: Vec::new(),
-        }
+        })
     }
 
+    /// Offset of row `u` in the `(n − 1)`-wide tables.
     #[inline]
-    fn peer_row(&self, u: usize) -> &[u32] {
-        &self.peer_perm[u * (self.n - 1)..(u + 1) * (self.n - 1)]
+    fn row(&self, u: usize) -> usize {
+        u * (self.n - 1)
     }
 
+    /// Position of `v` in row `u` of the peer permutation.
     #[inline]
-    fn port_row(&self, u: usize) -> &[u32] {
-        &self.port_perm[u * (self.n - 1)..(u + 1) * (self.n - 1)]
+    fn peer_pos(&self, u: usize, v: usize) -> usize {
+        self.peer_pos[u * self.n + v] as usize
     }
 
     /// Swaps peer `v` and port `p` into the connected prefix of `u`'s
     /// partitioned permutations (two O(1) partial-Fisher–Yates steps).
     fn promote(&mut self, u: usize, v: usize, p: usize) {
         let d = self.degree[u] as usize;
-        let row = u * (self.n - 1);
+        let row = self.row(u);
 
-        let k = self.peer_pos[u * self.n + v] as usize;
+        let k = self.peer_pos(u, v);
         debug_assert!(k >= d, "promoting an already-connected peer");
         let w = self.peer_perm[row + d] as usize;
         self.peer_perm.swap(row + d, row + k);
-        self.peer_pos[u * self.n + v] = d as u32;
-        self.peer_pos[u * self.n + w] = k as u32;
+        self.peer_pos[u * self.n + v] = d as u16;
+        self.peer_pos[u * self.n + w] = k as u16;
 
         let kp = self.port_pos[row + p] as usize;
         debug_assert!(kp >= d, "promoting an already-assigned port");
         let q = self.port_perm[row + d] as usize;
         self.port_perm.swap(row + d, row + kp);
-        self.port_pos[row + p] = d as u32;
-        self.port_pos[row + q] = kp as u32;
+        self.port_pos[row + p] = d as u16;
+        self.port_pos[row + q] = kp as u16;
     }
 }
 
@@ -151,50 +151,42 @@ impl PortStore for DenseStore {
 
     #[inline]
     fn connected(&self, u: NodeIndex, v: NodeIndex) -> bool {
-        self.port_of[u.0 * self.n + v.0] != EMPTY_U32
+        self.peer_pos(u.0, v.0) < self.degree[u.0] as usize
     }
 
     #[inline]
     fn peer(&self, u: NodeIndex, p: Port) -> Option<Endpoint> {
-        let enc = self.forward[u.0 * (self.n - 1) + p.0];
-        if enc == EMPTY_U64 {
-            None
-        } else {
-            Some(Endpoint {
-                node: NodeIndex((enc >> 32) as usize),
-                port: Port((enc & 0xFFFF_FFFF) as usize),
-            })
-        }
+        let k = self.port_pos[self.row(u.0) + p.0] as usize;
+        (k < self.degree[u.0] as usize).then(|| {
+            let node = self.peer_at_pos(u, k);
+            let port = self.port_at_pos(node, self.peer_pos(node.0, u.0));
+            Endpoint { node, port }
+        })
     }
 
     #[inline]
     fn port_to(&self, u: NodeIndex, v: NodeIndex) -> Option<Port> {
-        let p = self.port_of[u.0 * self.n + v.0];
-        (p != EMPTY_U32).then_some(Port(p as usize))
+        let k = self.peer_pos(u.0, v.0);
+        (k < self.degree[u.0] as usize).then(|| self.port_at_pos(u, k))
     }
 
     #[inline]
     fn peer_at_pos(&self, u: NodeIndex, k: usize) -> NodeIndex {
-        NodeIndex(self.peer_row(u.0)[k] as usize)
+        NodeIndex(self.peer_perm[self.row(u.0) + k] as usize)
     }
 
     #[inline]
     fn port_at_pos(&self, u: NodeIndex, k: usize) -> Port {
-        Port(self.port_row(u.0)[k] as usize)
+        Port(self.port_perm[self.row(u.0) + k] as usize)
     }
 
     fn insert_link(&mut self, u: NodeIndex, pu: Port, v: NodeIndex, pv: Port) {
-        let ports = self.n - 1;
         if self.degree[u.0] == 0 {
             self.dirty.push(u.0 as u32);
         }
         if self.degree[v.0] == 0 {
             self.dirty.push(v.0 as u32);
         }
-        self.forward[u.0 * ports + pu.0] = ((v.0 as u64) << 32) | pv.0 as u64;
-        self.forward[v.0 * ports + pv.0] = ((u.0 as u64) << 32) | pu.0 as u64;
-        self.port_of[u.0 * self.n + v.0] = pu.0 as u32;
-        self.port_of[v.0 * self.n + u.0] = pv.0 as u32;
         self.promote(u.0, v.0, pu.0);
         self.promote(v.0, u.0, pv.0);
         self.degree[u.0] += 1;
@@ -203,31 +195,17 @@ impl PortStore for DenseStore {
     }
 
     /// Un-connects everything, returning the store to the exact state
-    /// [`DenseStore::new`] produces — without reallocating any table.
-    ///
-    /// Cost is proportional to the state actually touched since
-    /// construction (or the previous reset): only the rows of nodes with at
-    /// least one link are visited, and each such row is restored in
-    /// O(degree) — the partitioned permutations are swapped back to
-    /// canonical ascending order by chasing displacement cycles, every swap
-    /// of which parks one entry in its home slot for good.
+    /// [`DenseStore::new`] produces without reallocating any table. Only
+    /// the rows of nodes with a link are visited, each restored in
+    /// O(degree) by chasing displacement cycles back to canonical order;
+    /// every swap parks one entry in its home slot for good.
     fn reset(&mut self) {
-        let ports = self.n - 1;
         let dirty = std::mem::take(&mut self.dirty);
         for &u in &dirty {
             let u = u as usize;
-            let d = self.degree[u] as usize;
-            let row = u * ports;
-            // Clear the forward and peer-index entries of every link of u.
-            // The connected peers and assigned ports are exactly the first
-            // d entries of the partitioned permutations.
-            for k in 0..d {
-                let v = self.peer_perm[row + k] as usize;
-                self.port_of[u * self.n + v] = EMPTY_U32;
-                let p = self.port_perm[row + k] as usize;
-                self.forward[row + p] = EMPTY_U64;
-            }
-            self.degree[u] = 0;
+            // Links live only in the connected prefix: this unlinks them.
+            let d = std::mem::take(&mut self.degree[u]) as usize;
+            let row = self.row(u);
             // Restore the canonical permutations. Every displacement cycle
             // passes through the connected prefix `0..d` (each `promote`
             // swapped the then-boundary position with a position at or
@@ -242,8 +220,8 @@ impl PortStore for DenseStore {
                     }
                     let w = self.peer_perm[row + home] as usize;
                     self.peer_perm.swap(row + k, row + home);
-                    self.peer_pos[u * self.n + v] = home as u32;
-                    self.peer_pos[u * self.n + w] = k as u32;
+                    self.peer_pos[u * self.n + v] = home as u16;
+                    self.peer_pos[u * self.n + w] = k as u16;
                 }
                 loop {
                     let p = self.port_perm[row + k] as usize;
@@ -252,8 +230,8 @@ impl PortStore for DenseStore {
                     }
                     let q = self.port_perm[row + p] as usize;
                     self.port_perm.swap(row + k, row + p);
-                    self.port_pos[row + p] = p as u32;
-                    self.port_pos[row + q] = k as u32;
+                    self.port_pos[row + p] = p as u16;
+                    self.port_pos[row + q] = k as u16;
                 }
             }
         }
@@ -268,58 +246,39 @@ impl PortStore for DenseStore {
                 reason,
             })
         };
-        let ports = self.n - 1;
-        let mut counted = 0usize;
-        for u in 0..self.n {
-            let mut assigned = 0usize;
-            for i in 0..ports {
-                let Some(Endpoint { node: v, port: j }) = self.peer(NodeIndex(u), Port(i)) else {
-                    continue;
-                };
-                counted += 1;
-                assigned += 1;
-                if v.0 == u {
-                    return fail(u, i, "self-link");
-                }
-                let back = self.peer(v, j);
-                if back
-                    != Some(Endpoint {
-                        node: NodeIndex(u),
-                        port: Port(i),
-                    })
-                {
-                    return fail(u, i, "asymmetric link");
-                }
-                if self.port_of[u * self.n + v.0] != i as u32 {
-                    return fail(u, i, "peer index out of sync");
-                }
+        let (n, ports) = (self.n, self.n - 1);
+        let mut ends = 0usize;
+        for u in 0..n {
+            let (row, d) = (self.row(u), self.degree[u] as usize);
+            if d > ports {
+                return fail(u, 0, "degree exceeds the port space");
             }
-            if assigned != self.degree[u] as usize {
-                return fail(u, 0, "degree out of sync with forward table");
+            if self.peer_pos[u * n + u] != NOT_A_PEER {
+                return fail(u, 0, "node has a position in its own peer row");
             }
-            // The peer/port permutation rows must be partitioned exactly at
-            // degree[u], with pos tables as their inverses.
-            let d = self.degree[u] as usize;
-            for (k, &v) in self.peer_row(u).iter().enumerate() {
-                if self.peer_pos[u * self.n + v as usize] != k as u32 {
-                    return fail(u, 0, "peer permutation/position out of sync");
-                }
-                let connected = self.port_of[u * self.n + v as usize] != EMPTY_U32;
-                if connected != (k < d) {
-                    return fail(u, 0, "peer permutation partition broken");
-                }
-            }
-            for (k, &p) in self.port_row(u).iter().enumerate() {
-                if self.port_pos[u * ports + p as usize] != k as u32 {
+            // Both rows must be permutations inverted by the pos tables, and
+            // each peer in u's connected prefix must have u in its own
+            // (checked for every u, this covers both directions).
+            for (k, &p) in self.port_perm[row..row + ports].iter().enumerate() {
+                if p as usize >= ports || self.port_pos[row + p as usize] as usize != k {
                     return fail(u, 0, "port permutation/position out of sync");
                 }
-                let taken = self.forward[u * ports + p as usize] != EMPTY_U64;
-                if taken != (k < d) {
-                    return fail(u, 0, "port permutation partition broken");
+            }
+            for (k, &v) in self.peer_perm[row..row + ports].iter().enumerate() {
+                let (v, p) = (v as usize, self.port_perm[row + k] as usize);
+                if v == u {
+                    return fail(u, p, "self-link");
+                }
+                if v >= n || self.peer_pos(u, v) != k {
+                    return fail(u, 0, "peer permutation/position out of sync");
+                }
+                if k < d && !self.connected(NodeIndex(v), NodeIndex(u)) {
+                    return fail(u, p, "asymmetric link");
                 }
             }
+            ends += d;
         }
-        if counted != 2 * self.links {
+        if ends != 2 * self.links {
             return fail(0, 0, "link count out of sync");
         }
         if let Err(reason) = super::validate_dirty_list(&self.degree, &self.dirty) {
@@ -329,13 +288,53 @@ impl PortStore for DenseStore {
     }
 
     fn resident_bytes(&self) -> u64 {
-        let u32s = self.port_of.capacity()
-            + self.peer_perm.capacity()
+        let u16s = self.peer_perm.capacity()
             + self.peer_pos.capacity()
             + self.port_perm.capacity()
-            + self.port_pos.capacity()
-            + self.degree.capacity()
-            + self.dirty.capacity();
-        (self.forward.capacity() * 8 + u32s * 4) as u64
+            + self.port_pos.capacity();
+        (u16s * 2 + (self.degree.capacity() + self.dirty.capacity()) * 4) as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ports::{PortMap, RandomResolver, Store};
+    use crate::rng::rng_from_seed;
+
+    #[test]
+    fn validate_rejects_each_corruption() {
+        let corruptions = [
+            "two link ports crossed",
+            "a broken peer_pos inverse",
+            "a degree bumped by one",
+            "a dirty-list entry dropped",
+            "a node in its own peer row",
+        ];
+        let n = 12;
+        for (case, what) in corruptions.into_iter().enumerate() {
+            // Three random ports resolved per node, then one corruption
+            // at a node with at least two links.
+            let mut map = PortMap::with_backend(n, PortBackend::Dense).unwrap();
+            let mut rng = rng_from_seed(7);
+            for (u, p) in (0..n).flat_map(|u| (0..3).map(move |p| (u, p))) {
+                map.resolve(NodeIndex(u), Port(p), &mut RandomResolver, &mut rng)
+                    .unwrap();
+            }
+            let Store::Dense(mut s) = map.store else {
+                unreachable!("the backend was pinned to dense");
+            };
+            s.validate().unwrap();
+            let u = (0..n).find(|&u| s.degree[u] >= 2).unwrap();
+            let row = s.row(u);
+            match case {
+                0 => s.port_perm.swap(row, row + 1),
+                1 => s.peer_pos[u * n + s.peer_perm[row] as usize] = 1,
+                2 => s.degree[u] += 1,
+                3 => drop(s.dirty.pop()),
+                _ => s.peer_perm[row] = u as u16,
+            }
+            assert!(s.validate().is_err(), "validate() accepted {what}");
+        }
     }
 }

@@ -1,11 +1,13 @@
-//! The graph backend: dense-style flat tables, ragged over a CSR.
+//! The graph backend: flat per-slot tables, ragged over a CSR.
 //!
 //! When the topology is not the implicit clique, every node `u` owns
 //! `deg(u)` ports and each port can only lead to one of `u`'s topology
-//! neighbors. This store carries the dense backend's layout over to
-//! that ragged port space: instead of `n` rows of `n − 1` entries, the
-//! flat tables hold one entry per *directed CSR slot* (`2m` total),
-//! with node `u`'s row occupying the topology's slot range for `u`.
+//! neighbors. This store lays flat tables over that ragged port space:
+//! one entry per *directed CSR slot* (`2m` total), with node `u`'s row
+//! occupying the topology's slot range for `u`. Each slot holds a `u64`
+//! forward entry and five `u32` permutation, position and peer-index
+//! entries, 28 bytes — the layout the `auto` budget's cost model
+//! ([`PortBackend::edge_table_bytes`]) charges.
 //! The partitioned-permutation discipline is identical — the first
 //! `degree(u)` positions of `u`'s peer/port permutations are the
 //! connected prefix, so a uniform fresh draw is one indexed lookup and

@@ -30,10 +30,12 @@
 //! `degree(u)` positions of each node's peer/port permutation are the
 //! connected prefix, so a uniform fresh draw is one indexed lookup):
 //!
-//! * **Dense** (`dense` submodule) — flat row-major arrays, `Θ(n²)` words
-//!   (~28 bytes per ordered node pair) allocated once at construction;
-//!   every operation is O(1) with no hashing. The right choice wherever
-//!   the tables fit: `n = 4096` is a few hundred MB.
+//! * **Dense** (`dense` submodule) — four flat row-major `u16` tables
+//!   (the permutations and their inverses, 8 bytes per ordered node pair)
+//!   allocated once at construction, for `n ≤ 65536`; the connected
+//!   prefixes double as the link table. Every operation is O(1) with no
+//!   hashing. The right choice wherever the tables fit: `n = 4096` is
+//!   128 MB, `n = 16384` is 2 GiB.
 //! * **Sparse** (`sparse` submodule) — open-addressing tables
 //!   ([`OpenTable`]) holding only *touched* state, with each node's
 //!   untouched peer/port permutations represented implicitly by a keyed
@@ -52,9 +54,10 @@
 //! variable (`dense`, `sparse`, `chunked`, or `auto`; unset means
 //! `auto`), and [`PortMap::with_backend`] / the engine builders'
 //! `.backend(…)` pin a choice programmatically. `auto` picks dense while
-//! the flat tables fit a fixed budget (8 GiB, i.e. up to `n = 16384`) and
-//! chunked beyond — past the budget the *workload* decides per node, at
-//! runtime, which rows deserve dense storage.
+//! the budget's cost model ([`PortBackend::dense_table_bytes`], 28 bytes
+//! per ordered pair) fits 8 GiB, i.e. up to `n = 16384`, and chunked
+//! beyond — past the budget the *workload* decides per node, at runtime,
+//! which rows deserve dense storage.
 //!
 //! RNG-free resolvers (round-robin, circulant, the lower-bound
 //! adversaries) resolve identically on all backends — enforced by
@@ -136,9 +139,9 @@ impl std::fmt::Display for Endpoint {
 ///
 /// [`PortMap`] validates every mutation (bounds, bijectivity, resolver
 /// sanity) before it reaches the store, so implementations only maintain
-/// the representation: the forward/peer tables plus the partitioned
-/// peer/port permutations whose first `degree(u)` positions are the
-/// connected prefix.
+/// the representation: the partitioned peer/port permutations whose first
+/// `degree(u)` positions are the connected prefix, plus whatever link
+/// tables the backend keeps beside them (dense keeps none).
 trait PortStore {
     /// Number of nodes.
     fn n(&self) -> usize;
@@ -224,9 +227,9 @@ macro_rules! with_store_mut {
 /// Which storage backend a [`PortMap`] uses (or how to choose one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PortBackend {
-    /// Flat `Θ(n²)` tables: O(1) operations, no hashing, ~28 bytes per
-    /// ordered node pair. The recorded golden fingerprints assume this
-    /// backend.
+    /// Flat `Θ(n²)` `u16` tables: O(1) operations, no hashing, 8 bytes
+    /// per ordered node pair, `n ≤ 65536`. The recorded golden
+    /// fingerprints assume this backend.
     Dense,
     /// Hashed O(n + links) tables with implicit keyed permutations:
     /// O(1)-expected operations, memory proportional to touched state.
@@ -247,14 +250,16 @@ pub enum PortBackend {
 }
 
 impl PortBackend {
-    /// The `auto` budget: dense is chosen while its tables fit 8 GiB.
+    /// The `auto` budget: dense is chosen while
+    /// [`PortBackend::dense_table_bytes`] fits 8 GiB.
     ///
-    /// The boundary sits between `n = 16384` (~7.5 GiB of tables — the
-    /// largest size the pre-backend experiment grids ran dense, kept
-    /// dense so those recorded numbers never re-roll) and `n = 32768`
-    /// (~30 GiB), past which the quadratic tables crowd out everything
-    /// else on a typical box. The budget is deliberately a *size*
-    /// heuristic, not a workload one: at `n ≤ 16384` the grids include
+    /// The boundary sits between `n = 16384` (~7.5 GiB under the cost
+    /// model, 2 GiB of actual dense tables — the largest size the
+    /// pre-backend experiment grids ran dense, kept dense so those
+    /// recorded numbers never re-roll) and `n = 32768` (~30 GiB under the
+    /// model, 8 GiB actual), past which the quadratic tables crowd out
+    /// everything else on a typical box. The budget is deliberately a
+    /// *size* heuristic, not a workload one: at `n ≤ 16384` the grids include
     /// dense-traffic cells (full-clique `d = n` sweeps, full-wake-up
     /// `Θ(n^{3/2})` floods) where hashed touched-state storage loses on
     /// both speed and memory, while every `auto`-sparse size above it is
@@ -330,12 +335,13 @@ impl PortBackend {
         }
     }
 
-    /// Bytes of flat per-port tables at `n` nodes and `m` undirected
-    /// edges: `56m + 12n`. Each of the `2m` directed slots costs one
+    /// The `auto` budget's cost model at `n` nodes and `m` undirected
+    /// edges: `56m + 12n` bytes. Each of the `2m` directed slots costs one
     /// `u64` forward entry plus five `u32` peer/port permutation,
-    /// position, and index entries (28 bytes per slot), plus one `u32`
-    /// degree and two words of amortized row bookkeeping per node.
-    /// Chosen so that at the clique's `m = n(n−1)/2` this is *exactly*
+    /// position, and index entries (28 bytes per slot — the flat layout
+    /// the graph store keeps per CSR slot), plus one `u32` degree and two
+    /// words of amortized row bookkeeping per node. Chosen so that at the
+    /// clique's `m = n(n−1)/2` this is *exactly*
     /// [`PortBackend::dense_table_bytes`]`(n)` = `28n² − 16n`: one
     /// budget formula, parameterized by the real edge count.
     pub fn edge_table_bytes(n: usize, m: u64) -> u64 {
@@ -343,11 +349,17 @@ impl PortBackend {
         u64::try_from(bytes).unwrap_or(u64::MAX)
     }
 
-    /// Bytes the dense backend's tables occupy at size `n` (the quantity
-    /// the `auto` heuristic budgets): one `u64` forward entry plus three
-    /// `u32` permutation/position entries per port, two `u32` peer-indexed
-    /// entries per ordered pair, one `u32` degree per node — the
-    /// documented ~28 bytes per ordered node pair.
+    /// The `auto` budget's cost model for an `n`-node clique: the flat
+    /// layout at ~28 bytes per ordered node pair — one `u64` forward entry
+    /// plus three `u32` permutation/position entries per port, two `u32`
+    /// peer-indexed entries per ordered pair, one `u32` degree per node.
+    ///
+    /// This is the quantity the heuristic budgets, not what the dense
+    /// store allocates: dense keeps only the four permutation tables, as
+    /// `u16`, at 8 bytes per ordered pair (its real footprint is what
+    /// [`PortMap::resident_bytes`] reports). The model keeps the flat
+    /// layout's cost so the `auto` boundary, and every recorded number
+    /// that depends on which backend `auto` picks, stay where they are.
     ///
     /// Computed in `u128` and saturated: at `n` near `u32::MAX` the `8n²`
     /// term alone overflows a `u64`, and a wrapped size would make `auto`
@@ -674,17 +686,19 @@ impl PortMap {
     }
 
     /// Creates an empty partial mapping on an explicit backend (`Auto`
-    /// resolves against `n`).
+    /// resolves against `n`; an explicit backend is never overridden).
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::NetworkTooSmall`] if `n < 2`.
+    /// Returns [`ModelError::NetworkTooSmall`] if `n < 2`, and
+    /// [`ModelError::NetworkTooLarge`] if the dense backend is asked for
+    /// more nodes than its `u16` tables index (`n > 65536`).
     pub fn with_backend(n: usize, backend: PortBackend) -> Result<Self, ModelError> {
         if n < 2 {
             return Err(ModelError::NetworkTooSmall { n });
         }
         let store = match backend.resolve(n) {
-            PortBackend::Dense => Store::Dense(DenseStore::new(n)),
+            PortBackend::Dense => Store::Dense(DenseStore::new(n)?),
             PortBackend::Sparse => Store::Sparse(SparseStore::new(n)),
             PortBackend::Chunked => Store::Chunked(ChunkedStore::new(n)),
             PortBackend::Auto => unreachable!("resolve() always returns a concrete backend"),
@@ -707,7 +721,8 @@ impl PortMap {
     /// # Errors
     ///
     /// Returns [`ModelError::NetworkTooSmall`] if the topology has
-    /// fewer than 2 nodes.
+    /// fewer than 2 nodes, and [`ModelError::NetworkTooLarge`] for a
+    /// clique past the dense backend's range when dense is requested.
     pub fn for_topology(topo: &Topology, backend: PortBackend) -> Result<Self, ModelError> {
         if topo.is_clique() {
             return PortMap::with_backend(topo.n(), backend.resolve_for(topo.n(), topo.m()));
@@ -1075,6 +1090,26 @@ mod tests {
     }
 
     #[test]
+    fn dense_past_its_u16_range_is_a_typed_error() {
+        // The size check comes before any allocation (34 GB of tables at
+        // n = 65537), so the error must come back at once.
+        let started = std::time::Instant::now();
+        let too_large = ModelError::NetworkTooLarge {
+            backend: PortBackend::Dense,
+            n: 65537,
+            limit: 65536,
+        };
+        let err = PortMap::with_backend(65537, PortBackend::Dense).unwrap_err();
+        assert_eq!(err, too_large);
+        let clique = Topology::clique(65537).unwrap();
+        let err = PortMap::for_topology(&clique, PortBackend::Dense).unwrap_err();
+        assert_eq!(err, too_large);
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        // An explicit backend is still never overridden.
+        assert_eq!(PortBackend::Dense.resolve(1 << 20), PortBackend::Dense);
+    }
+
+    #[test]
     fn auto_heuristic_switches_at_the_dense_budget() {
         assert_eq!(PortBackend::Auto.resolve(64), PortBackend::Dense);
         assert_eq!(PortBackend::Auto.resolve(4096), PortBackend::Dense);
@@ -1131,8 +1166,24 @@ mod tests {
         assert_ne!(dense, sparse, "maps on different backends compare equal");
         assert_ne!(dense, chunked, "maps on different backends compare equal");
         assert_ne!(sparse, chunked, "maps on different backends compare equal");
+        // Θ(n²) against O(n + links): at n = 16 dense's ~2 KB sits below
+        // sparse's minimum tables and caches, so compare where the
+        // asymptotics show.
+        let dense = PortMap::with_backend(256, PortBackend::Dense).unwrap();
+        let sparse = sparse_map(256);
+        let chunked = PortMap::with_backend(256, PortBackend::Chunked).unwrap();
         assert!(dense.resident_bytes() > sparse.resident_bytes());
         assert!(dense.resident_bytes() > chunked.resident_bytes());
+    }
+
+    #[test]
+    fn dense_resident_bytes_are_its_four_u16_tables() {
+        // Three (n − 1)-wide rows and one n-wide row of u16 per node, plus
+        // the u32 degree table: 8n² − 2n bytes on a fresh map.
+        for (n, bytes) in [(2, 28), (16, 2016), (1024, 8_386_560)] {
+            let map = PortMap::with_backend(n, PortBackend::Dense).unwrap();
+            assert_eq!(map.resident_bytes(), bytes, "n = {n}");
+        }
     }
 
     #[test]
@@ -1487,7 +1538,8 @@ mod tests {
     #[test]
     fn sparse_memory_stays_proportional_to_touched_state() {
         // Resolve one port per node at n = 2048: the sparse footprint must
-        // be far below the dense tables' ~28 bytes per ordered pair.
+        // be far below the budget's dense cost model (~28 bytes per
+        // ordered pair).
         let n = 2048;
         let mut map = sparse_map(n);
         let mut r = RandomResolver;

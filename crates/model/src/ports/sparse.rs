@@ -19,8 +19,9 @@
 //! indexed draw — O(1) expected per draw, with the base permutation
 //! evaluated in O(1) expected time and at most O(degree) override entries
 //! per node. Memory is O(n) fixed (the degree table) plus O(links) hashed
-//! entries, which is what reopens `n = 65536+` on boxes where the dense
-//! tables would need ~28 bytes per ordered node pair.
+//! entries, which is what reopens `n = 65536+`: there the dense tables
+//! would need 8 bytes per ordered node pair (32 GiB at `n = 65536`), and
+//! past 65536 nodes their `u16` entries run out.
 //!
 //! # The warm path
 //!

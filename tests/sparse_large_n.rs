@@ -1,6 +1,6 @@
 //! Large-`n` smoke tests. For the hashed port-map backends (sparse and
-//! chunked): one Las Vegas trial at `n = 65536` — the size where the
-//! dense tables would need ~120 GB — must elect a leader within a
+//! chunked): one Las Vegas trial at `n = 65536` — the largest size the
+//! dense store can index, at 32 GiB of tables — must elect a leader within a
 //! generous wall-clock budget and a sparse-sized memory footprint. For
 //! the synchronous engine's worklists: one `singular` trial on a
 //! 65536-node ring, 98 k rounds in which only a few nodes act, must
@@ -66,7 +66,7 @@ fn elects_at_n_65536_within_budget(backend: PortBackend) {
     let dense = PortBackend::dense_table_bytes(N);
     println!(
         "n = {N} ({backend}): {} messages, {} rounds, {elapsed:?}, {:.1} MB resident \
-         (dense tables would be {:.1} GB)",
+         (the auto budget prices dense at {:.1} GB)",
         outcome.stats.total(),
         outcome.rounds,
         resident as f64 / 1e6,
