@@ -127,7 +127,7 @@ pub enum Event {
     },
     /// End-of-run backend storage counters.
     Backend {
-        /// Backend name (`dense` / `sparse` / `chunked`).
+        /// Backend name (`dense` / `sparse`).
         backend: String,
         /// Feistel memo-cache hits.
         memo_hits: u64,
@@ -135,7 +135,8 @@ pub enum Event {
         memo_misses: u64,
         /// Open-addressing table growths.
         table_grows: u64,
-        /// Rows the chunked backend materialized.
+        /// Rows materialized (always 0 since the chunked store was
+        /// deleted; older traces may carry other values).
         rows_materialized: u64,
     },
     /// The run ended.

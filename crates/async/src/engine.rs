@@ -383,8 +383,9 @@ impl AsyncSimBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError`] if `n < 2` or the default ID universe cannot
-    /// cover `n` nodes.
+    /// Returns [`ModelError`] if `n < 2`, the default ID universe cannot
+    /// cover `n` nodes, or the wake schedule or a scheduled crash fault
+    /// names a node outside the network ([`ModelError::NodeOutOfRange`]).
     pub fn build_in<N, F>(
         self,
         arena: &mut AsyncArena,
@@ -399,6 +400,18 @@ impl AsyncSimBuilder {
         let n = self.n;
         if n < 2 {
             return Err(ModelError::NetworkTooSmall { n });
+        }
+        let wake = self
+            .wake
+            .unwrap_or_else(|| AsyncWakeSchedule::single(NodeIndex(0)));
+        let net = self
+            .network
+            .or_else(NetworkConfig::from_env)
+            .unwrap_or_default();
+        let woken = wake.entries().iter().map(|&(_, u)| u);
+        let crashed = net.fault_plan().scheduled().iter().map(|cf| cf.node);
+        if let Some(node) = woken.chain(crashed).find(|u| u.0 >= n) {
+            return Err(ModelError::NodeOutOfRange { node, n });
         }
         let ids = match self.ids {
             Some(ids) => ids,
@@ -428,10 +441,6 @@ impl AsyncSimBuilder {
             .resolve_for(n, topo.m());
         let ports = arena.take_ports(&topo, backend)?;
         let fifo_front = std::mem::take(&mut arena.fifo_front).recycle(backend, n);
-        let net = self
-            .network
-            .or_else(NetworkConfig::from_env)
-            .unwrap_or_default();
         let net_active = net.is_active();
         let net_service = net.service();
         // The busy-horizon table is only materialized when the capacity
@@ -456,9 +465,6 @@ impl AsyncSimBuilder {
         let node_rngs: Vec<SmallRng> = (0..n)
             .map(|u| rng_from_seed(derive_seed(self.seed, STREAM_NODE_BASE + u as u64)))
             .collect();
-        let wake = self
-            .wake
-            .unwrap_or_else(|| AsyncWakeSchedule::single(NodeIndex(0)));
 
         let mut queue = bufs.queue;
         let mut last_scheduled_wake = 0.0f64;
@@ -470,11 +476,6 @@ impl AsyncSimBuilder {
         let mut fault_rng = rng_from_seed(derive_seed(self.seed, STREAM_FAULTS));
         if net_active {
             for cf in net.fault_plan().scheduled() {
-                assert!(
-                    cf.node.0 < n,
-                    "crash fault targets {} outside the {n}-node network",
-                    cf.node
-                );
                 queue.push(cf.at, EventKind::Crash(cf.node));
                 if let Some(back) = cf.recover_at {
                     queue.push(back, EventKind::Recover(cf.node));
@@ -1748,6 +1749,37 @@ mod tests {
     }
 
     #[test]
+    fn builder_rejects_a_wake_outside_the_network() {
+        // Used to build, then index out of bounds in `step`.
+        let built = AsyncSimBuilder::new(4)
+            .wake(AsyncWakeSchedule::single(NodeIndex(7)))
+            .build_in(&mut AsyncArena::new(), Flood::new);
+        assert_eq!(
+            built.err(),
+            Some(ModelError::NodeOutOfRange {
+                node: NodeIndex(7),
+                n: 4
+            })
+        );
+    }
+
+    #[test]
+    fn builder_rejects_a_crash_outside_the_network() {
+        // Used to trip an `assert!` while scheduling the fault.
+        let faults = crate::network::FaultPlan::new().crash(NodeIndex(4), 0.5);
+        let built = AsyncSimBuilder::new(4)
+            .network(NetworkConfig::new().faults(faults))
+            .build_in(&mut AsyncArena::new(), Flood::new);
+        assert_eq!(
+            built.err(),
+            Some(ModelError::NodeOutOfRange {
+                node: NodeIndex(4),
+                n: 4
+            })
+        );
+    }
+
+    #[test]
     fn arena_trials_match_fresh_trials() {
         let fingerprint = |o: &AsyncOutcome| {
             (
@@ -1830,71 +1862,44 @@ mod tests {
             )
         };
         assert_eq!(run(PortBackend::Dense), run(PortBackend::Sparse));
-        assert_eq!(run(PortBackend::Dense), run(PortBackend::Chunked));
-    }
-
-    #[test]
-    fn chunked_backend_matches_sparse_under_rng_driven_resolution() {
-        // Chunked and sparse share one draw schedule, so even the
-        // RNG-driven default resolver must produce bit-identical
-        // executions across the two backends.
-        let run = |backend| {
-            let o = AsyncSimBuilder::new(14)
-                .seed(6)
-                .backend(backend)
-                .wake(AsyncWakeSchedule::single(NodeIndex(0)))
-                .build(Flood::new)
-                .unwrap()
-                .run()
-                .unwrap();
-            (
-                o.time.to_bits(),
-                o.stats.total(),
-                o.unique_leader(),
-                o.decisions,
-            )
-        };
-        assert_eq!(run(PortBackend::Sparse), run(PortBackend::Chunked));
     }
 
     #[test]
     fn sparse_backend_arena_trials_match_fresh_sparse_trials() {
-        for backend in [PortBackend::Sparse, PortBackend::Chunked] {
-            let mut arena = AsyncArena::new();
-            for seed in 0..6u64 {
-                let fresh = AsyncSimBuilder::new(12)
-                    .seed(seed)
-                    .backend(backend)
-                    .wake(AsyncWakeSchedule::single(NodeIndex(1)))
-                    .build(Flood::new)
-                    .unwrap()
-                    .run()
-                    .unwrap();
-                let reused = AsyncSimBuilder::new(12)
-                    .seed(seed)
-                    .backend(backend)
-                    .wake(AsyncWakeSchedule::single(NodeIndex(1)))
-                    .build_in(&mut arena, Flood::new)
-                    .unwrap()
-                    .run_reusing(&mut arena)
-                    .unwrap();
-                assert_eq!(
-                    (
-                        fresh.time.to_bits(),
-                        fresh.stats.total(),
-                        fresh.unique_leader()
-                    ),
-                    (
-                        reused.time.to_bits(),
-                        reused.stats.total(),
-                        reused.unique_leader()
-                    ),
-                );
-            }
-            // Hashed floors + sparse map: far below the dense n² tables
-            // even at this tiny n once both structures are hashed.
-            assert!(arena.resident_bytes() > 0);
+        let mut arena = AsyncArena::new();
+        for seed in 0..6u64 {
+            let fresh = AsyncSimBuilder::new(12)
+                .seed(seed)
+                .backend(PortBackend::Sparse)
+                .wake(AsyncWakeSchedule::single(NodeIndex(1)))
+                .build(Flood::new)
+                .unwrap()
+                .run()
+                .unwrap();
+            let reused = AsyncSimBuilder::new(12)
+                .seed(seed)
+                .backend(PortBackend::Sparse)
+                .wake(AsyncWakeSchedule::single(NodeIndex(1)))
+                .build_in(&mut arena, Flood::new)
+                .unwrap()
+                .run_reusing(&mut arena)
+                .unwrap();
+            assert_eq!(
+                (
+                    fresh.time.to_bits(),
+                    fresh.stats.total(),
+                    fresh.unique_leader()
+                ),
+                (
+                    reused.time.to_bits(),
+                    reused.stats.total(),
+                    reused.unique_leader()
+                ),
+            );
         }
+        // Hashed floors + sparse map: far below the dense n² tables
+        // even at this tiny n once both structures are hashed.
+        assert!(arena.resident_bytes() > 0);
     }
 
     #[test]

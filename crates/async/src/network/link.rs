@@ -5,10 +5,10 @@
 //! the capacity model is on — the link-busy horizon (the time each link
 //! finishes serving everything already admitted to it). Both are a flat
 //! `Θ(n²)` array under the dense backend (one random access per dispatch)
-//! and an open-addressing touched-links table under the sparse and
-//! chunked ones (O(active links) entries — the piece that would otherwise
-//! keep the asynchronous engine quadratic at `n = 65536+` after the port
-//! map goes sparse).
+//! and an open-addressing touched-links table under the sparse one
+//! (O(active links) entries — the piece that would otherwise keep the
+//! asynchronous engine quadratic at `n = 65536+` after the port map goes
+//! sparse).
 
 use clique_model::ports::{OpenTable, PortBackend};
 
@@ -41,7 +41,7 @@ impl LinkTable {
                 slots.resize(n.checked_mul(n).expect("dense link index overflow"), 0.0);
                 LinkTable::Dense(slots)
             }
-            (LinkTable::Hashed(mut slots), PortBackend::Sparse | PortBackend::Chunked) => {
+            (LinkTable::Hashed(mut slots), PortBackend::Sparse) => {
                 slots.clear();
                 slots.end_trial();
                 LinkTable::Hashed(slots)
@@ -52,7 +52,7 @@ impl LinkTable {
                     n.checked_mul(n).expect("dense link index overflow")
                 ])
             }
-            (_, PortBackend::Sparse | PortBackend::Chunked) => LinkTable::Hashed(OpenTable::new()),
+            (_, PortBackend::Sparse) => LinkTable::Hashed(OpenTable::new()),
             (_, PortBackend::Auto) => unreachable!("backend is resolved before recycling"),
         }
     }
@@ -108,7 +108,7 @@ mod tests {
     #[test]
     fn backend_switch_rebuilds_the_variant() {
         let t = LinkTable::default().recycle(PortBackend::Dense, 3);
-        let t = t.recycle(PortBackend::Chunked, 3);
+        let t = t.recycle(PortBackend::Sparse, 3);
         assert!(matches!(t, LinkTable::Hashed(_)));
         let t = t.recycle(PortBackend::Dense, 3);
         assert!(matches!(t, LinkTable::Dense(_)));

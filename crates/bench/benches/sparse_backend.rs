@@ -1,20 +1,20 @@
-//! Dense-vs-sparse-vs-chunked port-map backend micro-benchmarks.
+//! Dense-vs-sparse port-map backend micro-benchmarks.
 //! Recorded in `BENCH_sparse_backend.json` / `BENCH_sparse_warm.json` at
 //! the repository root (see the runbook in `README.md`).
 //!
 //! * `sparse_backend_construct` — map construction across sizes: the dense
-//!   backend pays `Θ(n²)` eager table initialization, the hashed backends
-//!   O(n); past `n = 16384` only the hashed backends are measured (the
+//!   backend pays `Θ(n²)` eager table initialization, the sparse backend
+//!   O(n); past `n = 16384` only the sparse backend is measured (the
 //!   dense tables would not fit a sane bench budget).
 //! * `sparse_backend_resolve` — the warm resolution hot path (every node
 //!   resolves four ports against a recycled map, `RandomResolver`): the
 //!   per-operation price of hashed touched-state tables plus the keyed
 //!   Feistel permutations (memoized after the first pass), versus dense
-//!   flat-array reads. This is the CPU cost the hashed backends trade for
-//!   their O(links) memory, and the number `BENCH_sparse_warm.json` pins.
+//!   flat-array reads. This is the CPU cost the sparse backend trades for
+//!   its O(links) memory, and the number `BENCH_sparse_warm.json` pins.
 //! * `sparse_backend_sweep_lv_20x16384` — the end-to-end payoff workload:
 //!   a 20-seed Las Vegas sweep at `n = 16384` (the largest size where
-//!   all backends are practical to compare head-to-head), through one
+//!   both backends are practical to compare head-to-head), through one
 //!   recycled `SyncArena` each.
 //!
 //! Two env knobs compensate for the vendored criterion shim's lack of CLI
@@ -35,11 +35,7 @@ use clique_model::NodeIndex;
 use clique_sync::{SyncArena, SyncSimBuilder};
 use leader_election::sync::las_vegas;
 
-const BACKENDS: [PortBackend; 3] = [
-    PortBackend::Dense,
-    PortBackend::Sparse,
-    PortBackend::Chunked,
-];
+const BACKENDS: [PortBackend; 2] = [PortBackend::Dense, PortBackend::Sparse];
 
 fn quick() -> bool {
     std::env::var_os("LE_QUICK").is_some_and(|v| !v.is_empty())

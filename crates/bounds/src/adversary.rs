@@ -10,8 +10,7 @@
 //! the proof confines components to the `2^{σ_r}` growth envelope for any
 //! algorithm respecting the `n·f(n)` message budget.
 //!
-//! [`ComponentAdversary`] implements
-//! [`PortResolver`](clique_model::ports::PortResolver) with exactly that
+//! [`ComponentAdversary`] implements [`PortResolver`] with exactly that
 //! strategy, fully deterministically. Because every resolution stays inside
 //! a block, the *communication-graph components are always subsets of
 //! blocks* — Property (A) of Lemma 3.9 — which the experiment
@@ -124,8 +123,7 @@ impl AdversaryProbe {
     }
 }
 
-/// The Lemma 3.9 adversary as a deterministic
-/// [`PortResolver`](clique_model::ports::PortResolver).
+/// The Lemma 3.9 adversary as a deterministic [`PortResolver`].
 ///
 /// Use against *deterministic* algorithms (the model only admits adaptive
 /// port resolution there). `f` is the per-node message budget factor the

@@ -9,13 +9,13 @@
 //! | Module | Paper | Time | Messages |
 //! |---|---|---|---|
 //! | [`sync::improved_tradeoff`] | Theorem 3.10 | odd `ℓ ≥ 3` | `O(ℓ·n^{1+2/(ℓ+1)})` |
-//! | [`sync::afek_gafni`] | baseline [1] | even `ℓ ≥ 2` | `O(ℓ·n^{1+2/ℓ})` |
+//! | [`sync::afek_gafni`] | baseline \[1\] | even `ℓ ≥ 2` | `O(ℓ·n^{1+2/ℓ})` |
 //! | [`sync::small_id`] | Theorem 3.15, Algorithm 1 | `⌈n/d⌉` | `n·d·g(n)` |
 //! | [`sync::las_vegas`] | Theorem 3.16 | 3 (whp) | `O(n)` (whp), never fails |
 //! | [`sync::singular`] | Kutten–Moses-style, general graphs | `≤ 3D + O(1)` | `O(m)` expected |
-//! | [`sync::sublinear_mc`] | baseline [16] | 2 | `O(√n·log^{3/2} n)` whp |
+//! | [`sync::sublinear_mc`] | baseline \[16\] | 2 | `O(√n·log^{3/2} n)` whp |
 //! | [`sync::two_round_adversarial`] | Theorem 4.1 | 2 | `O(n^{3/2}·log(1/ε))` |
-//! | [`sync::gossip_baseline`] | stand-in for [14] | `O(log n)` | `O(n·log n)` whp |
+//! | [`sync::gossip_baseline`] | stand-in for \[14\] | `O(log n)` | `O(n·log n)` whp |
 //!
 //! Asynchronous, in [`asynchronous`]:
 //!

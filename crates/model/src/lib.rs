@@ -16,7 +16,7 @@
 //!   (contiguous, linear-size, quasilinear, polynomial — the sizes the
 //!   paper's theorems condition on),
 //! * [`ports`] — lazily-resolved bijective port mappings with pluggable
-//!   [`PortResolver`](ports::PortResolver) strategies (uniform random,
+//!   [`PortResolver`] strategies (uniform random,
 //!   round-robin, or the adaptive adversary of the lower bounds) *and*
 //!   pluggable storage backends ([`ports::PortBackend`]: dense `Θ(n²)`
 //!   tables or sparse O(links) touched-state tables for `n = 65536+`),

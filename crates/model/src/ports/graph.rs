@@ -18,9 +18,9 @@
 //!
 //! One store serves every requested backend: at O(links) ≤ O(m) words
 //! the flat-over-CSR tables are already as compact as hashed
-//! touched-state storage would be, so `dense`, `sparse`, and `chunked`
-//! all map to this representation on non-clique topologies (the store
-//! remembers which backend it stands in for, purely for reporting).
+//! touched-state storage would be, so `dense` and `sparse` both map to
+//! this representation on non-clique topologies (the store remembers
+//! which backend it stands in for, purely for reporting).
 //! Draw-schedule identity across backends on general graphs therefore
 //! holds *by construction* — pinned by `tests/portmap_equivalence.rs`.
 

@@ -43,30 +43,21 @@
 //!   direct-mapped caches). Memory is O(n + links) instead of `Θ(n²)`,
 //!   which reopens `n = 65536+` for the paper's sublinear-message regime;
 //!   operations stay O(1) expected.
-//! * **Chunked** (`chunked` submodule) — sparse by default, with any
-//!   node whose degree crosses a threshold (default 64, env knob
-//!   `LE_CHUNK_THRESHOLD`) lazily *materializing* a dense flat row.
-//!   Draw-schedule identical to sparse at every step, so switching
-//!   between the two re-rolls nothing; memory stays O(n + links +
-//!   n·hot-nodes) while dense-traffic rows get flat-array speed.
 //!
 //! Selection: [`PortMap::new`] honours the `LE_BACKEND` environment
-//! variable (`dense`, `sparse`, `chunked`, or `auto`; unset means
-//! `auto`), and [`PortMap::with_backend`] / the engine builders'
-//! `.backend(…)` pin a choice programmatically. `auto` picks dense while
-//! the budget's cost model ([`PortBackend::dense_table_bytes`], 28 bytes
-//! per ordered pair) fits 8 GiB, i.e. up to `n = 16384`, and chunked
-//! beyond — past the budget the *workload* decides per node, at runtime,
-//! which rows deserve dense storage.
+//! variable (`dense`, `sparse`, or `auto`; unset means `auto`), and
+//! [`PortMap::with_backend`] / the engine builders' `.backend(…)` pin a
+//! choice programmatically. `auto` picks dense while the budget's cost
+//! model ([`PortBackend::dense_table_bytes`], 28 bytes per ordered pair)
+//! fits 8 GiB, i.e. up to `n = 16384`, and sparse beyond.
 //!
 //! RNG-free resolvers (round-robin, circulant, the lower-bound
-//! adversaries) resolve identically on all backends — enforced by
+//! adversaries) resolve identically on both backends — enforced by
 //! `tests/portmap_equivalence.rs`. RNG-driven resolvers draw through the
-//! backend's enumeration order, which differs between dense and
-//! sparse/chunked, so the per-seed mappings differ while their
-//! distributions coincide; golden fingerprints are therefore
-//! *backend-scoped* (recorded on dense; the sparse pins bind chunked too,
-//! since the two share one draw schedule).
+//! backend's enumeration order, which differs between dense and sparse,
+//! so the per-seed mappings differ while their distributions coincide;
+//! golden fingerprints are therefore *backend-scoped* (recorded on dense,
+//! with a pinned sparse schedule beside them).
 //!
 //! # Trial recycling
 //!
@@ -85,14 +76,12 @@ use rand::Rng;
 use crate::error::ModelError;
 use crate::NodeIndex;
 
-mod chunked;
 mod dense;
 mod graph;
 mod perm;
 mod sparse;
 mod table;
 
-use chunked::ChunkedStore;
 use dense::DenseStore;
 use graph::GraphStore;
 use sparse::SparseStore;
@@ -207,7 +196,6 @@ macro_rules! with_store {
         match &$map.store {
             Store::Dense($s) => $e,
             Store::Sparse($s) => $e,
-            Store::Chunked($s) => $e,
             Store::Graph($s) => $e,
         }
     };
@@ -218,7 +206,6 @@ macro_rules! with_store_mut {
         match &mut $map.store {
             Store::Dense($s) => $e,
             Store::Sparse($s) => $e,
-            Store::Chunked($s) => $e,
             Store::Graph($s) => $e,
         }
     };
@@ -234,22 +221,21 @@ pub enum PortBackend {
     /// Hashed O(n + links) tables with implicit keyed permutations:
     /// O(1)-expected operations, memory proportional to touched state.
     Sparse,
-    /// Sparse storage that lazily materializes a dense flat row for any
-    /// node whose degree crosses the `LE_CHUNK_THRESHOLD` (default 64).
-    /// Draw-schedule identical to [`PortBackend::Sparse`] — the sparse
-    /// pinned schedules and recorded numbers carry over verbatim.
-    Chunked,
-    /// Resolve per size and workload: dense while
-    /// [`PortBackend::dense_table_bytes`] fits
-    /// [`PortBackend::AUTO_DENSE_CAP_BYTES`] (up to `n = 16384`), chunked
-    /// beyond — past the budget the per-node degree distribution decides
-    /// at runtime which rows get dense storage. The default, and what
-    /// unset `LE_BACKEND` means.
+    /// Resolve per size: dense while [`PortBackend::dense_table_bytes`]
+    /// fits [`PortBackend::AUTO_DENSE_CAP_BYTES`] (up to `n = 16384`),
+    /// sparse beyond. The default, and what unset `LE_BACKEND` means.
     #[default]
     Auto,
 }
 
 impl PortBackend {
+    /// The name of a deleted store, kept only because `perfbench/` still
+    /// spells it; it is [`PortBackend::Sparse`], which draws the same
+    /// schedule that store drew.
+    #[doc(hidden)]
+    #[allow(non_upper_case_globals)]
+    pub const Chunked: PortBackend = PortBackend::Sparse;
+
     /// The `auto` budget: dense is chosen while
     /// [`PortBackend::dense_table_bytes`] fits 8 GiB.
     ///
@@ -269,8 +255,8 @@ impl PortBackend {
     pub const AUTO_DENSE_CAP_BYTES: u64 = 8 * 1024 * 1024 * 1024;
 
     /// Reads the backend selection from the `LE_BACKEND` environment
-    /// variable: `dense`, `sparse`, `chunked`, or `auto`; unset (or
-    /// empty) means [`PortBackend::Auto`].
+    /// variable: `dense`, `sparse`, or `auto`; unset (or empty) means
+    /// [`PortBackend::Auto`].
     ///
     /// # Panics
     ///
@@ -280,33 +266,27 @@ impl PortBackend {
         match std::env::var("LE_BACKEND") {
             Err(std::env::VarError::NotPresent) => PortBackend::Auto,
             Err(std::env::VarError::NotUnicode(v)) => {
-                panic!("LE_BACKEND must be dense|sparse|chunked|auto, got non-unicode {v:?}")
+                panic!("LE_BACKEND must be dense|sparse|auto, got non-unicode {v:?}")
             }
             Ok(v) => match v.as_str() {
                 "dense" => PortBackend::Dense,
                 "sparse" => PortBackend::Sparse,
-                "chunked" => PortBackend::Chunked,
                 "auto" | "" => PortBackend::Auto,
-                other => panic!("LE_BACKEND must be dense|sparse|chunked|auto, got {other:?}"),
+                other => panic!("LE_BACKEND must be dense|sparse|auto, got {other:?}"),
             },
         }
     }
 
-    /// Resolves `Auto` against the network size; concrete backends return
-    /// themselves. The result is always a concrete backend.
-    ///
-    /// Above the dense budget `Auto` picks chunked rather than plain
-    /// sparse: chunked draws the identical schedule (no recorded sparse
-    /// number re-rolls) and adapts per node to the workload's degree
-    /// distribution, so it is never slower than sparse by more than the
-    /// one-time row-materialization cost on hot rows.
+    /// Resolves `Auto` against the network size: dense within the budget,
+    /// sparse past it. Concrete backends return themselves, so the result
+    /// is always a concrete backend.
     pub fn resolve(self, n: usize) -> PortBackend {
         match self {
             PortBackend::Auto => {
                 if PortBackend::dense_table_bytes(n) <= PortBackend::AUTO_DENSE_CAP_BYTES {
                     PortBackend::Dense
                 } else {
-                    PortBackend::Chunked
+                    PortBackend::Sparse
                 }
             }
             concrete => concrete,
@@ -315,7 +295,7 @@ impl PortBackend {
 
     /// Resolves `Auto` against the *edge count* of an explicit topology:
     /// dense while [`PortBackend::edge_table_bytes`] fits the same
-    /// 8 GiB budget, chunked beyond. On the clique
+    /// 8 GiB budget, sparse beyond. On the clique
     /// (`m = n(n−1)/2`) the edge formula equals
     /// [`PortBackend::dense_table_bytes`] exactly, so this is a strict
     /// generalization of [`PortBackend::resolve`] — the clique boundary
@@ -328,7 +308,7 @@ impl PortBackend {
                 if PortBackend::edge_table_bytes(n, m) <= PortBackend::AUTO_DENSE_CAP_BYTES {
                     PortBackend::Dense
                 } else {
-                    PortBackend::Chunked
+                    PortBackend::Sparse
                 }
             }
             concrete => concrete,
@@ -380,7 +360,6 @@ impl PortBackend {
         match self {
             PortBackend::Dense => "dense",
             PortBackend::Sparse => "sparse",
-            PortBackend::Chunked => "chunked",
             PortBackend::Auto => "auto",
         }
     }
@@ -644,11 +623,9 @@ impl PortResolver for CirculantResolver {
 enum Store {
     /// Flat tables (see [`dense`]).
     Dense(DenseStore),
-    /// Hashed touched-state tables (see [`sparse`]).
-    Sparse(SparseStore),
-    /// Sparse tables with lazily materialized dense rows (see
-    /// [`chunked`]).
-    Chunked(ChunkedStore),
+    /// Hashed touched-state tables (see [`sparse`]), boxed because the
+    /// store is more than twice the size of the other two.
+    Sparse(Box<SparseStore>),
     /// CSR-ragged flat tables over an explicit topology (see
     /// [`graph`]); serves every requested backend on non-clique
     /// topologies.
@@ -699,8 +676,7 @@ impl PortMap {
         }
         let store = match backend.resolve(n) {
             PortBackend::Dense => Store::Dense(DenseStore::new(n)?),
-            PortBackend::Sparse => Store::Sparse(SparseStore::new(n)),
-            PortBackend::Chunked => Store::Chunked(ChunkedStore::new(n)),
+            PortBackend::Sparse => Store::Sparse(Box::new(SparseStore::new(n))),
             PortBackend::Auto => unreachable!("resolve() always returns a concrete backend"),
         };
         Ok(PortMap { store })
@@ -736,12 +712,11 @@ impl PortMap {
     /// The concrete backend this map stores its state in (never `Auto`).
     ///
     /// A topology map reports the backend it was asked to stand in for
-    /// (its CSR representation is the same for all three).
+    /// (its CSR representation is the same for both).
     pub fn backend(&self) -> PortBackend {
         match &self.store {
             Store::Dense(_) => PortBackend::Dense,
             Store::Sparse(_) => PortBackend::Sparse,
-            Store::Chunked(_) => PortBackend::Chunked,
             Store::Graph(s) => s.stand_in(),
         }
     }
@@ -791,11 +766,10 @@ impl PortMap {
         with_store!(self, s => s.resident_bytes())
     }
 
-    /// Backend storage milestone counters: Feistel memo hits/misses,
-    /// open-table growths, and chunked-row materializations. All zero on
-    /// the dense backend. The engines snapshot this into the
-    /// [`backend`](crate::trace::TraceClass::Backend) trace event at the
-    /// end of a run.
+    /// Backend storage milestone counters: Feistel memo hits/misses and
+    /// open-table growths. All zero on the dense backend. The engines
+    /// snapshot this into the [`backend`](crate::trace::TraceClass::Backend)
+    /// trace event at the end of a run.
     pub fn backend_counters(&self) -> crate::trace::BackendCounters {
         with_store!(self, s => s.counters())
     }
@@ -1057,25 +1031,8 @@ mod tests {
         PortMap::with_backend(n, PortBackend::Sparse).unwrap()
     }
 
-    /// A chunked-backend map with an aggressive materialization threshold,
-    /// so the small-`n` mirror tests below actually cross it. (Going
-    /// through the env knob would race across test threads; the store
-    /// constructor takes the threshold directly.)
-    fn chunked_map(n: usize) -> PortMap {
-        PortMap {
-            store: Store::Chunked(ChunkedStore::with_threshold(n, 2)),
-        }
-    }
-
-    /// The three concrete backends, for equivalence loops. `chunked_map`
-    /// (threshold 2) is used instead where the test constructs maps by
-    /// hand — at these tiny sizes the default threshold of 64 would never
-    /// materialize anything.
-    const BACKENDS: [PortBackend; 3] = [
-        PortBackend::Dense,
-        PortBackend::Sparse,
-        PortBackend::Chunked,
-    ];
+    /// The two concrete backends, for equivalence loops.
+    const BACKENDS: [PortBackend; 2] = [PortBackend::Dense, PortBackend::Sparse];
 
     #[test]
     fn rejects_tiny_network() {
@@ -1115,14 +1072,11 @@ mod tests {
         assert_eq!(PortBackend::Auto.resolve(4096), PortBackend::Dense);
         assert_eq!(PortBackend::Auto.resolve(8192), PortBackend::Dense);
         assert_eq!(PortBackend::Auto.resolve(16384), PortBackend::Dense);
-        // Past the budget auto picks chunked: same draw schedule as
-        // sparse, workload-adaptive row storage.
-        assert_eq!(PortBackend::Auto.resolve(32768), PortBackend::Chunked);
-        assert_eq!(PortBackend::Auto.resolve(65536), PortBackend::Chunked);
+        assert_eq!(PortBackend::Auto.resolve(32768), PortBackend::Sparse);
+        assert_eq!(PortBackend::Auto.resolve(65536), PortBackend::Sparse);
         // Explicit choices are never overridden.
         assert_eq!(PortBackend::Dense.resolve(1 << 20), PortBackend::Dense);
         assert_eq!(PortBackend::Sparse.resolve(2), PortBackend::Sparse);
-        assert_eq!(PortBackend::Chunked.resolve(2), PortBackend::Chunked);
         // The budgeted quantity matches the documented ~28 bytes per pair.
         let n = 8192u64;
         let per_pair = PortBackend::dense_table_bytes(8192) / (n * n);
@@ -1137,14 +1091,14 @@ mod tests {
             PortBackend::dense_table_bytes(1 << 20),
             20 * n * (n - 1) + 8 * n * n + 4 * n
         );
-        assert_eq!(PortBackend::Auto.resolve(1 << 20), PortBackend::Chunked);
+        assert_eq!(PortBackend::Auto.resolve(1 << 20), PortBackend::Sparse);
         // Near the u32 ceiling the true size exceeds u64::MAX only with
         // the multiplications done in u128; a wrapped u64 computation
         // would come out tiny and flip auto back to dense. The saturated
         // value must stay above the budget.
         let huge = (u32::MAX - 1) as usize;
         assert!(PortBackend::dense_table_bytes(huge) > PortBackend::AUTO_DENSE_CAP_BYTES);
-        assert_eq!(PortBackend::Auto.resolve(huge), PortBackend::Chunked);
+        assert_eq!(PortBackend::Auto.resolve(huge), PortBackend::Sparse);
         // Monotonicity across the whole supported range: a larger network
         // never reports smaller tables (the signature a wrap would leave).
         let mut prev = 0u64;
@@ -1159,21 +1113,15 @@ mod tests {
     fn backend_is_reported_and_part_of_equality() {
         let dense = PortMap::with_backend(16, PortBackend::Dense).unwrap();
         let sparse = sparse_map(16);
-        let chunked = PortMap::with_backend(16, PortBackend::Chunked).unwrap();
         assert_eq!(dense.backend(), PortBackend::Dense);
         assert_eq!(sparse.backend(), PortBackend::Sparse);
-        assert_eq!(chunked.backend(), PortBackend::Chunked);
         assert_ne!(dense, sparse, "maps on different backends compare equal");
-        assert_ne!(dense, chunked, "maps on different backends compare equal");
-        assert_ne!(sparse, chunked, "maps on different backends compare equal");
         // Θ(n²) against O(n + links): at n = 16 dense's ~2 KB sits below
         // sparse's minimum tables and caches, so compare where the
         // asymptotics show.
         let dense = PortMap::with_backend(256, PortBackend::Dense).unwrap();
         let sparse = sparse_map(256);
-        let chunked = PortMap::with_backend(256, PortBackend::Chunked).unwrap();
         assert!(dense.resident_bytes() > sparse.resident_bytes());
-        assert!(dense.resident_bytes() > chunked.resident_bytes());
     }
 
     #[test]
@@ -1188,7 +1136,7 @@ mod tests {
 
     #[test]
     fn resolve_is_idempotent() {
-        for mut map in [PortMap::new(8).unwrap(), sparse_map(8), chunked_map(8)] {
+        for mut map in [PortMap::new(8).unwrap(), sparse_map(8)] {
             let mut r = RandomResolver;
             let mut rng = rng_from_seed(1);
             let d1 = map
@@ -1205,7 +1153,7 @@ mod tests {
 
     #[test]
     fn reverse_direction_is_fixed() {
-        for mut map in [PortMap::new(8).unwrap(), sparse_map(8), chunked_map(8)] {
+        for mut map in [PortMap::new(8).unwrap(), sparse_map(8)] {
             let mut r = RandomResolver;
             let mut rng = rng_from_seed(2);
             let d = map
@@ -1227,7 +1175,7 @@ mod tests {
     #[test]
     fn full_resolution_forms_clique() {
         let n = 10;
-        for mut map in [PortMap::new(n).unwrap(), sparse_map(n), chunked_map(n)] {
+        for mut map in [PortMap::new(n).unwrap(), sparse_map(n)] {
             let mut r = RandomResolver;
             let mut rng = rng_from_seed(3);
             for u in 0..n {
@@ -1280,7 +1228,7 @@ mod tests {
 
     #[test]
     fn connect_rejects_conflicts() {
-        for mut map in [PortMap::new(5).unwrap(), sparse_map(5), chunked_map(5)] {
+        for mut map in [PortMap::new(5).unwrap(), sparse_map(5)] {
             map.connect(NodeIndex(0), Port(0), NodeIndex(1), Port(0))
                 .unwrap();
             // same pair again
@@ -1301,7 +1249,7 @@ mod tests {
 
     #[test]
     fn port_to_finds_the_link() {
-        for mut map in [PortMap::new(5).unwrap(), sparse_map(5), chunked_map(5)] {
+        for mut map in [PortMap::new(5).unwrap(), sparse_map(5)] {
             map.connect(NodeIndex(0), Port(3), NodeIndex(4), Port(1))
                 .unwrap();
             assert_eq!(map.port_to(NodeIndex(0), NodeIndex(4)), Some(Port(3)));
@@ -1368,7 +1316,7 @@ mod tests {
     #[test]
     fn partitioned_permutations_track_connectivity() {
         let n = 7;
-        for mut map in [PortMap::new(n).unwrap(), sparse_map(n), chunked_map(n)] {
+        for mut map in [PortMap::new(n).unwrap(), sparse_map(n)] {
             map.connect(NodeIndex(0), Port(2), NodeIndex(4), Port(5))
                 .unwrap();
             map.connect(NodeIndex(0), Port(0), NodeIndex(6), Port(3))
@@ -1585,31 +1533,7 @@ mod tests {
         // splitmix64 key schedule), n = 17, seed 0.
         const EXPECTED: [usize; 8] = [15, 11, 9, 2, 7, 14, 6, 10];
         assert_eq!(seq, EXPECTED, "sparse RandomResolver schedule drifted");
-    }
-
-    #[test]
-    fn chunked_random_resolver_matches_the_sparse_pin() {
-        // The chunked backend must draw the *identical* schedule as
-        // sparse — that identity is what lets `auto` switch from sparse
-        // to chunked without re-rolling any recorded number. Threshold 2
-        // forces node 0's row to materialize in the middle of the pinned
-        // sequence, so the pin crosses the representation switch.
-        let n = 17;
-        let mut map = chunked_map(n);
-        let mut resolver = RandomResolver;
-        let mut rng = rng_from_seed(0);
-        let seq: Vec<usize> = (0..8)
-            .map(|p| {
-                map.resolve(NodeIndex(0), Port(p), &mut resolver, &mut rng)
-                    .unwrap()
-                    .node
-                    .0
-            })
-            .collect();
-        map.validate().unwrap();
-        const EXPECTED: [usize; 8] = [15, 11, 9, 2, 7, 14, 6, 10];
-        assert_eq!(seq, EXPECTED, "chunked schedule diverged from sparse");
-        // And a reset map (rows still materialized) redraws it verbatim.
+        // A reset map, its memo caches still warm, redraws it verbatim.
         map.reset();
         let mut rng = rng_from_seed(0);
         let again: Vec<usize> = (0..8)
@@ -1620,7 +1544,7 @@ mod tests {
                     .0
             })
             .collect();
-        assert_eq!(again, EXPECTED, "recycled chunked schedule drifted");
+        assert_eq!(again, EXPECTED, "recycled sparse schedule drifted");
     }
 
     #[test]
@@ -1644,7 +1568,7 @@ mod tests {
         // budget — while the clique formula at the same n is ~28 TB.
         // The edge-aware resolution must stop over-provisioning.
         let n = 1_000_000;
-        assert_eq!(PortBackend::Auto.resolve(n), PortBackend::Chunked);
+        assert_eq!(PortBackend::Auto.resolve(n), PortBackend::Sparse);
         assert_eq!(
             PortBackend::Auto.resolve_for(n, n as u64),
             PortBackend::Dense,
@@ -1658,7 +1582,7 @@ mod tests {
         );
         assert_eq!(
             PortBackend::Auto.resolve_for(32768, m(32768)),
-            PortBackend::Chunked
+            PortBackend::Sparse
         );
         // Explicit backends are never overridden.
         assert_eq!(PortBackend::Sparse.resolve_for(64, 64), PortBackend::Sparse);
@@ -1733,7 +1657,7 @@ mod tests {
 
     #[test]
     fn graph_map_draw_schedule_is_backend_independent() {
-        // On non-clique topologies all three backends share one store,
+        // On non-clique topologies both backends share one store,
         // so RNG-driven schedules are identical by construction.
         let topo = crate::topology::Topology::random_regular(16, 4, 5).unwrap();
         let schedule = |backend| {
@@ -1752,9 +1676,7 @@ mod tests {
             map.validate().unwrap();
             out
         };
-        let dense = schedule(PortBackend::Dense);
-        assert_eq!(dense, schedule(PortBackend::Sparse));
-        assert_eq!(dense, schedule(PortBackend::Chunked));
+        assert_eq!(schedule(PortBackend::Dense), schedule(PortBackend::Sparse));
     }
 
     #[test]
@@ -1790,7 +1712,7 @@ mod tests {
 
     #[test]
     fn out_of_range_errors() {
-        for mut map in [PortMap::new(4).unwrap(), sparse_map(4), chunked_map(4)] {
+        for mut map in [PortMap::new(4).unwrap(), sparse_map(4)] {
             let mut r = RandomResolver;
             let mut rng = rng_from_seed(0);
             assert!(matches!(

@@ -63,13 +63,13 @@ const PORT_STREAM: u64 = 0x706f_7274_7065_726d; // "portperm"
 
 /// Packs a `(node, index)` coordinate into one map key.
 #[inline]
-pub(super) fn key(u: usize, x: usize) -> u64 {
+fn key(u: usize, x: usize) -> u64 {
     ((u as u64) << 32) | x as u64
 }
 
 /// Packs an endpoint into a forward-table value.
 #[inline]
-pub(super) fn enc(v: usize, p: usize) -> u64 {
+fn enc(v: usize, p: usize) -> u64 {
     ((v as u64) << 32) | p as u64
 }
 
@@ -127,7 +127,7 @@ impl PermCache {
 
 /// The four memo caches: forward and inverse, peer and port permutations.
 #[derive(Debug, Clone)]
-pub(super) struct RowCaches {
+struct RowCaches {
     peer_fwd: PermCache,
     peer_inv: PermCache,
     port_fwd: PermCache,
@@ -173,33 +173,30 @@ impl RowCaches {
 }
 
 /// The sparse storage backend (see the module docs).
-///
-/// Fields are `pub(super)` so the chunked backend can embed one and share
-/// its link tables, override discipline, and base-permutation machinery.
 #[derive(Debug, Clone)]
 pub(super) struct SparseStore {
-    pub(super) n: usize,
+    n: usize,
     /// Precomputed Feistel half-width for the shared domain `n − 1`.
     half_bits: u32,
     /// Links incident to each node — the only Θ(n) table.
-    pub(super) degree: Vec<u32>,
+    degree: Vec<u32>,
     /// Total number of links fixed so far.
-    pub(super) links: usize,
+    links: usize,
     /// Nodes with at least one link (pushed on the 0 → 1 transition).
-    pub(super) dirty: Vec<u32>,
+    dirty: Vec<u32>,
     /// `(u, i) → (v << 32) | j` for each assigned port `i` of `u`.
-    pub(super) fwd: OpenTable<u64>,
+    fwd: OpenTable<u64>,
     /// `(u, v) → i` iff `u`'s port `i` connects to `v`.
-    pub(super) by_peer: OpenTable<u32>,
+    by_peer: OpenTable<u32>,
     /// Peer-permutation overrides: `(u, k) → v` where position `k` of
     /// `u`'s peer permutation deviates from the base permutation.
-    pub(super) peer_val: OpenTable<u32>,
+    peer_val: OpenTable<u32>,
     /// Inverse overrides: `(u, v) → k`.
-    pub(super) peer_pos: OpenTable<u32>,
+    peer_pos: OpenTable<u32>,
     /// Port-permutation overrides: `(u, k) → p`.
-    pub(super) port_val: OpenTable<u32>,
+    port_val: OpenTable<u32>,
     /// Inverse overrides: `(u, p) → k`.
-    pub(super) port_pos: OpenTable<u32>,
+    port_pos: OpenTable<u32>,
     /// Pure-function memo caches — excluded from equality and never
     /// invalidated (see the module docs).
     cache: RowCaches,
@@ -265,7 +262,7 @@ impl SparseStore {
     /// keyed permutation composed with the skip-`u` enumeration of peers.
     /// Memoized — a pure function of `(n, u, k)`.
     #[inline]
-    pub(super) fn base_peer(&self, u: usize, k: usize) -> u32 {
+    fn base_peer(&self, u: usize, k: usize) -> u32 {
         self.cache.peer_fwd.get_or(key(u, k), || {
             let v = self.peer_perm(u).apply(k);
             (v + usize::from(v >= u)) as u32
@@ -274,7 +271,7 @@ impl SparseStore {
 
     /// The base position of peer `v` in `u`'s permutation. Memoized.
     #[inline]
-    pub(super) fn base_peer_pos(&self, u: usize, v: usize) -> u32 {
+    fn base_peer_pos(&self, u: usize, v: usize) -> u32 {
         self.cache.peer_inv.get_or(key(u, v), || {
             self.peer_perm(u).invert(v - usize::from(v > u)) as u32
         })
@@ -283,7 +280,7 @@ impl SparseStore {
     /// The base (untouched) port at position `k` of `u`'s permutation.
     /// Memoized.
     #[inline]
-    pub(super) fn base_port(&self, u: usize, k: usize) -> u32 {
+    fn base_port(&self, u: usize, k: usize) -> u32 {
         self.cache
             .port_fwd
             .get_or(key(u, k), || self.port_perm(u).apply(k) as u32)
@@ -291,7 +288,7 @@ impl SparseStore {
 
     /// The base position of port `p` in `u`'s permutation. Memoized.
     #[inline]
-    pub(super) fn base_port_pos(&self, u: usize, p: usize) -> u32 {
+    fn base_port_pos(&self, u: usize, p: usize) -> u32 {
         self.cache
             .port_inv
             .get_or(key(u, p), || self.port_perm(u).invert(p) as u32)
@@ -300,7 +297,7 @@ impl SparseStore {
     /// The peer at position `k`: the override if the slot was displaced,
     /// the base permutation otherwise.
     #[inline]
-    pub(super) fn peer_at(&self, u: usize, k: usize) -> u32 {
+    fn peer_at(&self, u: usize, k: usize) -> u32 {
         match self.peer_val.get(key(u, k)) {
             Some(v) => v,
             None => self.base_peer(u, k),
@@ -309,7 +306,7 @@ impl SparseStore {
 
     /// The position of peer `v` in `u`'s permutation.
     #[inline]
-    pub(super) fn pos_of_peer(&self, u: usize, v: usize) -> u32 {
+    fn pos_of_peer(&self, u: usize, v: usize) -> u32 {
         match self.peer_pos.get(key(u, v)) {
             Some(k) => k,
             None => self.base_peer_pos(u, v),
@@ -318,7 +315,7 @@ impl SparseStore {
 
     /// The port at position `k`.
     #[inline]
-    pub(super) fn port_at(&self, u: usize, k: usize) -> u32 {
+    fn port_at(&self, u: usize, k: usize) -> u32 {
         match self.port_val.get(key(u, k)) {
             Some(p) => p,
             None => self.base_port(u, k),
@@ -327,7 +324,7 @@ impl SparseStore {
 
     /// The position of port `p` in `u`'s permutation.
     #[inline]
-    pub(super) fn pos_of_port(&self, u: usize, p: usize) -> u32 {
+    fn pos_of_port(&self, u: usize, p: usize) -> u32 {
         match self.port_pos.get(key(u, p)) {
             Some(k) => k,
             None => self.base_port_pos(u, p),
@@ -379,7 +376,7 @@ impl SparseStore {
     /// Swaps peer `v` and port `p` into the connected prefix of `u`'s
     /// partitioned permutations — the same two partial-Fisher–Yates steps
     /// as the dense backend, through the override maps.
-    pub(super) fn promote(&mut self, u: usize, v: usize, p: usize) {
+    fn promote(&mut self, u: usize, v: usize, p: usize) {
         let d = self.degree[u] as usize;
 
         let k = self.pos_of_peer(u, v) as usize;
@@ -397,156 +394,6 @@ impl SparseStore {
         self.set_port_at(u, kp, q);
         self.set_pos_of_port(u, p, d as u32);
         self.set_pos_of_port(u, q as usize, kp as u32);
-    }
-
-    /// Restores one dirty node's row to pristine state: removes its
-    /// half-links from the shared tables, then chases displacement cycles
-    /// until every override is gone. Shared with [`PortStore::reset`] and
-    /// the chunked backend's per-node reset dispatch.
-    pub(super) fn reset_node(&mut self, u: usize) {
-        let d = self.degree[u] as usize;
-        // The connected peers and assigned ports are exactly the first
-        // d entries of the partitioned permutations.
-        for k in 0..d {
-            let v = self.peer_at(u, k);
-            self.by_peer.remove(key(u, v as usize));
-            let p = self.port_at(u, k);
-            self.fwd.remove(key(u, p as usize));
-        }
-        self.degree[u] = 0;
-        // Chase displacement cycles from the prefix (see the dense
-        // backend's reset for the argument that this restores the
-        // whole row): each swap returns one value to its base slot,
-        // shrinking the override maps until they are empty for u.
-        for k in 0..d {
-            loop {
-                let v = self.peer_at(u, k) as usize;
-                let home = self.base_peer_pos(u, v) as usize;
-                if home == k {
-                    break;
-                }
-                let w = self.peer_at(u, home);
-                self.set_peer_at(u, k, w);
-                self.set_peer_at(u, home, v as u32);
-                self.set_pos_of_peer(u, v, home as u32);
-                self.set_pos_of_peer(u, w as usize, k as u32);
-            }
-            loop {
-                let p = self.port_at(u, k) as usize;
-                let home = self.base_port_pos(u, p) as usize;
-                if home == k {
-                    break;
-                }
-                let q = self.port_at(u, home);
-                self.set_port_at(u, k, q);
-                self.set_port_at(u, home, p as u32);
-                self.set_pos_of_port(u, p, home as u32);
-                self.set_pos_of_port(u, q as usize, k as u32);
-            }
-        }
-    }
-
-    /// Trial-boundary bookkeeping shared with the chunked backend: apply
-    /// the shrink-if-oversized policy to every (now empty) hashed table.
-    /// The memo caches are deliberately *not* touched — their contents are
-    /// pure function outputs that stay valid across trials, which is where
-    /// the recycled warm path gets its Feistel hits from.
-    pub(super) fn end_trial(&mut self) {
-        self.fwd.end_trial();
-        self.by_peer.end_trial();
-        self.peer_val.end_trial();
-        self.peer_pos.end_trial();
-        self.port_val.end_trial();
-        self.port_pos.end_trial();
-    }
-
-    /// Validates the link tables (forward symmetry, peer-index sync, range
-    /// checks) — the representation shared verbatim with the chunked
-    /// backend.
-    pub(super) fn validate_link_tables(&self) -> Result<(), ModelError> {
-        let fail = |u: usize, p: usize, reason: &'static str| {
-            Err(ModelError::InvalidResolution {
-                node: NodeIndex(u),
-                port: Port(p),
-                reason,
-            })
-        };
-        let ports = self.n - 1;
-        // Hashed-table bookkeeping: one entry per half-link in each table.
-        if self.fwd.len() != 2 * self.links || self.by_peer.len() != 2 * self.links {
-            return fail(0, 0, "link count out of sync");
-        }
-        for (k, e) in self.fwd.iter() {
-            let (u, i) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
-            let (v, j) = ((e >> 32) as usize, (e & 0xFFFF_FFFF) as usize);
-            if u >= self.n || v >= self.n || i >= ports || j >= ports {
-                return fail(u, i, "forward entry out of range");
-            }
-            if v == u {
-                return fail(u, i, "self-link");
-            }
-            if self.fwd.get(key(v, j)) != Some(enc(u, i)) {
-                return fail(u, i, "asymmetric link");
-            }
-            if self.by_peer.get(key(u, v)) != Some(i as u32) {
-                return fail(u, i, "peer index out of sync");
-            }
-        }
-        Ok(())
-    }
-
-    /// Validates that every override is a genuine deviation with an exact
-    /// inverse; the remove-on-return-to-base discipline keeps "untouched"
-    /// == absent. `node_check` lets the chunked backend additionally
-    /// reject overrides for nodes whose rows are materialized.
-    pub(super) fn validate_overrides(
-        &self,
-        mut node_check: impl FnMut(usize) -> bool,
-    ) -> Result<(), ModelError> {
-        let fail = |u: usize, reason: &'static str| {
-            Err(ModelError::InvalidResolution {
-                node: NodeIndex(u),
-                port: Port(0),
-                reason,
-            })
-        };
-        for (k, v) in self.peer_val.iter() {
-            let (u, pos) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
-            if !node_check(u) {
-                return fail(u, "override for a materialized row");
-            }
-            if self.base_peer(u, pos) == v {
-                return fail(u, "redundant peer override");
-            }
-        }
-        for (k, pos) in self.peer_pos.iter() {
-            let (u, v) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
-            if !node_check(u) {
-                return fail(u, "override for a materialized row");
-            }
-            if self.base_peer_pos(u, v) == pos {
-                return fail(u, "redundant peer position override");
-            }
-        }
-        for (k, p) in self.port_val.iter() {
-            let (u, pos) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
-            if !node_check(u) {
-                return fail(u, "override for a materialized row");
-            }
-            if self.base_port(u, pos) == p {
-                return fail(u, "redundant port override");
-            }
-        }
-        for (k, pos) in self.port_pos.iter() {
-            let (u, p) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
-            if !node_check(u) {
-                return fail(u, "override for a materialized row");
-            }
-            if self.base_port_pos(u, p) == pos {
-                return fail(u, "redundant port position override");
-            }
-        }
-        Ok(())
     }
 }
 
@@ -631,12 +478,61 @@ impl PortStore for SparseStore {
     /// position, which removes its overrides, so a fully reset store holds
     /// no hashed entries at all and is `==` to a freshly constructed one.
     fn reset(&mut self) {
-        let dirty = std::mem::take(&mut self.dirty);
-        for &u in &dirty {
-            self.reset_node(u as usize);
+        for u in std::mem::take(&mut self.dirty) {
+            let u = u as usize;
+            let d = self.degree[u] as usize;
+            // The connected peers and assigned ports are exactly the first
+            // d entries of the partitioned permutations.
+            for k in 0..d {
+                let v = self.peer_at(u, k);
+                self.by_peer.remove(key(u, v as usize));
+                let p = self.port_at(u, k);
+                self.fwd.remove(key(u, p as usize));
+            }
+            self.degree[u] = 0;
+            // Chase displacement cycles from the prefix (see the dense
+            // backend's reset for the argument that this restores the
+            // whole row): each swap returns one value to its base slot,
+            // shrinking the override maps until they are empty for u.
+            for k in 0..d {
+                loop {
+                    let v = self.peer_at(u, k) as usize;
+                    let home = self.base_peer_pos(u, v) as usize;
+                    if home == k {
+                        break;
+                    }
+                    let w = self.peer_at(u, home);
+                    self.set_peer_at(u, k, w);
+                    self.set_peer_at(u, home, v as u32);
+                    self.set_pos_of_peer(u, v, home as u32);
+                    self.set_pos_of_peer(u, w as usize, k as u32);
+                }
+                loop {
+                    let p = self.port_at(u, k) as usize;
+                    let home = self.base_port_pos(u, p) as usize;
+                    if home == k {
+                        break;
+                    }
+                    let q = self.port_at(u, home);
+                    self.set_port_at(u, k, q);
+                    self.set_port_at(u, home, p as u32);
+                    self.set_pos_of_port(u, p, home as u32);
+                    self.set_pos_of_port(u, q as usize, k as u32);
+                }
+            }
         }
         self.links = 0;
-        self.end_trial();
+        // Apply the shrink-if-oversized policy to every (now empty) hashed
+        // table. The memo caches are deliberately *not* touched: their
+        // contents are pure function outputs that stay valid across
+        // trials, which is where the recycled warm path gets its Feistel
+        // hits from.
+        self.fwd.end_trial();
+        self.by_peer.end_trial();
+        self.peer_val.end_trial();
+        self.peer_pos.end_trial();
+        self.port_val.end_trial();
+        self.port_pos.end_trial();
     }
 
     fn validate(&self) -> Result<(), ModelError> {
@@ -648,8 +544,52 @@ impl PortStore for SparseStore {
             })
         };
         let ports = self.n - 1;
-        self.validate_link_tables()?;
-        self.validate_overrides(|_| true)?;
+        // Hashed-table bookkeeping: one entry per half-link in each table.
+        if self.fwd.len() != 2 * self.links || self.by_peer.len() != 2 * self.links {
+            return fail(0, 0, "link count out of sync");
+        }
+        for (k, e) in self.fwd.iter() {
+            let (u, i) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
+            let (v, j) = ((e >> 32) as usize, (e & 0xFFFF_FFFF) as usize);
+            if u >= self.n || v >= self.n || i >= ports || j >= ports {
+                return fail(u, i, "forward entry out of range");
+            }
+            if v == u {
+                return fail(u, i, "self-link");
+            }
+            if self.fwd.get(key(v, j)) != Some(enc(u, i)) {
+                return fail(u, i, "asymmetric link");
+            }
+            if self.by_peer.get(key(u, v)) != Some(i as u32) {
+                return fail(u, i, "peer index out of sync");
+            }
+        }
+        // Every override is a genuine deviation: the
+        // remove-on-return-to-base discipline keeps "untouched" == absent.
+        for (k, v) in self.peer_val.iter() {
+            let (u, pos) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
+            if self.base_peer(u, pos) == v {
+                return fail(u, 0, "redundant peer override");
+            }
+        }
+        for (k, pos) in self.peer_pos.iter() {
+            let (u, v) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
+            if self.base_peer_pos(u, v) == pos {
+                return fail(u, 0, "redundant peer position override");
+            }
+        }
+        for (k, p) in self.port_val.iter() {
+            let (u, pos) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
+            if self.base_port(u, pos) == p {
+                return fail(u, 0, "redundant port override");
+            }
+        }
+        for (k, pos) in self.port_pos.iter() {
+            let (u, p) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
+            if self.base_port_pos(u, p) == pos {
+                return fail(u, 0, "redundant port position override");
+            }
+        }
         // Exhaustive per-node partition and inverse checks — mirrors the
         // dense validate (O(n²); intended for tests, like the facade docs
         // say).

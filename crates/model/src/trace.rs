@@ -222,13 +222,15 @@ impl FaultKind {
 /// Backend storage milestone counters, snapshot at the end of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendCounters {
-    /// Feistel base-permutation memo-cache hits (sparse/chunked).
+    /// Feistel base-permutation memo-cache hits (sparse).
     pub memo_hits: u64,
-    /// Feistel base-permutation memo-cache misses (sparse/chunked).
+    /// Feistel base-permutation memo-cache misses (sparse).
     pub memo_misses: u64,
     /// Open-addressing table growths (rehashes) across the store's tables.
     pub table_grows: u64,
-    /// Rows the chunked backend has materialized.
+    /// Always 0: no store materializes rows any more. Kept so the
+    /// `backend` trace event keeps its fields, and because `perfbench/`
+    /// builds this struct field by field.
     pub rows_materialized: u64,
 }
 
@@ -297,7 +299,7 @@ pub enum TraceEvent {
     },
     /// End-of-run backend storage counters.
     Backend {
-        /// Backend name (`dense` / `sparse` / `chunked`).
+        /// Backend name (`dense` / `sparse`).
         backend: &'static str,
         /// The counter snapshot.
         counters: BackendCounters,

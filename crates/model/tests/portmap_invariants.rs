@@ -21,11 +21,7 @@ use proptest::prelude::*;
 /// fifth step first attempts an explicit `connect` of the op's endpoints
 /// on their lowest free ports (ignoring rejections, which the map must
 /// survive unchanged).
-const BACKENDS: [PortBackend; 3] = [
-    PortBackend::Dense,
-    PortBackend::Sparse,
-    PortBackend::Chunked,
-];
+const BACKENDS: [PortBackend; 2] = [PortBackend::Dense, PortBackend::Sparse];
 
 fn apply_ops(n: usize, seed: u64, ops: &[(usize, usize, usize)], backend: PortBackend) -> PortMap {
     let mut map = PortMap::with_backend(n, backend).unwrap();

@@ -280,9 +280,9 @@ impl SyncSimBuilder {
     /// environment selection, which is the clique when unset). The
     /// topology's node count must equal the builder's `n`.
     ///
-    /// On the clique the port map keeps its flat dense/sparse/chunked
-    /// tables; on any other topology ports are degree-indexed
-    /// (`0..deg(v)` per node) and served by the graph store.
+    /// On the clique the port map keeps its dense or sparse tables; on
+    /// any other topology ports are degree-indexed (`0..deg(v)` per
+    /// node) and served by the graph store.
     pub fn topology(mut self, topology: Topology) -> Self {
         self.topology = Some(topology);
         self
@@ -337,8 +337,9 @@ impl SyncSimBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError`] if `n < 2` or the default ID universe cannot
-    /// cover `n` nodes.
+    /// Returns [`ModelError`] if `n < 2`, the default ID universe cannot
+    /// cover `n` nodes, or the wake schedule names a node outside the
+    /// network ([`ModelError::NodeOutOfRange`]).
     pub fn build_in<N, F>(
         self,
         arena: &mut SyncArena,
@@ -353,6 +354,10 @@ impl SyncSimBuilder {
         let n = self.n;
         if n < 2 {
             return Err(ModelError::NetworkTooSmall { n });
+        }
+        let stages = self.wake.iter().flat_map(|w| w.stages());
+        if let Some(&node) = stages.flat_map(|(_, v)| v).find(|v| v.0 >= n) {
+            return Err(ModelError::NodeOutOfRange { node, n });
         }
         let ids = match self.ids {
             Some(ids) => ids,
@@ -1190,6 +1195,24 @@ mod tests {
     }
 
     #[test]
+    fn builder_rejects_a_wake_outside_the_network() {
+        // Used to build, then index out of bounds in `step`.
+        let late = WakeSchedule::staged(vec![(1, vec![NodeIndex(0)]), (3, vec![NodeIndex(7)])]);
+        for (wake, node) in [(WakeSchedule::single(NodeIndex(4)), 4), (late, 7)] {
+            let built = SyncSimBuilder::new(4)
+                .wake(wake)
+                .build_in(&mut SyncArena::new(), max_broadcast);
+            assert_eq!(
+                built.err(),
+                Some(ModelError::NodeOutOfRange {
+                    node: NodeIndex(node),
+                    n: 4
+                })
+            );
+        }
+    }
+
+    #[test]
     fn arena_trials_match_fresh_trials() {
         let fingerprint = |o: &Outcome| {
             (
@@ -1281,35 +1304,32 @@ mod tests {
             )
         };
         assert_eq!(run(PortBackend::Dense), run(PortBackend::Sparse));
-        assert_eq!(run(PortBackend::Dense), run(PortBackend::Chunked));
     }
 
     #[test]
     fn sparse_backend_arena_trials_match_fresh_sparse_trials() {
-        for backend in [PortBackend::Sparse, PortBackend::Chunked] {
-            let mut arena = SyncArena::new();
-            for seed in 0..8u64 {
-                let fresh = SyncSimBuilder::new(16)
-                    .seed(seed)
-                    .backend(backend)
-                    .build(max_broadcast)
-                    .unwrap()
-                    .run()
-                    .unwrap();
-                let reused = SyncSimBuilder::new(16)
-                    .seed(seed)
-                    .backend(backend)
-                    .build_in(&mut arena, max_broadcast)
-                    .unwrap()
-                    .run_reusing(&mut arena)
-                    .unwrap();
-                assert_eq!(
-                    (fresh.rounds, fresh.stats.total(), fresh.unique_leader()),
-                    (reused.rounds, reused.stats.total(), reused.unique_leader()),
-                );
-            }
-            assert!(arena.resident_bytes() > 0);
+        let mut arena = SyncArena::new();
+        for seed in 0..8u64 {
+            let fresh = SyncSimBuilder::new(16)
+                .seed(seed)
+                .backend(PortBackend::Sparse)
+                .build(max_broadcast)
+                .unwrap()
+                .run()
+                .unwrap();
+            let reused = SyncSimBuilder::new(16)
+                .seed(seed)
+                .backend(PortBackend::Sparse)
+                .build_in(&mut arena, max_broadcast)
+                .unwrap()
+                .run_reusing(&mut arena)
+                .unwrap();
+            assert_eq!(
+                (fresh.rounds, fresh.stats.total(), fresh.unique_leader()),
+                (reused.rounds, reused.stats.total(), reused.unique_leader()),
+            );
         }
+        assert!(arena.resident_bytes() > 0);
     }
 
     #[test]
@@ -1318,7 +1338,6 @@ mod tests {
         for backend in [
             PortBackend::Dense,
             PortBackend::Sparse,
-            PortBackend::Chunked,
             PortBackend::Dense,
             PortBackend::Auto, // resolves to Dense at this n — map recycled
         ] {

@@ -223,9 +223,9 @@ fn round_robin_outcomes_match_legacy_engine() {
     }
 }
 
-/// The dense-vs-sparse/chunked outcome cross-check: under round-robin
+/// The dense-vs-sparse outcome cross-check: under round-robin
 /// resolution (which consumes no randomness and conditions only on
-/// connectivity) the hashed backends must reproduce the *same* outcome
+/// connectivity) the sparse backend must reproduce the *same* outcome
 /// table as the dense backend — and hence as the legacy hash-map engine —
 /// for every synchronous algorithm at every size. This is the
 /// execution-level half of the backend-parity guarantee; golden
@@ -236,29 +236,23 @@ fn sparse_backend_outcomes_match_dense_table() {
     if std::env::var_os("LE_RECORD_EXPECT").is_some() {
         return; // the dense table above is the single source of truth
     }
-    for backend in [PortBackend::Sparse, PortBackend::Chunked] {
-        for &(algo, n, rounds, messages, leader) in EXPECTED {
-            assert_eq!(
-                fingerprint(algo, n, backend),
-                (rounds, messages, leader),
-                "{algo} at n = {n}: {backend} backend diverged from the dense outcome table"
-            );
-        }
+    for &(algo, n, rounds, messages, leader) in EXPECTED {
+        assert_eq!(
+            fingerprint(algo, n, PortBackend::Sparse),
+            (rounds, messages, leader),
+            "{algo} at n = {n}: sparse backend diverged from the dense outcome table"
+        );
     }
 }
 
-/// Endpoint-level dense-vs-sparse-vs-chunked differential: all three
-/// backends resolve the same scrambled round-robin schedule to identical
-/// endpoints, and all stay internally valid throughout. At n = 256 the
-/// chunked backend crosses its default materialization threshold (64)
-/// mid-schedule, so this also exercises the sparse→flat row upgrade under
-/// a real resolution workload.
+/// Endpoint-level dense-vs-sparse differential: both backends resolve
+/// the same scrambled round-robin schedule to identical endpoints, and
+/// both stay internally valid throughout.
 #[test]
 fn sparse_portmap_matches_dense_endpoint_for_endpoint() {
     for n in SIZES {
         let mut dense = PortMap::with_backend(n, PortBackend::Dense).unwrap();
         let mut sparse = PortMap::with_backend(n, PortBackend::Sparse).unwrap();
-        let mut chunked = PortMap::with_backend(n, PortBackend::Chunked).unwrap();
         let mut resolver = RoundRobinResolver;
         let mut rng = rng_from_seed(0);
         let total = n * (n - 1);
@@ -273,53 +267,12 @@ fn sparse_portmap_matches_dense_endpoint_for_endpoint() {
             let s = sparse
                 .resolve(NodeIndex(u), Port(p), &mut resolver, &mut rng)
                 .unwrap();
-            let c = chunked
-                .resolve(NodeIndex(u), Port(p), &mut resolver, &mut rng)
-                .unwrap();
             assert_eq!(d, s, "n = {n}: port ({u}, {p}) resolved differently");
-            assert_eq!(
-                d, c,
-                "n = {n}: port ({u}, {p}) resolved differently (chunked)"
-            );
         }
         dense.validate().unwrap();
         sparse.validate().unwrap();
-        chunked.validate().unwrap();
         assert_eq!(sparse.link_count(), n * (n - 1) / 2);
-        assert_eq!(chunked.link_count(), n * (n - 1) / 2);
     }
-}
-
-/// Draw-for-draw sparse-vs-chunked differential under `RandomResolver`:
-/// the chunked backend is required to preserve the sparse draw schedule
-/// *exactly* — materializing a row must never re-roll, reorder, or
-/// consume extra randomness. n = 256 with the default threshold (64)
-/// means every node's row materializes naturally mid-schedule.
-#[test]
-fn chunked_backend_matches_sparse_draw_for_draw_across_the_threshold() {
-    let n = 256;
-    let mut sparse = PortMap::with_backend(n, PortBackend::Sparse).unwrap();
-    let mut chunked = PortMap::with_backend(n, PortBackend::Chunked).unwrap();
-    let mut resolver = RandomResolver;
-    let mut rng_s = rng_from_seed(9);
-    let mut rng_c = rng_from_seed(9);
-    let total = n * (n - 1);
-    let schedule = (0..total).map(|s| {
-        let x = (s * 7919) % total;
-        (x / (n - 1), x % (n - 1))
-    });
-    for (u, p) in schedule {
-        let s = sparse
-            .resolve(NodeIndex(u), Port(p), &mut resolver, &mut rng_s)
-            .unwrap();
-        let c = chunked
-            .resolve(NodeIndex(u), Port(p), &mut resolver, &mut rng_c)
-            .unwrap();
-        assert_eq!(s, c, "n = {n}: port ({u}, {p}) drew differently");
-    }
-    sparse.validate().unwrap();
-    chunked.validate().unwrap();
-    assert_eq!(chunked.link_count(), n * (n - 1) / 2);
 }
 
 /// Endpoint-level topology × backend differential: on a non-clique
@@ -338,11 +291,7 @@ fn topology_draw_schedule_is_backend_invariant() {
     for topo in topologies {
         let n = topo.n();
         let mut reference: Option<Vec<(usize, usize)>> = None;
-        for backend in [
-            PortBackend::Dense,
-            PortBackend::Sparse,
-            PortBackend::Chunked,
-        ] {
+        for backend in [PortBackend::Dense, PortBackend::Sparse] {
             let mut map = PortMap::for_topology(&topo, backend).unwrap();
             assert_eq!(
                 map.backend(),
@@ -405,7 +354,7 @@ fn topology_outcomes_are_backend_invariant() {
         };
         let dense = run(PortBackend::Dense);
         assert!(dense.2.is_some(), "{topo}: no leader elected");
-        for backend in [PortBackend::Sparse, PortBackend::Chunked, PortBackend::Auto] {
+        for backend in [PortBackend::Sparse, PortBackend::Auto] {
             assert_eq!(
                 run(backend),
                 dense,

@@ -1,8 +1,9 @@
-//! Large-`n` smoke tests. For the hashed port-map backends (sparse and
-//! chunked): one Las Vegas trial at `n = 65536` — the largest size the
-//! dense store can index, at 32 GiB of tables — must elect a leader within a
-//! generous wall-clock budget and a sparse-sized memory footprint. For
-//! the synchronous engine's worklists: one `singular` trial on a
+//! Large-`n` smoke tests. For the sparse port-map backend, which `auto`
+//! picks at this size: a Las Vegas trial at `n = 65536` — the largest size
+//! the dense store can index, at 32 GiB of tables — must elect a leader
+//! within a generous wall-clock budget and a sparse-sized memory
+//! footprint, and recycled trials on one arena must not keep growing it.
+//! For the synchronous engine's worklists: one `singular` trial on a
 //! 65536-node ring, 98 k rounds in which only a few nodes act, must
 //! finish within a minute.
 //!
@@ -19,41 +20,51 @@ use improved_le::algorithms::sync::singular;
 use improved_le::model::{PortBackend, Topology};
 use improved_le::sync::{SyncArena, SyncSimBuilder};
 
+const N: usize = 65536;
+
 #[test]
 #[ignore = "large-n smoke: run explicitly (CI) in release mode"]
 fn sparse_backend_elects_at_n_65536_within_budget() {
-    elects_at_n_65536_within_budget(PortBackend::Sparse);
+    elects_at_n_65536_within_budget(&mut SyncArena::new(), PortBackend::Sparse, 0);
 }
 
 #[test]
 #[ignore = "large-n smoke: run explicitly (CI) in release mode"]
-fn chunked_backend_elects_at_n_65536_within_budget() {
-    // A sublinear-message trial leaves every node's degree far below the
-    // materialization threshold, so the chunked backend must stay on its
-    // sparse path and keep the same touched-state footprint bound.
-    elects_at_n_65536_within_budget(PortBackend::Chunked);
+fn auto_backend_recycles_at_n_65536_without_growing() {
+    assert_eq!(PortBackend::Auto.resolve(N), PortBackend::Sparse);
+    // Reset keeps each hashed table's slab for the next trial, so a
+    // recycled arena levels off at the high-water of its trials instead
+    // of growing with every seed.
+    let mut arena = SyncArena::new();
+    let resident: Vec<u64> = (0..3)
+        .map(|seed| elects_at_n_65536_within_budget(&mut arena, PortBackend::Auto, seed))
+        .collect();
+    assert!(
+        resident[2] * 10 <= resident[0] * 11,
+        "recycled trials grew the arena: {resident:?} B"
+    );
 }
 
-fn elects_at_n_65536_within_budget(backend: PortBackend) {
-    const N: usize = 65536;
+/// Runs one Las Vegas trial on `arena` and checks its outcome, wall-clock
+/// and footprint; returns the arena's resident bytes after the trial.
+fn elects_at_n_65536_within_budget(arena: &mut SyncArena, backend: PortBackend, seed: u64) -> u64 {
     // One-core CI runners are slow; the reference box does one trial in
     // ~1 s. The budget guards against quadratic regressions (a dense-like
     // O(n²) sweep would blow far past it), not against runner jitter.
     const BUDGET: Duration = Duration::from_secs(300);
 
     let started = Instant::now();
-    let mut arena = SyncArena::new();
     let outcome = SyncSimBuilder::new(N)
-        .seed(0)
+        .seed(seed)
         .backend(backend)
-        .build_in(&mut arena, |id, _| {
+        .build_in(arena, |id, _| {
             improved_le::algorithms::sync::las_vegas::Node::new(
                 id,
                 improved_le::algorithms::sync::las_vegas::Config::default(),
             )
         })
         .expect("valid configuration")
-        .run_reusing(&mut arena)
+        .run_reusing(arena)
         .expect("no resolver faults");
     let elapsed = started.elapsed();
 
@@ -65,8 +76,8 @@ fn elects_at_n_65536_within_budget(backend: PortBackend) {
     let resident = arena.resident_bytes();
     let dense = PortBackend::dense_table_bytes(N);
     println!(
-        "n = {N} ({backend}): {} messages, {} rounds, {elapsed:?}, {:.1} MB resident \
-         (the auto budget prices dense at {:.1} GB)",
+        "n = {N} ({backend}, seed {seed}): {} messages, {} rounds, {elapsed:?}, \
+         {:.1} MB resident (the auto budget prices dense at {:.1} GB)",
         outcome.stats.total(),
         outcome.rounds,
         resident as f64 / 1e6,
@@ -82,6 +93,7 @@ fn elects_at_n_65536_within_budget(backend: PortBackend) {
         resident * 100 < dense,
         "sparse resident {resident} B is not far below dense {dense} B"
     );
+    resident
 }
 
 #[test]
