@@ -1533,7 +1533,32 @@ mod tests {
         // splitmix64 key schedule), n = 17, seed 0.
         const EXPECTED: [usize; 8] = [15, 11, 9, 2, 7, 14, 6, 10];
         assert_eq!(seq, EXPECTED, "sparse RandomResolver schedule drifted");
-        // A reset map, its memo caches still warm, redraws it verbatim.
+    }
+
+    #[test]
+    fn chunked_random_resolver_matches_the_sparse_pin() {
+        // `PortBackend::Chunked` names the deleted chunked store and is
+        // kept as an alias of sparse, so callers that still spell it get
+        // the *identical* schedule sparse draws: the pinned sequence,
+        // fresh and again after a reset with the memo caches still warm.
+        assert_eq!(PortBackend::Chunked, PortBackend::Sparse);
+        let n = 17;
+        let mut map = PortMap::with_backend(n, PortBackend::Chunked).unwrap();
+        assert_eq!(map.backend(), PortBackend::Sparse);
+        let mut resolver = RandomResolver;
+        let mut rng = rng_from_seed(0);
+        let seq: Vec<usize> = (0..8)
+            .map(|p| {
+                map.resolve(NodeIndex(0), Port(p), &mut resolver, &mut rng)
+                    .unwrap()
+                    .node
+                    .0
+            })
+            .collect();
+        map.validate().unwrap();
+        const EXPECTED: [usize; 8] = [15, 11, 9, 2, 7, 14, 6, 10];
+        assert_eq!(seq, EXPECTED, "chunked alias diverged from sparse");
+        // And a reset map redraws it verbatim.
         map.reset();
         let mut rng = rng_from_seed(0);
         let again: Vec<usize> = (0..8)
@@ -1544,7 +1569,8 @@ mod tests {
                     .0
             })
             .collect();
-        assert_eq!(again, EXPECTED, "recycled sparse schedule drifted");
+        map.validate().unwrap();
+        assert_eq!(again, EXPECTED, "recycled schedule drifted");
     }
 
     #[test]
