@@ -131,147 +131,6 @@ pub fn geometric_mean(sample: &[f64]) -> Option<f64> {
     Some((log_sum / sample.len() as f64).exp())
 }
 
-/// A constant-space streaming quantile estimator (the P² algorithm of
-/// Jain–Chlamtac, CACM 1985).
-///
-/// Five markers track the running `q`-quantile without retaining the
-/// sample: exactly the opt-out the million-node sweeps need when the
-/// `Θ(n)` per-node histograms of `MessageStats` are turned off
-/// (`MessageStats::new_lean`). The estimator is purely deterministic —
-/// identical observation sequences give identical estimates — and holds
-/// `O(1)` state regardless of stream length.
-///
-/// Up to five observations the estimate is exact (delegates to
-/// [`quantile`]); beyond that it is the classic piecewise-parabolic
-/// approximation.
-///
-/// # Example
-///
-/// ```
-/// use le_analysis::stats::StreamingQuantile;
-/// let mut p50 = StreamingQuantile::new(0.5);
-/// for x in 1..=1000 {
-///     p50.observe(x as f64);
-/// }
-/// let est = p50.estimate().unwrap();
-/// assert!((est - 500.5).abs() < 25.0, "median estimate was {est}");
-/// ```
-#[derive(Debug, Clone)]
-pub struct StreamingQuantile {
-    q: f64,
-    /// Marker heights (the first `count` entries double as the exact
-    /// buffer while `count < 5`).
-    heights: [f64; 5],
-    /// Actual marker positions, 1-based.
-    pos: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Per-observation desired-position increments.
-    incr: [f64; 5],
-    count: usize,
-}
-
-impl StreamingQuantile {
-    /// An estimator for the `q`-quantile, `q ∈ [0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is not a probability.
-    pub fn new(q: f64) -> StreamingQuantile {
-        assert!((0.0..=1.0).contains(&q), "q = {q} is not in [0, 1]");
-        StreamingQuantile {
-            q,
-            heights: [0.0; 5],
-            pos: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            incr: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-        }
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Feeds one (finite) observation.
-    pub fn observe(&mut self, x: f64) {
-        debug_assert!(x.is_finite());
-        if self.count < 5 {
-            // Exact phase: keep the buffer sorted by insertion.
-            let mut i = self.count;
-            self.heights[i] = x;
-            while i > 0 && self.heights[i - 1] > self.heights[i] {
-                self.heights.swap(i - 1, i);
-                i -= 1;
-            }
-            self.count += 1;
-            return;
-        }
-        // Locate the cell and clamp the extreme markers.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            (0..4)
-                .find(|&i| x < self.heights[i + 1])
-                .expect("x is below heights[4]")
-        };
-        for i in (k + 1)..5 {
-            self.pos[i] += 1.0;
-        }
-        for i in 0..5 {
-            self.desired[i] += self.incr[i];
-        }
-        self.count += 1;
-        // Adjust the interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.desired[i] - self.pos[i];
-            let right = self.pos[i + 1] - self.pos[i];
-            let left = self.pos[i - 1] - self.pos[i];
-            if (d >= 1.0 && right > 1.0) || (d <= -1.0 && left < -1.0) {
-                let d = d.signum();
-                // Piecewise-parabolic prediction, falling back to linear
-                // when it would leave the bracketing heights.
-                let h = self.parabolic(i, d);
-                self.heights[i] = if self.heights[i - 1] < h && h < self.heights[i + 1] {
-                    h
-                } else {
-                    self.linear(i, d)
-                };
-                self.pos[i] += d;
-            }
-        }
-    }
-
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let (hm, h, hp) = (self.heights[i - 1], self.heights[i], self.heights[i + 1]);
-        let (pm, p, pp) = (self.pos[i - 1], self.pos[i], self.pos[i + 1]);
-        h + d / (pp - pm)
-            * ((p - pm + d) * (hp - h) / (pp - p) + (pp - p - d) * (h - hm) / (p - pm))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = if d > 0.0 { i + 1 } else { i - 1 };
-        self.heights[i] + d * (self.heights[j] - self.heights[i]) / (self.pos[j] - self.pos[i])
-    }
-
-    /// The current estimate: `None` before any observation, exact for up
-    /// to five observations, P²-approximate beyond.
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        if self.count < 5 {
-            return quantile(&self.heights[..self.count], self.q);
-        }
-        Some(self.heights[2])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,66 +227,6 @@ mod tests {
         assert!(geometric_mean(&[]).is_none());
         assert!(geometric_mean(&[1.0, 0.0]).is_none());
         assert!(geometric_mean(&[1.0, -1.0]).is_none());
-    }
-
-    /// A cheap deterministic pseudo-random stream for estimator tests.
-    fn mix_stream(len: usize) -> Vec<f64> {
-        let mut s = 0x243f_6a88_85a3_08d3u64;
-        (0..len)
-            .map(|_| {
-                s = s
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                (s >> 11) as f64 / (1u64 << 53) as f64
-            })
-            .collect()
-    }
-
-    #[test]
-    fn streaming_quantile_is_exact_below_six_observations() {
-        let mut est = StreamingQuantile::new(0.5);
-        assert_eq!(est.estimate(), None);
-        for x in [4.0, 1.0, 3.0] {
-            est.observe(x);
-        }
-        assert_eq!(est.count(), 3);
-        assert_eq!(est.estimate(), Some(3.0));
-    }
-
-    #[test]
-    fn streaming_quantile_tracks_exact_quantiles() {
-        // P² on ~10k uniform draws should land within a couple of
-        // percentiles of the exact order statistic.
-        let sample = mix_stream(10_000);
-        for q in [0.5, 0.99] {
-            let mut est = StreamingQuantile::new(q);
-            for &x in &sample {
-                est.observe(x);
-            }
-            let exact = quantile(&sample, q).unwrap();
-            let got = est.estimate().unwrap();
-            assert!(
-                (got - exact).abs() < 0.02,
-                "q = {q}: estimate {got} vs exact {exact}"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_quantile_is_deterministic() {
-        let sample = mix_stream(500);
-        let run = || {
-            let mut est = StreamingQuantile::new(0.99);
-            sample.iter().for_each(|&x| est.observe(x));
-            est.estimate().unwrap()
-        };
-        assert_eq!(run().to_bits(), run().to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "not in [0, 1]")]
-    fn streaming_quantile_rejects_bad_q() {
-        let _ = StreamingQuantile::new(1.5);
     }
 
     #[test]

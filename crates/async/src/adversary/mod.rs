@@ -242,11 +242,14 @@ pub trait Adversary {
     /// after each transmission attempt while the
     /// [`FaultPlan`](crate::network::FaultPlan)'s `adaptive_crashes`
     /// budget lasts. Directives naming an already-crashed node are ignored
-    /// and do not consume budget. Strictly nastier than delay-picking: a
-    /// [`Transcript`]-driven adversary can watch for the current top
-    /// sender and kill it mid-protocol (see [`CrashTopSender`]).
+    /// and do not consume budget; one naming a node outside the network
+    /// fails the run with [`ModelError::NodeOutOfRange`]. Strictly
+    /// nastier than delay-picking: a [`Transcript`]-driven adversary can
+    /// watch for the current top sender and kill it mid-protocol (see
+    /// [`CrashTopSender`]).
     ///
     /// [`CrashTopSender`]: crate::adversary::CrashTopSender
+    /// [`ModelError::NodeOutOfRange`]: clique_model::ModelError::NodeOutOfRange
     fn crash_directive(&mut self, _obs: &Observation<'_>) -> Option<NodeIndex> {
         None
     }

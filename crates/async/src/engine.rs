@@ -37,45 +37,59 @@ fn link_key(src: NodeIndex, dst: NodeIndex, n: usize) -> usize {
     src.0 * n + dst.0
 }
 
+/// A node index as an event field. Lossless: the port stores and the
+/// trace records already hold node indices as `u32`.
+#[inline]
+fn ix(u: NodeIndex) -> u32 {
+    u.0 as u32
+}
+
+/// An event's node field as a node index.
+#[inline]
+fn node(u: u32) -> NodeIndex {
+    NodeIndex(u as usize)
+}
+
 /// What happens at a scheduled point in time.
+///
+/// Node, port and link fields are `u32`. The three reliability events
+/// carry their link's [`RelState`] slab index, and read the endpoints
+/// from its [`RelLink`](crate::network::reliability::RelLink). So an
+/// event with a 16-byte message takes 48 bytes, `(time, seq)` included.
 enum EventKind<M> {
     /// The adversary wakes a node.
-    Wake(NodeIndex),
+    Wake(u32),
     /// A message is delivered (fault-free engine, or an active network
     /// without the reliability protocol).
     Deliver {
-        src: NodeIndex,
-        dst: NodeIndex,
-        dst_port: Port,
+        src: u32,
+        dst: u32,
+        dst_port: u32,
         msg: M,
     },
-    /// A sequence-numbered data copy of the reliability protocol arrives.
+    /// A sequence-numbered data copy of the reliability protocol arrives
+    /// over reliable link `link`.
     DeliverData {
-        src: NodeIndex,
-        dst: NodeIndex,
-        dst_port: Port,
+        link: u32,
+        dst_port: u32,
         data_seq: u32,
         msg: M,
     },
-    /// A delivery acknowledgement arrives back at the data sender `to`.
-    DeliverAck {
-        to: NodeIndex,
-        from: NodeIndex,
-        data_seq: u32,
-    },
-    /// A retransmission timer fires for the payload `data_seq` on link
-    /// `src → dst`, armed after that payload's `attempt`-th transmission
-    /// (stale once the attempt count moved on).
+    /// A delivery acknowledgement arrives back at the data sender of
+    /// reliable link `link`.
+    DeliverAck { link: u32, data_seq: u32 },
+    /// A retransmission timer fires for the payload `data_seq` on
+    /// reliable link `link`, armed after that payload's `attempt`-th
+    /// transmission (stale once the attempt count moved on).
     Retry {
-        src: NodeIndex,
-        dst: NodeIndex,
+        link: u32,
         data_seq: u32,
         attempt: u32,
     },
     /// A scheduled crash fault fells a node.
-    Crash(NodeIndex),
+    Crash(u32),
     /// A crashed node recovers (resuming its pre-crash state).
-    Recover(NodeIndex),
+    Recover(u32),
 }
 
 /// How a wire transmission attempt fared against the faulty network.
@@ -92,7 +106,13 @@ enum WireFate {
 /// [`PortMap`], the per-link FIFO-floor storage (a flat `Θ(n²)` array on
 /// the dense backend, a hashed touched-links map on the sparse one), the
 /// event queue's storage (its near and far heaps and its per-bucket ring
-/// vectors, each keeping its capacity), and the outbox.
+/// vectors, each keeping its capacity), the outbox, and the reliability
+/// protocol's per-link slab and key table.
+///
+/// A trial addresses each reliable link by its `u32` index in that slab,
+/// which the link's data, ack and timer events carry. Indices restart at
+/// 0 each trial, in first-touch order, so a recycled trial numbers its
+/// links exactly as a fresh one does.
 ///
 /// The asynchronous mirror of [`clique_sync::SyncArena`]: build through
 /// [`AsyncSimBuilder::build_in`], finish with [`AsyncSim::run_reusing`],
@@ -215,7 +235,6 @@ pub struct AsyncSimBuilder {
     max_events: Option<u64>,
     network: Option<NetworkConfig>,
     trace: Option<Box<dyn TraceSink>>,
-    lean_stats: bool,
 }
 
 impl std::fmt::Debug for AsyncSimBuilder {
@@ -245,7 +264,6 @@ impl AsyncSimBuilder {
             max_events: None,
             network: None,
             trace: None,
-            lean_stats: false,
         }
     }
 
@@ -347,14 +365,6 @@ impl AsyncSimBuilder {
     /// execution is bit-identical to an untraced one.
     pub fn trace(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.trace = Some(sink);
-        self
-    }
-
-    /// Skips the `Θ(n)` per-node message histogram (see
-    /// [`MessageStats::new_lean`]) — for sweeps at scales where per-trial
-    /// collection cost matters more than per-node distribution shape.
-    pub fn lean_stats(mut self, lean: bool) -> Self {
-        self.lean_stats = lean;
         self
     }
 
@@ -469,16 +479,16 @@ impl AsyncSimBuilder {
         let mut queue = bufs.queue;
         let mut last_scheduled_wake = 0.0f64;
         for &(t, u) in wake.entries() {
-            queue.push(t, EventKind::Wake(u));
+            queue.push(t, EventKind::Wake(ix(u)));
             last_scheduled_wake = last_scheduled_wake.max(t);
         }
 
         let mut fault_rng = rng_from_seed(derive_seed(self.seed, STREAM_FAULTS));
         if net_active {
             for cf in net.fault_plan().scheduled() {
-                queue.push(cf.at, EventKind::Crash(cf.node));
+                queue.push(cf.at, EventKind::Crash(ix(cf.node)));
                 if let Some(back) = cf.recover_at {
-                    queue.push(back, EventKind::Recover(cf.node));
+                    queue.push(back, EventKind::Recover(ix(cf.node)));
                 }
             }
             if let Some(rc) = net.fault_plan().random() {
@@ -490,7 +500,7 @@ impl AsyncSimBuilder {
                     // Uniform over (0, window]: a crash at exactly 0 would
                     // be indistinguishable from never scheduling the node.
                     let t = rc.window * (1.0 - fault_rng.gen::<f64>());
-                    queue.push(t, EventKind::Crash(NodeIndex(v)));
+                    queue.push(t, EventKind::Crash(v as u32));
                 }
             }
         }
@@ -498,11 +508,6 @@ impl AsyncSimBuilder {
         let tracer = match self.trace {
             Some(sink) => Tracer::with_sink(sink, ALL_CLASSES),
             None => Tracer::from_env(),
-        };
-        let stats = if self.lean_stats {
-            MessageStats::new_lean(n)
-        } else {
-            MessageStats::new(n)
         };
         Ok(AsyncSim {
             n,
@@ -524,7 +529,7 @@ impl AsyncSimBuilder {
                 .unwrap_or(64 * (n as u64) * (n as u64) + 4096),
             awake: vec![false; n],
             awake_count: 0,
-            stats,
+            stats: MessageStats::new(n),
             tracer,
             outbox: bufs.outbox,
             last_decisions: vec![Decision::Undecided; n],
@@ -676,8 +681,9 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// # Errors
     ///
     /// Propagates [`ModelError`] from port resolution (only possible with a
-    /// faulty custom resolver) or from an adversary returning a delay
-    /// outside `(0, 1]`.
+    /// faulty custom resolver), from an adversary returning a delay
+    /// outside `(0, 1]`, or from a crash directive naming a node outside
+    /// the network ([`ModelError::NodeOutOfRange`]).
     pub fn run(mut self) -> Result<AsyncOutcome, ModelError> {
         let halt = self.drive()?;
         Ok(self.into_outcome(halt))
@@ -716,8 +722,9 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// # Errors
     ///
     /// Propagates [`ModelError`] from port resolution (only possible with a
-    /// faulty custom resolver) or from an adversary returning a delay
-    /// outside `(0, 1]`.
+    /// faulty custom resolver), from an adversary returning a delay
+    /// outside `(0, 1]`, or from a crash directive naming a node outside
+    /// the network ([`ModelError::NodeOutOfRange`]).
     pub fn run_reusing(mut self, arena: &mut AsyncArena) -> Result<AsyncOutcome, ModelError>
     where
         N::Message: 'static,
@@ -731,8 +738,9 @@ impl<N: AsyncNode> AsyncSim<N> {
     ///
     /// # Errors
     ///
-    /// Propagates [`ModelError`] from port resolution or from an adversary
-    /// returning a delay outside `(0, 1]`.
+    /// Propagates [`ModelError`] from port resolution, from an adversary
+    /// returning a delay outside `(0, 1]`, or from a crash directive naming
+    /// a node outside the network.
     pub fn step(&mut self) -> Result<bool, ModelError> {
         let Some(ev) = self.queue.pop() else {
             return Ok(false);
@@ -742,6 +750,7 @@ impl<N: AsyncNode> AsyncSim<N> {
         let mut effective = true;
         match ev.kind {
             EventKind::Wake(u) => {
+                let u = node(u);
                 if !self.crashed[u.0] && !self.awake[u.0] && !self.nodes[u.0].is_terminated() {
                     self.activate(u, Some(WakeCause::Adversary), None)?;
                 }
@@ -752,6 +761,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                 dst_port,
                 msg,
             } => {
+                let dst = node(dst);
                 if self.net_active && self.crashed[dst.0] {
                     // A crashed node swallows the message silently; with
                     // no reliability layer the payload is gone for good.
@@ -761,8 +771,8 @@ impl<N: AsyncNode> AsyncSim<N> {
                         self.tracer.emit(TraceEvent::Fault {
                             at: At::Time(self.now),
                             kind: FaultKind::CrashDrop,
-                            src: src.0 as u32,
-                            dst: dst.0 as u32,
+                            src,
+                            dst: ix(dst),
                         });
                     }
                 } else {
@@ -773,8 +783,8 @@ impl<N: AsyncNode> AsyncSim<N> {
                     if self.tracer.enabled() {
                         self.tracer.emit(TraceEvent::Deliver {
                             at: At::Time(self.now),
-                            src: src.0 as u32,
-                            dst: dst.0 as u32,
+                            src,
+                            dst: ix(dst),
                             cls: Some(N::classify(&msg).name()),
                         });
                     }
@@ -790,7 +800,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                             dst,
                             wake,
                             Some(Received {
-                                port: dst_port,
+                                port: Port(dst_port as usize),
                                 msg,
                             }),
                         )?;
@@ -798,12 +808,13 @@ impl<N: AsyncNode> AsyncSim<N> {
                 }
             }
             EventKind::DeliverData {
-                src,
-                dst,
+                link,
                 dst_port,
                 data_seq,
                 msg,
             } => {
+                let l = &mut self.rel[link];
+                let (src, dst) = (l.src, node(l.dst));
                 if self.crashed[dst.0] {
                     // Crashed receivers neither deliver nor acknowledge;
                     // the sender's retransmission timer keeps trying.
@@ -812,30 +823,28 @@ impl<N: AsyncNode> AsyncSim<N> {
                         self.tracer.emit(TraceEvent::Fault {
                             at: At::Time(self.now),
                             kind: FaultKind::CrashDrop,
-                            src: src.0 as u32,
-                            dst: dst.0 as u32,
+                            src,
+                            dst: ix(dst),
                         });
                     }
                 } else {
-                    let key = link_key(src, dst, self.n) as u64;
-                    let link = self.rel.entry(key);
-                    let fresh = data_seq > link.delivered_hi;
+                    let fresh = data_seq > l.delivered_hi;
                     if fresh {
-                        link.delivered_hi = data_seq;
+                        l.delivered_hi = data_seq;
                     } else {
                         self.stats.faults.duplicates += 1;
                     }
                     // Always (re-)acknowledge: a duplicate means the
                     // previous ack was lost or late.
-                    self.send_ack(dst, src, data_seq)?;
+                    self.send_ack(link, data_seq)?;
                     if fresh {
                         self.stats.faults.goodput += 1;
                         self.transcript.record_delivery(dst);
                         if self.tracer.enabled() {
                             self.tracer.emit(TraceEvent::Deliver {
                                 at: At::Time(self.now),
-                                src: src.0 as u32,
-                                dst: dst.0 as u32,
+                                src,
+                                dst: ix(dst),
                                 cls: Some(N::classify(&msg).name()),
                             });
                         }
@@ -851,7 +860,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                                 dst,
                                 wake,
                                 Some(Received {
-                                    port: dst_port,
+                                    port: Port(dst_port as usize),
                                     msg,
                                 }),
                             )?;
@@ -859,26 +868,18 @@ impl<N: AsyncNode> AsyncSim<N> {
                     }
                 }
             }
-            EventKind::DeliverAck { to, from, data_seq } => {
-                if self.crashed[to.0] {
+            EventKind::DeliverAck { link, data_seq } => {
+                let l = &self.rel[link];
+                if self.crashed[l.src as usize] {
                     self.stats.faults.crash_drops += 1;
-                } else {
-                    let key = link_key(to, from, self.n) as u64;
-                    let acked = self
-                        .rel
-                        .get_mut(key)
-                        .and_then(|l| l.inflight.as_ref())
-                        .is_some_and(|o| o.seq == data_seq);
-                    if acked {
-                        self.begin_next_payload(to, from)?;
-                    }
-                    // A stale ack (duplicate, or for an abandoned payload)
-                    // is ignored; it still consumed wire time above.
+                } else if l.inflight.as_ref().is_some_and(|o| o.seq == data_seq) {
+                    self.begin_next_payload(link)?;
                 }
+                // A stale ack (duplicate, or for an abandoned payload) is
+                // ignored; it still consumed wire time.
             }
             EventKind::Retry {
-                src,
-                dst,
+                link,
                 data_seq,
                 attempt,
             } => {
@@ -886,42 +887,38 @@ impl<N: AsyncNode> AsyncSim<N> {
                 // if the exact (payload, attempt) it was armed for is
                 // still in flight. Stale pops are non-events and must not
                 // advance the reported time complexity.
-                effective = false;
-                if !self.crashed[src.0] {
-                    let key = link_key(src, dst, self.n) as u64;
-                    let live = self
-                        .rel
-                        .get_mut(key)
-                        .and_then(|l| l.inflight.as_ref())
+                let l = &self.rel[link];
+                let (src, dst) = (l.src, l.dst);
+                effective = !self.crashed[src as usize]
+                    && l.inflight
+                        .as_ref()
                         .is_some_and(|o| o.seq == data_seq && o.attempts == attempt);
-                    if live {
-                        effective = true;
-                        let budget = self.rel_cfg.as_ref().map_or(0, |r| r.budget);
-                        if attempt > budget {
-                            // Retry budget exhausted: abandon the payload
-                            // and move on to the backlog.
-                            self.stats.faults.abandoned += 1;
-                            self.stats.faults.lost_payloads += 1;
-                            if self.tracer.enabled() {
-                                self.tracer.emit(TraceEvent::Fault {
-                                    at: At::Time(self.now),
-                                    kind: FaultKind::Abandon,
-                                    src: src.0 as u32,
-                                    dst: dst.0 as u32,
-                                });
-                            }
-                            self.begin_next_payload(src, dst)?;
-                        } else {
-                            self.send_reliable_copy(src, dst)?;
+                if effective {
+                    let budget = self.rel_cfg.as_ref().map_or(0, |r| r.budget);
+                    if attempt > budget {
+                        // Retry budget exhausted: abandon the payload and
+                        // move on to the backlog.
+                        self.stats.faults.abandoned += 1;
+                        self.stats.faults.lost_payloads += 1;
+                        if self.tracer.enabled() {
+                            self.tracer.emit(TraceEvent::Fault {
+                                at: At::Time(self.now),
+                                kind: FaultKind::Abandon,
+                                src,
+                                dst,
+                            });
                         }
+                        self.begin_next_payload(link)?;
+                    } else {
+                        self.send_reliable_copy(link)?;
                     }
                 }
             }
             EventKind::Crash(v) => {
-                self.crash_now(v);
+                self.crash_now(node(v));
             }
             EventKind::Recover(v) => {
-                self.recover_now(v);
+                self.recover_now(node(v));
             }
         }
         if effective {
@@ -969,27 +966,18 @@ impl<N: AsyncNode> AsyncSim<N> {
         let Some(rel_cfg) = self.rel_cfg else {
             return;
         };
-        let n = self.n as u64;
-        let rearm: Vec<(NodeIndex, u32, u32)> = self
-            .rel
-            .iter()
-            .filter(|l| l.key / n == v.0 as u64)
-            .filter_map(|l| {
-                l.inflight
-                    .as_ref()
-                    .map(|o| (NodeIndex((l.key % n) as usize), o.seq, o.attempts))
-            })
-            .collect();
-        for (dst, data_seq, attempt) in rearm {
-            self.queue.push(
-                self.now + rel_cfg.timeout_after(attempt),
-                EventKind::Retry {
-                    src: v,
-                    dst,
-                    data_seq,
-                    attempt,
-                },
-            );
+        let src = ix(v);
+        for (link, l) in (0u32..).zip(self.rel.iter()).filter(|(_, l)| l.src == src) {
+            if let Some(o) = &l.inflight {
+                self.queue.push(
+                    self.now + rel_cfg.timeout_after(o.attempts),
+                    EventKind::Retry {
+                        link,
+                        data_seq: o.seq,
+                        attempt: o.attempts,
+                    },
+                );
+            }
         }
     }
 
@@ -1106,9 +1094,9 @@ impl<N: AsyncNode> AsyncSim<N> {
             self.queue.push(
                 deliver_at,
                 EventKind::Deliver {
-                    src,
-                    dst: dst.node,
-                    dst_port: dst.port,
+                    src: ix(src),
+                    dst: ix(dst.node),
+                    dst_port: dst.port.0 as u32,
                     msg,
                 },
             );
@@ -1123,21 +1111,21 @@ impl<N: AsyncNode> AsyncSim<N> {
         self.stats.record(self.now.floor() as usize + 1, src);
         self.stats.faults.payloads += 1;
         if self.rel_cfg.is_some() {
-            let key = link_key(src, dst.node, self.n) as u64;
-            let link = self.rel.entry(key);
-            if link.inflight.is_some() {
+            let link = self.rel.touch(ix(src), ix(dst.node), self.n);
+            let l = &mut self.rel[link];
+            if l.inflight.is_some() {
                 // Stop-and-wait: one unacknowledged payload per link; the
                 // rest wait in the backlog.
-                link.backlog.push_back((dst.port, msg));
+                l.backlog.push_back((dst.port, msg));
             } else {
-                link.next_seq += 1;
-                link.inflight = Some(Outstanding {
-                    seq: link.next_seq,
+                l.next_seq += 1;
+                l.inflight = Some(Outstanding {
+                    seq: l.next_seq,
                     dst_port: dst.port,
                     msg,
                     attempts: 0,
                 });
-                self.send_reliable_copy(src, dst.node)?;
+                self.send_reliable_copy(link)?;
             }
         } else {
             // Unreliable: one shot on the wire; a drop is a permanently
@@ -1147,9 +1135,9 @@ impl<N: AsyncNode> AsyncSim<N> {
                     self.queue.push(
                         t,
                         EventKind::Deliver {
-                            src,
-                            dst: dst.node,
-                            dst_port: dst.port,
+                            src: ix(src),
+                            dst: ix(dst.node),
+                            dst_port: dst.port.0 as u32,
                             msg,
                         },
                     );
@@ -1226,11 +1214,9 @@ impl<N: AsyncNode> AsyncSim<N> {
                 transcript: &self.transcript,
             };
             if let Some(v) = self.adversary.crash_directive(&obs) {
-                assert!(
-                    v.0 < self.n,
-                    "crash directive targets {v} outside the {}-node network",
-                    self.n
-                );
+                if v.0 >= self.n {
+                    return Err(ModelError::NodeOutOfRange { node: v, n: self.n });
+                }
                 if !self.crashed[v.0] {
                     self.crash_now(v);
                     self.adaptive_crashes -= 1;
@@ -1271,26 +1257,25 @@ impl<N: AsyncNode> AsyncSim<N> {
         })
     }
 
-    /// Transmits the current in-flight payload of link `src → dst` (first
-    /// attempt or retransmission) and arms its retransmission timer.
-    fn send_reliable_copy(&mut self, src: NodeIndex, dst: NodeIndex) -> Result<(), ModelError> {
-        let key = link_key(src, dst, self.n) as u64;
-        let (data_seq, attempts, dst_port, msg) = {
-            let o = self
-                .rel
-                .get_mut(key)
-                .and_then(|l| l.inflight.as_ref())
-                .expect("send_reliable_copy requires an in-flight payload");
-            (o.seq, o.attempts, o.dst_port, o.msg.clone())
-        };
+    /// Transmits the current in-flight payload of reliable link `link`
+    /// (first attempt or retransmission) and arms its retransmission
+    /// timer.
+    fn send_reliable_copy(&mut self, link: u32) -> Result<(), ModelError> {
+        let l = &self.rel[link];
+        let (src, dst) = (node(l.src), node(l.dst));
+        let o = l
+            .inflight
+            .as_ref()
+            .expect("send_reliable_copy requires an in-flight payload");
+        let (data_seq, attempts, dst_port, msg) = (o.seq, o.attempts, o.dst_port, o.msg.clone());
         if attempts > 0 {
             self.stats.faults.retransmits += 1;
             if self.tracer.enabled() {
                 self.tracer.emit(TraceEvent::Fault {
                     at: At::Time(self.now),
                     kind: FaultKind::Retransmit,
-                    src: src.0 as u32,
-                    dst: dst.0 as u32,
+                    src: ix(src),
+                    dst: ix(dst),
                 });
             }
         }
@@ -1299,9 +1284,8 @@ impl<N: AsyncNode> AsyncSim<N> {
             self.queue.push(
                 t,
                 EventKind::DeliverData {
-                    src,
-                    dst,
-                    dst_port,
+                    link,
+                    dst_port: dst_port.0 as u32,
                     data_seq,
                     msg,
                 },
@@ -1309,10 +1293,9 @@ impl<N: AsyncNode> AsyncSim<N> {
         }
         // Count the attempt and arm the timer whether or not the copy
         // survived the wire — the sender cannot know.
-        let o = self
-            .rel
-            .get_mut(key)
-            .and_then(|l| l.inflight.as_mut())
+        let o = self.rel[link]
+            .inflight
+            .as_mut()
             .expect("in-flight payload persists across its own transmission");
         o.attempts += 1;
         let attempt = o.attempts;
@@ -1320,8 +1303,7 @@ impl<N: AsyncNode> AsyncSim<N> {
         self.queue.push(
             self.now + rel_cfg.timeout_after(attempt),
             EventKind::Retry {
-                src,
-                dst,
+                link,
                 data_seq,
                 attempt,
             },
@@ -1329,51 +1311,43 @@ impl<N: AsyncNode> AsyncSim<N> {
         Ok(())
     }
 
-    /// Sends a delivery acknowledgement for `data_seq` from `from` back to
-    /// `to` (the data sender). Acks are real wire messages: they occupy
-    /// the reverse link, queue, and can be lost — but are never
-    /// retransmitted themselves (a lost ack is repaired by the data
-    /// retransmission provoking a fresh one).
-    fn send_ack(
-        &mut self,
-        from: NodeIndex,
-        to: NodeIndex,
-        data_seq: u32,
-    ) -> Result<(), ModelError> {
+    /// Sends a delivery acknowledgement for `data_seq` back over reliable
+    /// link `link`, from its receiver to its sender. Acks are real wire
+    /// messages: they occupy the reverse link, queue, and can be lost —
+    /// but are never retransmitted themselves (a lost ack is repaired by
+    /// the data retransmission provoking a fresh one).
+    fn send_ack(&mut self, link: u32, data_seq: u32) -> Result<(), ModelError> {
+        let l = &self.rel[link];
+        let (from, to) = (node(l.dst), node(l.src));
         self.stats.faults.acks += 1;
         if self.tracer.enabled() {
             self.tracer.emit(TraceEvent::Fault {
                 at: At::Time(self.now),
                 kind: FaultKind::Ack,
-                src: from.0 as u32,
-                dst: to.0 as u32,
+                src: ix(from),
+                dst: ix(to),
             });
         }
         if let WireFate::At(t) = self.transmit_raw(from, to, MessageClass::Ack)? {
-            self.queue
-                .push(t, EventKind::DeliverAck { to, from, data_seq });
+            self.queue.push(t, EventKind::DeliverAck { link, data_seq });
         }
         Ok(())
     }
 
-    /// Clears link `src → dst`'s in-flight slot and starts the next
+    /// Clears reliable link `link`'s in-flight slot and starts the next
     /// backlog payload, if any.
-    fn begin_next_payload(&mut self, src: NodeIndex, dst: NodeIndex) -> Result<(), ModelError> {
-        let key = link_key(src, dst, self.n) as u64;
-        let link = self
-            .rel
-            .get_mut(key)
-            .expect("begin_next_payload requires a touched link");
-        link.inflight = None;
-        if let Some((dst_port, msg)) = link.backlog.pop_front() {
-            link.next_seq += 1;
-            link.inflight = Some(Outstanding {
-                seq: link.next_seq,
+    fn begin_next_payload(&mut self, link: u32) -> Result<(), ModelError> {
+        let l = &mut self.rel[link];
+        l.inflight = None;
+        if let Some((dst_port, msg)) = l.backlog.pop_front() {
+            l.next_seq += 1;
+            l.inflight = Some(Outstanding {
+                seq: l.next_seq,
                 dst_port,
                 msg,
                 attempts: 0,
             });
-            self.send_reliable_copy(src, dst)?;
+            self.send_reliable_copy(link)?;
         }
         Ok(())
     }
@@ -1485,6 +1459,23 @@ mod tests {
     use super::*;
     use crate::adversary::delay::{BimodalDelay, ConstDelay};
     use crate::node::Received;
+
+    #[test]
+    fn events_stay_48_bytes() {
+        // Every delivery, ack and timer is moved through the calendar
+        // queue's bucket vectors and heaps, so event size is paid per
+        // event, several times over. `u32` node, port and link fields and
+        // the reliability events' slab index keep an event with a 16-byte
+        // message (Algorithm 2's is one) at 48 bytes; a `usize` or a
+        // second endpoint pair regrows it to 64 and fails here.
+        type Msg16 = (u64, u64);
+        assert_eq!(std::mem::size_of::<Msg16>(), 16);
+        assert_eq!(std::mem::size_of::<EventKind<Msg16>>(), 32);
+        assert_eq!(
+            std::mem::size_of::<crate::queue::Event<EventKind<Msg16>>>(),
+            48
+        );
+    }
 
     #[test]
     fn arena_is_send() {
@@ -2290,6 +2281,47 @@ mod tests {
         assert_eq!(run(0).crashed_count(), 0);
         // With one, the adversary fells the current top sender once.
         assert_eq!(run(1).crashed_count(), 1);
+    }
+
+    #[test]
+    fn crash_directive_outside_the_network_is_a_typed_error() {
+        // Used to trip an `assert!` inside the engine, so a custom or
+        // replayed adversary could panic the library.
+        use crate::adversary::{Adversary, Capability, Observation};
+        struct CrashPastTheEnd;
+        impl Adversary for CrashPastTheEnd {
+            fn delay(&mut self, _obs: &Observation<'_>, _rng: &mut SmallRng) -> f64 {
+                0.5
+            }
+            fn name(&self) -> String {
+                "crash-past-the-end".into()
+            }
+            fn capability(&self) -> Capability {
+                Capability::Adaptive
+            }
+            fn crash_directive(&mut self, obs: &Observation<'_>) -> Option<NodeIndex> {
+                Some(NodeIndex(obs.transcript.n()))
+            }
+        }
+        let err = AsyncSimBuilder::new(4)
+            .seed(1)
+            .adversary(Box::new(CrashPastTheEnd))
+            .network(
+                NetworkConfig::new()
+                    .reliable(Reliability::default())
+                    .faults(FaultPlan::new().adaptive_crashes(1)),
+            )
+            .build(Flood::new)
+            .unwrap()
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::NodeOutOfRange {
+                node: NodeIndex(4),
+                n: 4
+            }
+        );
     }
 
     #[test]

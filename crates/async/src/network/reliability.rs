@@ -10,6 +10,13 @@
 //! deterministic function of the execution history, independent of hash
 //! table capacity, which keeps fresh and arena-recycled trials
 //! byte-identical.
+//!
+//! The engine hashes a link's `src·n + dst` key once per payload, when it
+//! hands the link that payload ([`RelState::touch`]). The returned `u32`
+//! slab index then rides in the payload's data, ack and retransmission
+//! timer events, and every handler indexes the slab directly. An index
+//! stays valid for the whole trial: the slab only grows until
+//! [`RelState::reset`].
 
 use std::collections::VecDeque;
 
@@ -28,10 +35,13 @@ pub(crate) struct Outstanding<M> {
 }
 
 /// Per-directed-link protocol state (both endpoint roles; see module
-/// docs).
+/// docs), addressed by its slab index.
 pub(crate) struct RelLink<M> {
-    /// Directed-link key `src·n + dst`.
-    pub(crate) key: u64,
+    /// The sending endpoint. Reliability events carry only the slab
+    /// index and read both endpoints here.
+    pub(crate) src: u32,
+    /// The receiving endpoint.
+    pub(crate) dst: u32,
     /// Sequence number most recently assigned by the sender (0 = none).
     pub(crate) next_seq: u32,
     /// The sender's unacknowledged in-flight payload.
@@ -44,9 +54,10 @@ pub(crate) struct RelLink<M> {
 }
 
 impl<M> RelLink<M> {
-    fn new(key: u64) -> Self {
+    fn new(src: u32, dst: u32) -> Self {
         RelLink {
-            key,
+            src,
+            dst,
             next_seq: 0,
             inflight: None,
             backlog: VecDeque::new(),
@@ -65,8 +76,12 @@ impl<M> RelLink<M> {
 /// All touched-link protocol state of one execution, with storage that
 /// recycles across arena trials: cleared entries park in a pool and are
 /// reissued (backlog allocations intact) instead of reallocated.
+///
+/// [`RelState::touch`] returns a link's `u32` slab index, and
+/// `rel[index]` reads its [`RelLink`]; only `touch` consults the key
+/// table.
 pub(crate) struct RelState<M> {
-    /// Directed-link key → index into `slab`.
+    /// Directed-link key `src·n + dst` → index into `slab`.
     links: OpenTable<u32>,
     /// Touched links in insertion order.
     slab: Vec<RelLink<M>>,
@@ -98,26 +113,19 @@ impl<M> RelState<M> {
         }
     }
 
-    /// The state of directed link `key`, created on first touch.
-    pub(crate) fn entry(&mut self, key: u64) -> &mut RelLink<M> {
-        let idx = match self.links.get(key) {
-            Some(idx) => idx as usize,
-            None => {
-                let idx = self.slab.len();
-                self.links.insert(key, idx as u32);
-                let mut link = self.pool.pop().unwrap_or_else(|| RelLink::new(key));
-                link.key = key;
-                self.slab.push(link);
-                idx
-            }
-        };
-        &mut self.slab[idx]
-    }
-
-    /// The state of directed link `key`, if it has been touched.
-    pub(crate) fn get_mut(&mut self, key: u64) -> Option<&mut RelLink<M>> {
-        let idx = self.links.get(key)?;
-        Some(&mut self.slab[idx as usize])
+    /// The slab index of directed link `src → dst` in an `n`-node
+    /// network, creating the link's state on first touch.
+    pub(crate) fn touch(&mut self, src: u32, dst: u32, n: usize) -> u32 {
+        let key = u64::from(src) * n as u64 + u64::from(dst);
+        if let Some(idx) = self.links.get(key) {
+            return idx;
+        }
+        let idx = u32::try_from(self.slab.len()).expect("fewer than 2³² touched links");
+        self.links.insert(key, idx);
+        let mut link = self.pool.pop().unwrap_or_else(|| RelLink::new(src, dst));
+        (link.src, link.dst) = (src, dst);
+        self.slab.push(link);
+        idx
     }
 
     /// Touched links in insertion order (deterministic; see module docs).
@@ -142,6 +150,22 @@ impl<M> RelState<M> {
     }
 }
 
+impl<M> std::ops::Index<u32> for RelState<M> {
+    type Output = RelLink<M>;
+
+    #[inline]
+    fn index(&self, link: u32) -> &RelLink<M> {
+        &self.slab[link as usize]
+    }
+}
+
+impl<M> std::ops::IndexMut<u32> for RelState<M> {
+    #[inline]
+    fn index_mut(&mut self, link: u32) -> &mut RelLink<M> {
+        &mut self.slab[link as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,31 +173,35 @@ mod tests {
     #[test]
     fn entries_are_created_once_and_keep_insertion_order() {
         let mut rel: RelState<u32> = RelState::default();
-        rel.entry(42).next_seq = 7;
-        rel.entry(7).next_seq = 1;
-        assert_eq!(rel.entry(42).next_seq, 7);
-        let keys: Vec<u64> = rel.iter().map(|l| l.key).collect();
-        assert_eq!(keys, vec![42, 7]);
-        assert!(rel.get_mut(42).is_some());
-        assert!(rel.get_mut(99).is_none());
+        let a = rel.touch(4, 2, 10);
+        rel[a].next_seq = 7;
+        let b = rel.touch(0, 7, 10);
+        rel[b].next_seq = 1;
+        assert_eq!((a, b), (0, 1));
+        assert_eq!(rel.touch(4, 2, 10), a, "a touched link keeps its index");
+        assert_eq!(rel[a].next_seq, 7);
+        let ends: Vec<(u32, u32)> = rel.iter().map(|l| (l.src, l.dst)).collect();
+        assert_eq!(ends, vec![(4, 2), (0, 7)]);
     }
 
     #[test]
     fn reset_pools_entries_and_keeps_backlog_capacity() {
         let mut rel: RelState<u32> = RelState::default();
-        for i in 0..4 {
-            let l = rel.entry(i);
-            l.backlog.extend((0..16).map(|j| (Port(0), j)));
+        for src in 0..4 {
+            let link = rel.touch(src, 0, 4);
+            rel[link].backlog.extend((0..16).map(|j| (Port(0), j)));
         }
         let bytes_before = rel.resident_bytes();
         rel.reset();
-        assert!(rel.get_mut(0).is_none());
+        assert_eq!(rel.iter().count(), 0);
         // The pooled entries still hold their backlog buffers (the pool's
         // own spine may add a little on top).
         assert!(rel.resident_bytes() >= bytes_before);
-        // Reissued entries come back scrubbed.
-        let l = rel.entry(2);
-        assert_eq!(l.key, 2);
+        // Reissued entries come back scrubbed, numbered from 0 again.
+        let link = rel.touch(2, 3, 4);
+        assert_eq!(link, 0);
+        let l = &rel[link];
+        assert_eq!((l.src, l.dst), (2, 3));
         assert_eq!(l.next_seq, 0);
         assert!(l.inflight.is_none());
         assert!(l.backlog.is_empty());

@@ -80,31 +80,6 @@ impl MessageStats {
         }
     }
 
-    /// Creates *lean* counters that skip the `Θ(n)` per-node histogram —
-    /// the collection cost a million-node sweep should not pay per trial.
-    ///
-    /// Totals, per-round histograms, and fault counters are unaffected;
-    /// [`MessageStats::by_node`] and [`MessageStats::max_by_any_node`]
-    /// degrade to 0 (check [`MessageStats::tracks_per_node`]). Callers
-    /// that still want per-node distribution shape at scale should feed
-    /// sends through a streaming estimator
-    /// (`le_analysis::stats::StreamingQuantile`) instead of a dense
-    /// histogram.
-    pub fn new_lean(_n: usize) -> Self {
-        MessageStats {
-            total: 0,
-            per_round: Vec::new(),
-            per_node: Vec::new(),
-            faults: FaultCounters::default(),
-        }
-    }
-
-    /// Whether the per-node histogram is being collected (`false` for
-    /// [`MessageStats::new_lean`] counters).
-    pub fn tracks_per_node(&self) -> bool {
-        !self.per_node.is_empty()
-    }
-
     /// Records one message sent by `src` in `round` (1-based; asynchronous
     /// engines may pass a coarse time bucket).
     pub fn record(&mut self, round: usize, src: NodeIndex) {
@@ -133,8 +108,7 @@ impl MessageStats {
         self.per_round.get(round - 1).copied().unwrap_or(0)
     }
 
-    /// Messages sent by `node` (0 for lean counters — see
-    /// [`MessageStats::new_lean`]).
+    /// Messages sent by `node`.
     pub fn by_node(&self, node: NodeIndex) -> u64 {
         self.per_node.get(node.0).copied().unwrap_or(0)
     }
@@ -152,8 +126,7 @@ impl MessageStats {
         &self.per_round
     }
 
-    /// The maximum number of messages any single node sent (0 for lean
-    /// counters — see [`MessageStats::new_lean`]).
+    /// The maximum number of messages any single node sent.
     pub fn max_by_any_node(&self) -> u64 {
         self.per_node.iter().copied().max().unwrap_or(0)
     }
@@ -205,24 +178,5 @@ mod tests {
         s.record(1, NodeIndex(10));
         assert_eq!(s.total(), 1);
         assert_eq!(s.by_node(NodeIndex(10)), 0);
-    }
-
-    #[test]
-    fn lean_counters_skip_only_the_per_node_histogram() {
-        let mut full = MessageStats::new(4);
-        let mut lean = MessageStats::new_lean(4);
-        assert!(full.tracks_per_node());
-        assert!(!lean.tracks_per_node());
-        for s in [&mut full, &mut lean] {
-            s.record(1, NodeIndex(2));
-            s.record(2, NodeIndex(2));
-            s.record(2, NodeIndex(3));
-        }
-        assert_eq!(lean.total(), full.total());
-        assert_eq!(lean.rounds(), full.rounds());
-        assert_eq!(lean.last_active_round(), full.last_active_round());
-        assert_eq!(full.max_by_any_node(), 2);
-        assert_eq!(lean.max_by_any_node(), 0);
-        assert_eq!(lean.by_node(NodeIndex(2)), 0);
     }
 }

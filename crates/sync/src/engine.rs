@@ -206,7 +206,6 @@ pub struct SyncSimBuilder {
     topology: Option<Topology>,
     max_rounds: Option<usize>,
     trace: Option<Box<dyn TraceSink>>,
-    lean_stats: bool,
 }
 
 impl std::fmt::Debug for SyncSimBuilder {
@@ -234,7 +233,6 @@ impl SyncSimBuilder {
             topology: None,
             max_rounds: None,
             trace: None,
-            lean_stats: false,
         }
     }
 
@@ -301,14 +299,6 @@ impl SyncSimBuilder {
     /// execution is bit-identical to an untraced one.
     pub fn trace(mut self, sink: Box<dyn TraceSink>) -> Self {
         self.trace = Some(sink);
-        self
-    }
-
-    /// Skips the `Θ(n)` per-node message histogram (see
-    /// [`MessageStats::new_lean`]) — for sweeps at scales where per-trial
-    /// collection cost matters more than per-node distribution shape.
-    pub fn lean_stats(mut self, lean: bool) -> Self {
-        self.lean_stats = lean;
         self
     }
 
@@ -423,11 +413,6 @@ impl SyncSimBuilder {
             Some(sink) => Tracer::with_sink(sink, ALL_CLASSES),
             None => Tracer::from_env(),
         };
-        let stats = if self.lean_stats {
-            MessageStats::new_lean(n)
-        } else {
-            MessageStats::new(n)
-        };
         Ok(SyncSim {
             n,
             round: 0,
@@ -443,7 +428,7 @@ impl SyncSimBuilder {
             awake: vec![false; n],
             live: 0,
             work,
-            stats,
+            stats: MessageStats::new(n),
             tracer,
             pending: bufs.pending,
             inbox: bufs.inbox,
