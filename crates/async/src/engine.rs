@@ -680,10 +680,7 @@ impl<N: AsyncNode> AsyncSim<N> {
     ///
     /// # Errors
     ///
-    /// Propagates [`ModelError`] from port resolution (only possible with a
-    /// faulty custom resolver), from an adversary returning a delay
-    /// outside `(0, 1]`, or from a crash directive naming a node outside
-    /// the network ([`ModelError::NodeOutOfRange`]).
+    /// As for [`AsyncSim::step`].
     pub fn run(mut self) -> Result<AsyncOutcome, ModelError> {
         let halt = self.drive()?;
         Ok(self.into_outcome(halt))
@@ -721,10 +718,7 @@ impl<N: AsyncNode> AsyncSim<N> {
     ///
     /// # Errors
     ///
-    /// Propagates [`ModelError`] from port resolution (only possible with a
-    /// faulty custom resolver), from an adversary returning a delay
-    /// outside `(0, 1]`, or from a crash directive naming a node outside
-    /// the network ([`ModelError::NodeOutOfRange`]).
+    /// As for [`AsyncSim::step`].
     pub fn run_reusing(mut self, arena: &mut AsyncArena) -> Result<AsyncOutcome, ModelError>
     where
         N::Message: 'static,
@@ -738,9 +732,12 @@ impl<N: AsyncNode> AsyncSim<N> {
     ///
     /// # Errors
     ///
-    /// Propagates [`ModelError`] from port resolution, from an adversary
-    /// returning a delay outside `(0, 1]`, or from a crash directive naming
-    /// a node outside the network.
+    /// Propagates [`ModelError`] from port resolution (only possible with a
+    /// faulty custom resolver), from an adversary returning a delay
+    /// outside `(0, 1]`, or from a crash directive naming a node outside
+    /// the network ([`ModelError::NodeOutOfRange`]). Returns
+    /// [`ModelError::DecisionRevoked`] if a node changes a decision it has
+    /// already made.
     pub fn step(&mut self) -> Result<bool, ModelError> {
         let Some(ev) = self.queue.pop() else {
             return Ok(false);
@@ -1027,14 +1024,17 @@ impl<N: AsyncNode> AsyncSim<N> {
         }
         self.outbox = outbox;
 
-        // Track decision changes (and enforce irrevocability).
+        // Track decision changes (and reject a revoked one).
         let d = self.nodes[u.0].decision();
-        if d != self.last_decisions[u.0] {
-            assert!(
-                !self.last_decisions[u.0].is_decided(),
-                "{u} revoked its decision ({:?} -> {d:?})",
-                self.last_decisions[u.0]
-            );
+        let from = self.last_decisions[u.0];
+        if d != from {
+            if from.is_decided() {
+                return Err(ModelError::DecisionRevoked {
+                    node: u,
+                    from,
+                    to: d,
+                });
+            }
             self.last_decisions[u.0] = d;
             if self.tracer.enabled() {
                 self.tracer.emit(TraceEvent::Decide {
@@ -1554,6 +1554,41 @@ mod tests {
         assert!(outcome.wake_all_time.is_some());
         // One wake-up hop plus one full exchange: at most 2 units.
         assert!(outcome.time <= 2.0, "time was {}", outcome.time);
+    }
+
+    #[test]
+    fn a_revoked_decision_is_an_error() {
+        /// Claims leadership on waking and gives it up when mail arrives.
+        struct Fickle(Decision);
+        impl AsyncNode for Fickle {
+            type Message = ();
+            fn on_wake(&mut self, ctx: &mut AsyncContext<'_, ()>, _cause: WakeCause) {
+                self.0 = Decision::Leader;
+                ctx.send(Port(0), ());
+            }
+            fn on_message(&mut self, _ctx: &mut AsyncContext<'_, ()>, _m: Received<()>) {
+                self.0 = Decision::non_leader();
+            }
+            fn decision(&self) -> Decision {
+                self.0
+            }
+        }
+        // Node 1 wakes by node 0's mail and goes straight to non-leader;
+        // its reply then makes node 0 revoke its leadership.
+        let err = AsyncSimBuilder::new(2)
+            .wake(AsyncWakeSchedule::single(NodeIndex(0)))
+            .build(|_, _| Fickle(Decision::Undecided))
+            .unwrap()
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::DecisionRevoked {
+                node: NodeIndex(0),
+                from: Decision::Leader,
+                to: Decision::non_leader(),
+            }
+        );
     }
 
     #[test]

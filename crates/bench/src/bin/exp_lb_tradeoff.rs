@@ -6,13 +6,14 @@
 //! one adversary block (Property A), and no component can cover a majority
 //! of the clique before the bound's round threshold.
 
+use clique_model::trace::{SharedSink, Tracer};
 use clique_model::NodeIndex;
-use clique_sync::{HaltReason, SyncSimBuilder};
+use clique_sync::{HaltReason, NullObserver, SyncSimBuilder};
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
 use le_bench::{sweep, SweepRunner};
 use le_bounds::adversary::ComponentAdversary;
-use le_bounds::commgraph::GraphObserver;
+use le_bounds::commgraph::CommGraph;
 use le_bounds::formulas;
 use leader_election::sync::improved_tradeoff;
 
@@ -43,24 +44,32 @@ fn main() {
             handles.push(runner.task(format!("n={n} f={f} ell={ell}"), move |ws| {
                 let cfg = improved_tradeoff::Config::with_rounds(ell);
                 let (adv, probe) = ComponentAdversary::new(n, f);
-                let mut obs = GraphObserver::new(n);
+                let mut graph = CommGraph::new(n);
                 // One structural trial per (n, f) cell: the adversary is
                 // deterministic, so there is no seed dimension.
                 let rows = ws.cell_once(format!("n={n} f={f} ell={ell}"), |arenas| {
                     let arena = &mut arenas.sync;
+                    // A sink given to the builder overrides `LE_TRACE`, so
+                    // each event taken from it is passed on to the tracer
+                    // `LE_TRACE` configures.
+                    let sink = SharedSink::new();
+                    let mut env_trace = Tracer::from_env();
                     let mut sim = SyncSimBuilder::new(n)
                         .seed(1)
                         .resolver(Box::new(adv))
+                        .trace(Box::new(sink.clone()))
                         .build_in(arena, |id, n| improved_tradeoff::Node::new(id, n, cfg))
                         .expect("valid configuration");
                     let mut rows: Vec<(usize, usize, f64, usize, bool)> = Vec::new();
                     let mut round = 0usize;
                     loop {
                         round += 1;
-                        let more = sim.step(&mut obs).expect("no resolver faults");
+                        let more = sim.step(&mut NullObserver).expect("no resolver faults");
+                        let events = sink.take();
+                        graph.record_trace(&events);
+                        events.into_iter().for_each(|ev| env_trace.emit(ev));
                         // Definition 3.1: the round-(r+1) graph contains edges
                         // sent in rounds ≤ r.
-                        let graph = obs.graph();
                         let largest = graph.largest_component_at(round + 1);
                         let envelope = 2f64.powi(formulas::sigma(f, round + 1) as i32);
                         // Property A: every component is contained in one block.
@@ -79,6 +88,8 @@ fn main() {
                     // for the next cell; the truncated outcome itself is not a
                     // measurement here.
                     let _ = sim.into_outcome_reusing(HaltReason::MaxRounds, arena);
+                    sink.take().into_iter().for_each(|ev| env_trace.emit(ev));
+                    env_trace.finish();
                     rows
                 });
 
@@ -121,7 +132,6 @@ fn main() {
 
                 // Structural check (the experiment's pass criterion): verify a
                 // majority component cannot appear before the threshold.
-                let graph = obs.graph();
                 for r in 1..=threshold.floor() as usize {
                     let largest = graph.largest_component_at(r);
                     assert!(

@@ -1,5 +1,5 @@
 //! The communication graph of Definition 3.1 and component capacities of
-//! Definition 3.2, built live from an execution.
+//! Definition 3.2, built from an execution's trace.
 //!
 //! The round-`r` communication graph has a directed edge `(u, v)` iff `u`
 //! sent a message over a port connected to `v` in some round `r' < r`.
@@ -9,8 +9,8 @@
 //! independently.
 
 use clique_model::topology::{Dsu, TimedArc};
+use clique_model::trace::{At, TraceEvent};
 use clique_model::NodeIndex;
-use clique_sync::Observer;
 
 /// A time-stamped directed communication graph over `n` nodes.
 ///
@@ -51,6 +51,66 @@ impl CommGraph {
             src: src.0 as u32,
             dst: dst.0 as u32,
         });
+    }
+
+    /// Records one arc per [`TraceEvent::Send`] in `events`, a
+    /// synchronous run's trace in execution order, and ignores every other
+    /// event. A message counts when it is sent, as in Definition 3.1, so
+    /// mail that a terminated node swallows still adds its arc.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a send stamped with an asynchronous time, or with an
+    /// endpoint out of range.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use clique_model::ports::Port;
+    /// use clique_model::trace::SharedSink;
+    /// use clique_model::Decision;
+    /// use clique_sync::{Context, Received, SyncNode, SyncSimBuilder};
+    /// use le_bounds::CommGraph;
+    ///
+    /// /// Sends once on port 0, then stops.
+    /// struct Hello(Decision);
+    /// impl SyncNode for Hello {
+    ///     type Message = ();
+    ///     fn send_phase(&mut self, ctx: &mut Context<'_, ()>) { ctx.send(Port(0), ()); }
+    ///     fn receive_phase(&mut self, _: &mut Context<'_, ()>, _: &[Received<()>]) {
+    ///         self.0 = Decision::non_leader();
+    ///     }
+    ///     fn decision(&self) -> Decision { self.0 }
+    /// }
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let sink = SharedSink::new();
+    /// SyncSimBuilder::new(8)
+    ///     .trace(Box::new(sink.clone()))
+    ///     .build(|_, _| Hello(Decision::Undecided))?
+    ///     .run()?;
+    /// let mut graph = CommGraph::new(8);
+    /// graph.record_trace(&sink.take());
+    /// assert_eq!(graph.message_count(), 8);
+    /// // Round 1's arcs join the graph from round 2 on.
+    /// assert_eq!(graph.largest_component_at(1), 1);
+    /// assert!(graph.largest_component_at(2) >= 2);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn record_trace(&mut self, events: &[TraceEvent]) {
+        for ev in events {
+            if let TraceEvent::Send { at, src, dst, .. } = *ev {
+                let At::Round(round) = at else {
+                    panic!("send without a round: not a synchronous trace");
+                };
+                self.record(
+                    round as usize,
+                    NodeIndex(src as usize),
+                    NodeIndex(dst as usize),
+                );
+            }
+        }
     }
 
     /// Total messages recorded.
@@ -129,65 +189,6 @@ impl CommGraph {
             .map(|arc| arc.round as usize)
             .max()
             .unwrap_or(0)
-    }
-}
-
-/// An [`Observer`] that builds a [`CommGraph`] as the engine runs.
-///
-/// # Example
-///
-/// ```
-/// use clique_model::{Decision, Id};
-/// use clique_sync::{Context, Received, SyncNode, SyncSimBuilder};
-/// use le_bounds::GraphObserver;
-///
-/// struct Quiet;
-/// impl SyncNode for Quiet {
-///     type Message = ();
-///     fn send_phase(&mut self, _: &mut Context<'_, ()>) {}
-///     fn receive_phase(&mut self, _: &mut Context<'_, ()>, _: &[Received<()>]) {}
-///     fn decision(&self) -> Decision { Decision::Leader }
-/// }
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut obs = GraphObserver::new(8);
-/// SyncSimBuilder::new(8).build(|_, _| Quiet)?.run_observed(&mut obs)?;
-/// assert_eq!(obs.graph().message_count(), 0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct GraphObserver {
-    graph: CommGraph,
-}
-
-impl GraphObserver {
-    /// Creates an observer for an `n`-node execution.
-    pub fn new(n: usize) -> Self {
-        GraphObserver {
-            graph: CommGraph::new(n),
-        }
-    }
-
-    /// The communication graph built so far.
-    pub fn graph(&self) -> &CommGraph {
-        &self.graph
-    }
-
-    /// Consumes the observer into its graph.
-    pub fn into_graph(self) -> CommGraph {
-        self.graph
-    }
-}
-
-impl Observer for GraphObserver {
-    fn on_message(
-        &mut self,
-        round: usize,
-        src: clique_model::ports::Endpoint,
-        dst: clique_model::ports::Endpoint,
-    ) {
-        self.graph.record(round, src.node, dst.node);
     }
 }
 
@@ -279,7 +280,8 @@ mod tests {
     }
 
     #[test]
-    fn observer_builds_graph_from_execution() {
+    fn trace_builds_graph_from_execution() {
+        use clique_model::trace::SharedSink;
         use clique_model::{Decision, Id};
         use clique_sync::{Context, Received, SyncNode, SyncSimBuilder};
 
@@ -316,23 +318,76 @@ mod tests {
         }
 
         let n = 6;
-        let mut obs = GraphObserver::new(n);
+        let sink = SharedSink::new();
         let outcome = SyncSimBuilder::new(n)
             .seed(2)
+            .trace(Box::new(sink.clone()))
             .build(|id, _| B {
                 me: id,
                 best: id,
                 d: Decision::Undecided,
             })
             .unwrap()
-            .run_observed(&mut obs)
+            .run()
             .unwrap();
         outcome.validate_implicit().unwrap();
-        let g = obs.into_graph();
+        let mut g = CommGraph::new(n);
+        g.record_trace(&sink.take());
         assert_eq!(g.message_count(), n * (n - 1));
         // After the broadcast round the graph is fully connected.
         assert_eq!(g.largest_component_at(2), n);
         // ... but during round 1 it was still empty (Definition 3.1).
         assert_eq!(g.largest_component_at(1), 1);
+
+        /// Broadcasts and decides in round 2's send phase, so each node's
+        /// mail reaches peers that have quit or are about to.
+        struct Quitter(Decision);
+        impl SyncNode for Quitter {
+            type Message = ();
+            fn send_phase(&mut self, ctx: &mut Context<'_, ()>) {
+                if ctx.round() == 2 {
+                    for p in ctx.all_ports() {
+                        ctx.send(p, ());
+                    }
+                    self.0 = Decision::Leader;
+                }
+            }
+            fn receive_phase(&mut self, _ctx: &mut Context<'_, ()>, _inbox: &[Received<()>]) {}
+            fn decision(&self) -> Decision {
+                self.0
+            }
+        }
+        let outcome = SyncSimBuilder::new(5)
+            .seed(4)
+            .trace(Box::new(sink.clone()))
+            .build(|_, _| Quitter(Decision::Undecided))
+            .unwrap()
+            .run()
+            .unwrap();
+        let events = sink.take();
+        // All 20 messages are swallowed, but the trace marks as delivered
+        // the 10 sent before their recipient quit. The graph counts sends.
+        let delivers = events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Deliver { .. }))
+            .count();
+        assert_eq!(outcome.stats.total(), 20);
+        assert_eq!(outcome.messages_to_terminated, 20);
+        assert_eq!(delivers, 10);
+        let mut g = CommGraph::new(5);
+        g.record_trace(&events);
+        assert_eq!(g.message_count() as u64, outcome.stats.total());
+    }
+
+    #[test]
+    #[should_panic(expected = "without a round")]
+    fn rejects_asynchronous_sends() {
+        CommGraph::new(2).record_trace(&[TraceEvent::Send {
+            at: At::Time(0.5),
+            src: 0,
+            port: 0,
+            dst: 1,
+            cls: None,
+        }]);
     }
 }

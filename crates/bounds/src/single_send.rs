@@ -166,32 +166,37 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clique_model::ports::Endpoint;
-    use clique_sync::{Observer, SyncSimBuilder};
+    use clique_model::trace::{At, SharedSink, TraceEvent};
+    use clique_sync::SyncSimBuilder;
     use leader_election::sync::improved_tradeoff;
 
-    /// Observer asserting the single-send property and counting messages.
+    /// Counts a trace's messages and its breaches of the single-send
+    /// property.
     #[derive(Default)]
     struct SingleSendChecker {
-        /// Per-round send counts per node, rebuilt each round.
-        current_round: usize,
-        sent_this_round: std::collections::HashMap<usize, u32>,
+        /// Sends beyond a node's first in a round.
         violations: u32,
         total: u64,
     }
 
-    impl Observer for SingleSendChecker {
-        fn on_message(&mut self, round: usize, src: Endpoint, _dst: Endpoint) {
-            if round != self.current_round {
-                self.current_round = round;
-                self.sent_this_round.clear();
+    impl SingleSendChecker {
+        fn check(events: &[TraceEvent]) -> SingleSendChecker {
+            let mut checker = SingleSendChecker::default();
+            let mut senders = std::collections::HashSet::new();
+            for ev in events {
+                if let TraceEvent::Send {
+                    at: At::Round(round),
+                    src,
+                    ..
+                } = *ev
+                {
+                    checker.total += 1;
+                    if !senders.insert((round, src)) {
+                        checker.violations += 1;
+                    }
+                }
             }
-            let c = self.sent_this_round.entry(src.node.0).or_insert(0);
-            *c += 1;
-            if *c > 1 {
-                self.violations += 1;
-            }
-            self.total += 1;
+            checker
         }
     }
 
@@ -200,16 +205,17 @@ mod tests {
     // same network and must behave identically message-for-message.
     fn run_wrapped(n: usize, ell: usize, seed: u64) -> (clique_sync::Outcome, SingleSendChecker) {
         let cfg = improved_tradeoff::Config::with_rounds(ell);
-        let mut checker = SingleSendChecker::default();
+        let sink = SharedSink::new();
         let outcome = SyncSimBuilder::new(n)
             .seed(seed)
             .max_rounds(n * (ell + 1))
             .resolver(Box::new(clique_model::CirculantResolver))
+            .trace(Box::new(sink.clone()))
             .build(|id, n| SingleSend::new(improved_tradeoff::Node::new(id, n, cfg), id, n))
             .unwrap()
-            .run_observed(&mut checker)
+            .run()
             .unwrap();
-        (outcome, checker)
+        (outcome, SingleSendChecker::check(&sink.take()))
     }
 
     fn run_plain(n: usize, ell: usize, seed: u64) -> clique_sync::Outcome {
@@ -278,9 +284,8 @@ mod tests {
             .max_rounds(n * 4)
             .build(|id, n| SingleSend::new(improved_tradeoff::Node::new(id, n, cfg), id, n))
             .unwrap();
-        let mut obs = clique_sync::NullObserver;
         let mut sim = sim;
-        while sim.step(&mut obs).unwrap() {}
+        while sim.step(&mut clique_sync::NullObserver).unwrap() {}
         for u in 0..n {
             assert_eq!(sim.node(clique_model::NodeIndex(u)).late_messages(), 0);
         }

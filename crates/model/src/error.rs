@@ -1,6 +1,6 @@
 //! Shared error types for the clique model.
 
-use crate::{NodeIndex, Port, PortBackend};
+use crate::{Decision, NodeIndex, Port, PortBackend};
 
 /// Errors produced while constructing or manipulating model primitives.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,6 +75,16 @@ pub enum ModelError {
         /// The offending delay, pre-formatted (`f64` is not `Eq`).
         delay: String,
     },
+    /// A node changed a decision it had already made. Decisions are
+    /// irrevocable, so this is a fault in the node's algorithm.
+    DecisionRevoked {
+        /// The node that changed its decision.
+        node: NodeIndex,
+        /// The decision it had made.
+        from: Decision,
+        /// The decision it changed to.
+        to: Decision,
+    },
 }
 
 impl std::fmt::Display for ModelError {
@@ -113,6 +123,9 @@ impl std::fmt::Display for ModelError {
                 f,
                 "adversary {adversary} returned delay {delay}, outside (0, 1]"
             ),
+            ModelError::DecisionRevoked { node, from, to } => {
+                write!(f, "{node} revoked its decision ({from} -> {to})")
+            }
         }
     }
 }
@@ -148,6 +161,15 @@ mod tests {
         assert_eq!(
             e.to_string(),
             "adversary hostile returned delay NaN, outside (0, 1]"
+        );
+        let e = ModelError::DecisionRevoked {
+            node: NodeIndex(3),
+            from: Decision::Leader,
+            to: Decision::non_leader(),
+        };
+        assert_eq!(
+            e.to_string(),
+            "n3 revoked its decision (leader -> non-leader)"
         );
     }
 

@@ -847,7 +847,7 @@ impl PortMap {
         with_store!(self, s => s.port_at_pos(u, k))
     }
 
-    /// Read-only view for resolvers and observers.
+    /// Read-only view for resolvers and tests.
     pub fn view(&self) -> PortView<'_> {
         PortView { map: self }
     }

@@ -42,7 +42,7 @@
 //!
 //! Shared graph utilities used across crates live here too: a
 //! union-find ([`Dsu`]) and the timed directed arc ([`TimedArc`]) that
-//! `le_bounds`' communication-graph observer records.
+//! `le_bounds`' communication graph records.
 
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -795,8 +795,8 @@ impl std::fmt::Display for TopologySpec {
 }
 
 /// Union-find with union-by-size and path halving — the component
-/// machinery shared by `le_bounds`' communication-graph observer and
-/// the topology tests.
+/// machinery shared by `le_bounds`' communication graph and the
+/// topology tests.
 #[derive(Debug, Clone)]
 pub struct Dsu {
     parent: Vec<u32>,
@@ -879,9 +879,8 @@ impl Dsu {
 }
 
 /// A directed message arc stamped with the round it first crossed — the
-/// shared edge record `le_bounds`' communication-graph observer
-/// accumulates (KT0 lower bounds count *which* links carried messages
-/// and when).
+/// shared edge record `le_bounds`' communication graph accumulates
+/// (KT0 lower bounds count *which* links carried messages and when).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimedArc {
     /// The round the arc was recorded in.

@@ -4,7 +4,7 @@ use std::any::Any;
 
 use clique_model::ids::{Id, IdAssignment, IdSpace};
 use clique_model::metrics::MessageStats;
-use clique_model::ports::{Endpoint, PortBackend, PortMap, PortResolver, RandomResolver};
+use clique_model::ports::{PortBackend, PortMap, PortResolver, RandomResolver};
 use clique_model::prof::{self, Phase};
 use clique_model::rng::{derive_seed, rng_from_seed};
 use clique_model::trace::{At, TraceEvent, TraceSink, Tracer, ALL_CLASSES};
@@ -12,7 +12,6 @@ use clique_model::{Decision, ModelError, NodeIndex, Topology};
 use rand::rngs::SmallRng;
 
 use crate::node::{Context, Received, SyncNode, WakeCause};
-use crate::observer::{NullObserver, Observer};
 use crate::outcome::{HaltReason, Outcome};
 use crate::wakeup::WakeSchedule;
 
@@ -141,7 +140,7 @@ impl<M> Default for SyncBuffers<M> {
 /// The node indices a round visits. A round costs O(active nodes +
 /// messages) because the engine walks these lists, never `0..n`, and
 /// it walks each in ascending order, so inbox order (sender order) and
-/// the order of observer and trace events are those of a full scan.
+/// the order of trace events are those of a full scan.
 #[derive(Debug, Default)]
 struct Worklists {
     /// Ascending: the nodes whose send phase runs this round. Between
@@ -440,6 +439,12 @@ impl SyncSimBuilder {
     }
 }
 
+/// The argument [`SyncSim::step`] takes. It carries nothing: the builder's
+/// trace sink is the engine's only event channel.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NullObserver;
+
 /// A synchronous execution in progress.
 ///
 /// Drive it with [`SyncSim::run`] (to quiescence) or [`SyncSim::step`]
@@ -521,34 +526,24 @@ impl<N: SyncNode> SyncSim<N> {
         &self.ports
     }
 
-    /// Runs to quiescence (or the round cap) without observation.
+    /// Runs to quiescence (or the round cap). Its events go to the
+    /// builder's trace sink, if any.
     ///
     /// # Errors
     ///
-    /// Propagates [`ModelError`] from port resolution (only possible with a
-    /// faulty custom resolver).
-    pub fn run(self) -> Result<Outcome, ModelError> {
-        let mut obs = NullObserver;
-        self.run_observed(&mut obs)
-    }
-
-    /// Runs to quiescence (or the round cap) reporting events to `observer`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ModelError`] from port resolution.
-    pub fn run_observed(mut self, observer: &mut dyn Observer) -> Result<Outcome, ModelError> {
-        let halt = self.drive(observer)?;
+    /// As for [`SyncSim::step`].
+    pub fn run(mut self) -> Result<Outcome, ModelError> {
+        let halt = self.drive()?;
         Ok(self.into_outcome(halt))
     }
 
-    /// The shared round loop of [`SyncSim::run_observed`] and
-    /// [`SyncSim::run_observed_reusing`]: steps until quiescence or the
-    /// round cap and reports which one halted the run.
-    fn drive(&mut self, observer: &mut dyn Observer) -> Result<HaltReason, ModelError> {
+    /// The shared round loop of [`SyncSim::run`] and
+    /// [`SyncSim::run_reusing`]: steps until quiescence or the round cap
+    /// and reports which one halted the run.
+    fn drive(&mut self) -> Result<HaltReason, ModelError> {
         let _run = prof::span(Phase::Run);
         while self.round < self.max_rounds {
-            if !self.step(observer)? {
+            if !self.step(&mut NullObserver)? {
                 return Ok(HaltReason::Quiescent);
             }
         }
@@ -562,31 +557,12 @@ impl<N: SyncNode> SyncSim<N> {
     ///
     /// # Errors
     ///
-    /// Propagates [`ModelError`] from port resolution (only possible with a
-    /// faulty custom resolver).
-    pub fn run_reusing(self, arena: &mut SyncArena) -> Result<Outcome, ModelError>
+    /// As for [`SyncSim::step`].
+    pub fn run_reusing(mut self, arena: &mut SyncArena) -> Result<Outcome, ModelError>
     where
         N::Message: 'static,
     {
-        let mut obs = NullObserver;
-        self.run_observed_reusing(&mut obs, arena)
-    }
-
-    /// [`SyncSim::run_observed`], recycling state through `arena` like
-    /// [`SyncSim::run_reusing`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ModelError`] from port resolution.
-    pub fn run_observed_reusing(
-        mut self,
-        observer: &mut dyn Observer,
-        arena: &mut SyncArena,
-    ) -> Result<Outcome, ModelError>
-    where
-        N::Message: 'static,
-    {
-        let halt = self.drive(observer)?;
+        let halt = self.drive()?;
         Ok(self.into_outcome_reusing(halt, arena))
     }
 
@@ -599,10 +575,18 @@ impl<N: SyncNode> SyncSim<N> {
     /// costs O(active nodes + messages), not Θ(n); nodes that report
     /// [`SyncNode::is_idle`] and receive no mail are skipped.
     ///
+    /// The round's events go to the builder's trace sink, if any; to read
+    /// them in process, pass a [`SharedSink`](clique_model::trace::SharedSink)
+    /// to [`SyncSimBuilder::trace`] and drain it after each step. The
+    /// argument carries nothing.
+    ///
     /// # Errors
     ///
-    /// Propagates [`ModelError`] from port resolution.
-    pub fn step(&mut self, observer: &mut dyn Observer) -> Result<bool, ModelError> {
+    /// Propagates [`ModelError`] from port resolution (only possible with a
+    /// faulty custom resolver), and returns
+    /// [`ModelError::DecisionRevoked`] if a node changes a decision it has
+    /// already made.
+    pub fn step(&mut self, _: &mut NullObserver) -> Result<bool, ModelError> {
         self.round += 1;
         let round = self.round;
 
@@ -633,7 +617,6 @@ impl<N: SyncNode> SyncSim<N> {
                     };
                     self.nodes[u.0].on_wake(&mut ctx, WakeCause::Adversary);
                     self.outbox = outbox;
-                    observer.on_wake(round, u, WakeCause::Adversary);
                     if self.tracer.enabled() {
                         self.tracer.emit(TraceEvent::Wake {
                             at: At::Round(round as u32),
@@ -655,7 +638,7 @@ impl<N: SyncNode> SyncSim<N> {
 
         // Phase 2: send phase for the polled nodes, in ascending order.
         for i in 0..self.work.poll.len() {
-            self.send_from(self.work.poll[i], round, observer)?;
+            self.send_from(self.work.poll[i], round)?;
         }
 
         // Every node whose hooks may run this round: the senders plus the
@@ -704,7 +687,6 @@ impl<N: SyncNode> SyncSim<N> {
                     self.awake[v] = true;
                     self.live += 1;
                     self.nodes[v].on_wake(&mut ctx, WakeCause::Message);
-                    observer.on_wake(round, NodeIndex(v), WakeCause::Message);
                     if self.tracer.enabled() {
                         self.tracer.emit(TraceEvent::Wake {
                             at: At::Round(round as u32),
@@ -723,19 +705,21 @@ impl<N: SyncNode> SyncSim<N> {
 
         // Decisions and termination change only inside hooks, so the
         // active nodes are the only ones to check: track decision changes
-        // (enforcing irrevocability), retire terminated nodes, and queue
+        // (rejecting a revoked one), retire terminated nodes, and queue
         // next round's poll list. Every active node is awake by now.
         for &u in &self.work.active {
             let node = &self.nodes[u];
             let d = node.decision();
-            if d != self.last_decisions[u] {
-                assert!(
-                    !self.last_decisions[u].is_decided(),
-                    "node {u} revoked its decision ({:?} -> {d:?})",
-                    self.last_decisions[u]
-                );
+            let from = self.last_decisions[u];
+            if d != from {
+                if from.is_decided() {
+                    return Err(ModelError::DecisionRevoked {
+                        node: NodeIndex(u),
+                        from,
+                        to: d,
+                    });
+                }
                 self.last_decisions[u] = d;
-                observer.on_decision(round, NodeIndex(u), d);
                 if self.tracer.enabled() {
                     self.tracer.emit(TraceEvent::Decide {
                         at: At::Round(round as u32),
@@ -753,7 +737,6 @@ impl<N: SyncNode> SyncSim<N> {
             }
         }
 
-        observer.on_round_end(round);
         if self.tracer.enabled() {
             self.tracer.emit(TraceEvent::Round {
                 round: round as u32,
@@ -770,12 +753,7 @@ impl<N: SyncNode> SyncSim<N> {
     /// recipient's pending inbox, or swallowed if the recipient has
     /// terminated. A recipient off the poll list goes on the mail list
     /// with its first message of the round.
-    fn send_from(
-        &mut self,
-        u: usize,
-        round: usize,
-        observer: &mut dyn Observer,
-    ) -> Result<(), ModelError> {
+    fn send_from(&mut self, u: usize, round: usize) -> Result<(), ModelError> {
         if self.nodes[u].is_terminated() {
             return Ok(());
         }
@@ -802,14 +780,6 @@ impl<N: SyncNode> SyncSim<N> {
             )?;
             self.stats.record(round, NodeIndex(u));
             self.last_activity_round = round;
-            observer.on_message(
-                round,
-                Endpoint {
-                    node: NodeIndex(u),
-                    port,
-                },
-                dst,
-            );
             if self.tracer.enabled() {
                 let at = At::Round(round as u32);
                 self.tracer.emit(TraceEvent::Send {
@@ -945,8 +915,8 @@ impl<N: SyncNode> SyncSim<N> {
 mod tests {
     use super::*;
     use crate::node::Received;
-    use crate::observer::RecordingObserver;
     use clique_model::ports::Port;
+    use clique_model::trace::SharedSink;
 
     #[test]
     fn arena_is_send() {
@@ -1379,32 +1349,65 @@ mod tests {
 
     /// Runs the simulation `builder` configures with `factory`'s nodes,
     /// and again with every node wrapped in [`Polled`]. Asserts that both
-    /// runs produce the same outcome and the same observer events, and
+    /// runs produce the same outcome and the same trace events, and
     /// returns them.
     fn same_as_polled<N, F>(
         builder: impl Fn() -> SyncSimBuilder,
         factory: F,
-    ) -> (Outcome, RecordingObserver)
+    ) -> (Outcome, Vec<TraceEvent>)
     where
         N: SyncNode,
         N::Message: 'static,
         F: Fn(Id, usize) -> N + Copy,
     {
-        let mut record = RecordingObserver::default();
+        let sink = SharedSink::new();
         let outcome = builder()
+            .trace(Box::new(sink.clone()))
             .build(factory)
             .unwrap()
-            .run_observed(&mut record)
+            .run()
             .unwrap();
-        let mut polled_record = RecordingObserver::default();
+        let events = sink.take();
         let polled = builder()
+            .trace(Box::new(sink.clone()))
             .build(|id, n| Polled(factory(id, n)))
             .unwrap()
-            .run_observed(&mut polled_record)
+            .run()
             .unwrap();
         assert_eq!(format!("{outcome:?}"), format!("{polled:?}"));
-        assert_eq!(format!("{record:?}"), format!("{polled_record:?}"));
-        (outcome, record)
+        assert_eq!(events, sink.take());
+        (outcome, events)
+    }
+
+    /// `(round, src, dst)` of each `send` event.
+    fn sends(events: &[TraceEvent]) -> Vec<(u32, u32, u32)> {
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Send {
+                    at: At::Round(r),
+                    src,
+                    dst,
+                    ..
+                } => Some((r, src, dst)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `(round, node, cause)` of each `wake` event.
+    fn wakes(events: &[TraceEvent]) -> Vec<(u32, u32, WakeCause)> {
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Wake {
+                    at: At::Round(r),
+                    node,
+                    cause,
+                } => Some((r, node, cause)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Passes hop-counted tokens around a ring: each token a node receives
@@ -1455,7 +1458,7 @@ mod tests {
 
     #[test]
     fn idle_nodes_wake_and_receive_by_message() {
-        let (outcome, record) = same_as_polled(
+        let (outcome, events) = same_as_polled(
             || token_ring(8).wake(WakeSchedule::single(NodeIndex(0))),
             |_, _| Token::default(),
         );
@@ -1463,8 +1466,7 @@ mod tests {
         // second reaches them awake and idle.
         assert_eq!(outcome.stats.total(), 16);
         assert_eq!(outcome.rounds, 16);
-        let message_wakes = record
-            .wakes
+        let message_wakes = wakes(&events)
             .iter()
             .filter(|w| w.2 == WakeCause::Message)
             .count();
@@ -1475,7 +1477,7 @@ mod tests {
 
     #[test]
     fn staged_wakeups_join_the_poll_list() {
-        let (outcome, record) = same_as_polled(
+        let (outcome, events) = same_as_polled(
             || {
                 token_ring(8).wake(WakeSchedule::staged(vec![
                     (1, vec![NodeIndex(0)]),
@@ -1486,10 +1488,8 @@ mod tests {
         );
         // Node 0's token has not reached node 4 when the adversary wakes
         // it in round 3; both tokens move in that round.
-        assert!(record
-            .wakes
-            .contains(&(3, NodeIndex(4), WakeCause::Adversary)));
-        assert_eq!(record.messages.iter().filter(|m| m.0 == 3).count(), 2);
+        assert!(wakes(&events).contains(&(3, 4, WakeCause::Adversary)));
+        assert_eq!(sends(&events).iter().filter(|m| m.0 == 3).count(), 2);
         assert_eq!(outcome.stats.total(), 32);
         assert_eq!(outcome.halt, HaltReason::MaxRounds);
     }
@@ -1531,23 +1531,29 @@ mod tests {
     #[test]
     fn events_come_in_node_order_not_arrival_order() {
         // Wake-ups listed out of order still send in node order...
-        let (_, record) = same_as_polled(
+        let (_, events) = same_as_polled(
             || round_robin(8).wake(WakeSchedule::subset(vec![NodeIndex(5), NodeIndex(2)])),
             |_, _| Shout::default(),
         );
-        let senders: Vec<usize> = record.messages.iter().map(|m| m.1.node.0).collect();
+        let senders: Vec<u32> = sends(&events).iter().map(|m| m.1).collect();
         assert_eq!(senders, [2, 2, 2, 5, 5, 5]);
         // ...and mail that reaches nodes 3, 1, 5 in that order wakes them,
         // and reports their decisions, in node order.
-        let (_, record) = same_as_polled(
+        let (_, events) = same_as_polled(
             || round_robin(8).wake(WakeSchedule::single(NodeIndex(7))),
             |_, _| Shout::default(),
         );
-        let recipients: Vec<usize> = record.messages.iter().map(|m| m.2.node.0).collect();
+        let recipients: Vec<u32> = sends(&events).iter().map(|m| m.2).collect();
         assert_eq!(recipients, [3, 1, 5]);
-        let woken: Vec<usize> = record.wakes.iter().map(|w| w.1 .0).collect();
+        let woken: Vec<u32> = wakes(&events).iter().map(|w| w.1).collect();
         assert_eq!(woken, [7, 1, 3, 5]);
-        let decided: Vec<usize> = record.decisions.iter().map(|d| d.1 .0).collect();
+        let decided: Vec<u32> = events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Decide { node, .. } => Some(node),
+                _ => None,
+            })
+            .collect();
         assert_eq!(decided, [1, 3, 5, 7]);
     }
 
@@ -1588,6 +1594,45 @@ mod tests {
     }
 
     #[test]
+    fn a_revoked_decision_is_an_error() {
+        /// Claims leadership in round 1 and gives it up in round 2.
+        struct Fickle {
+            decision: Decision,
+        }
+        impl SyncNode for Fickle {
+            type Message = ();
+            fn send_phase(&mut self, ctx: &mut Context<'_, ()>) {
+                self.decision = match ctx.round() {
+                    1 => Decision::Leader,
+                    _ => Decision::non_leader(),
+                };
+            }
+            fn receive_phase(&mut self, _ctx: &mut Context<'_, ()>, _inbox: &[Received<()>]) {}
+            fn decision(&self) -> Decision {
+                self.decision
+            }
+            fn is_terminated(&self) -> bool {
+                false
+            }
+        }
+        let err = SyncSimBuilder::new(3)
+            .build(|_, _| Fickle {
+                decision: Decision::Undecided,
+            })
+            .unwrap()
+            .run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ModelError::DecisionRevoked {
+                node: NodeIndex(0),
+                from: Decision::Leader,
+                to: Decision::non_leader(),
+            }
+        );
+    }
+
+    #[test]
     fn all_idle_silent_runs_still_hit_the_round_cap() {
         struct Idle;
         impl SyncNode for Idle {
@@ -1601,12 +1646,19 @@ mod tests {
                 true
             }
         }
-        let (outcome, record) =
+        let (outcome, events) =
             same_as_polled(|| SyncSimBuilder::new(6).max_rounds(10), |_, _| Idle);
         assert_eq!(outcome.halt, HaltReason::MaxRounds);
         assert_eq!(outcome.rounds, 1);
         assert_eq!(outcome.awake_count(), 6);
-        assert_eq!(record.rounds, (1..=10).collect::<Vec<_>>());
+        let rounds: Vec<u32> = events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Round { round, .. } => Some(round),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rounds, (1..=10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! A round costs O(active nodes + messages), not Θ(n): the engine visits
 //! only this round's wake-ups, its mail recipients, and the awake,
 //! unterminated nodes that are not [`SyncNode::is_idle`]. It visits them in
-//! ascending order, so every inbox and every observer and trace event is
-//! ordered as if all `n` nodes had been scanned.
+//! ascending order, so every inbox and every trace event is ordered as if
+//! all `n` nodes had been scanned.
 //!
 //! # Example
 //!
@@ -90,12 +90,12 @@
 
 pub mod engine;
 pub mod node;
-pub mod observer;
 pub mod outcome;
 pub mod wakeup;
 
+#[doc(hidden)]
+pub use engine::NullObserver;
 pub use engine::{SyncArena, SyncSim, SyncSimBuilder};
 pub use node::{Context, Received, SyncNode, WakeCause};
-pub use observer::{NullObserver, Observer, TraceBridge};
 pub use outcome::{ElectionViolation, HaltReason, Outcome};
 pub use wakeup::WakeSchedule;

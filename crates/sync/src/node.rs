@@ -205,8 +205,8 @@ pub trait SyncNode {
     /// [`SyncNode::receive_phase`] with an empty inbox changes nothing.
     /// The engine then calls neither hook in such a round; in a round
     /// where mail arrives it calls only `receive_phase`. Honest answers
-    /// leave every execution, trace and observer event unchanged, and
-    /// rounds cost O(active nodes + messages) instead of Θ(n).
+    /// leave every execution and trace event unchanged, and rounds cost
+    /// O(active nodes + messages) instead of Θ(n).
     ///
     /// The default, `false`, polls the node every round while it is awake
     /// and unterminated.

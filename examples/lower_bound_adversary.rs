@@ -10,9 +10,10 @@
 use improved_le::algorithms::sync::improved_tradeoff::{Config, Node};
 use improved_le::analysis::Table;
 use improved_le::bounds::adversary::ComponentAdversary;
-use improved_le::bounds::commgraph::GraphObserver;
+use improved_le::bounds::commgraph::CommGraph;
 use improved_le::bounds::formulas;
-use improved_le::sync::SyncSimBuilder;
+use improved_le::model::trace::SharedSink;
+use improved_le::sync::{NullObserver, SyncSimBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // `LE_N` overrides the network size (the smoke tests shrink it).
@@ -25,10 +26,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let cfg = Config::with_rounds(ell);
     let (adversary, probe) = ComponentAdversary::new(n, f);
-    let mut observer = GraphObserver::new(n);
+    // The communication graph is built from the run's send events.
+    let sink = SharedSink::new();
+    let mut graph = CommGraph::new(n);
     let mut sim = SyncSimBuilder::new(n)
         .seed(3)
         .resolver(Box::new(adversary))
+        .trace(Box::new(sink.clone()))
         .build(|id, n| Node::new(id, n, cfg))?;
 
     let mut table = Table::new(vec![
@@ -45,8 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut round = 0;
     loop {
         round += 1;
-        let more = sim.step(&mut observer)?;
-        let largest = observer.graph().largest_component_at(round + 1);
+        let more = sim.step(&mut NullObserver)?;
+        graph.record_trace(&sink.take());
+        let largest = graph.largest_component_at(round + 1);
         let envelope = 2f64
             .powi(formulas::sigma(f, round + 1) as i32)
             .min(n as f64);
