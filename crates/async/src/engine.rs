@@ -105,9 +105,9 @@ enum WireFate {
 /// Reusable simulation state for repeated asynchronous trials: the
 /// [`PortMap`], the per-link FIFO-floor storage (a flat `Θ(n²)` array on
 /// the dense backend, a hashed touched-links map on the sparse one), the
-/// event queue's storage (its near and far heaps and its per-bucket ring
-/// vectors, each keeping its capacity), the outbox, and the reliability
-/// protocol's per-link slab and key table.
+/// event queue's storage (its sorted run, its near and far heaps and its
+/// per-bucket ring vectors, each keeping its capacity), the outbox, and
+/// the reliability protocol's per-link slab and key table.
 ///
 /// A trial addresses each reliable link by its `u32` index in that slab,
 /// which the link's data, ack and timer events carry. Indices restart at
@@ -136,6 +136,9 @@ pub struct AsyncArena {
     /// inside `buffers`, captured at stash time (the type-erased box
     /// cannot be measured from here).
     rel_bytes: u64,
+    /// Bytes held by the event queue and the outbox inside `buffers`,
+    /// captured at stash time like `rel_bytes`.
+    queue_bytes: u64,
     // `+ Send` keeps the whole arena `Send`, so sweep worker threads can
     // own recycled arenas (message types are `Send` by trait bound).
     buffers: Option<Box<dyn Any + Send>>,
@@ -170,17 +173,18 @@ impl AsyncArena {
     }
 
     /// Backend-reported estimate of the bytes resident in the recycled
-    /// engine tables: the port map, the FIFO-floor storage, and — when a
-    /// faulty network has run — the per-link busy horizons and the
-    /// reliability protocol's queue/retransmit buffers (honest
-    /// accounting: retained capacity counts). The sweep harness records
-    /// this per cell so dense-vs-sparse footprints appear in every
-    /// experiment CSV.
+    /// engine tables: the port map, the FIFO-floor storage, the event
+    /// queue and the outbox, and — when a faulty network has run — the
+    /// per-link busy horizons and the reliability protocol's
+    /// queue/retransmit buffers (honest accounting: retained capacity
+    /// counts). The sweep harness records this per cell so
+    /// dense-vs-sparse footprints appear in every experiment CSV.
     pub fn resident_bytes(&self) -> u64 {
         self.ports.as_ref().map_or(0, PortMap::resident_bytes)
             + self.fifo_front.resident_bytes()
             + self.link_busy.resident_bytes()
             + self.rel_bytes
+            + self.queue_bytes
     }
 }
 
@@ -191,6 +195,7 @@ impl std::fmt::Debug for AsyncArena {
             .field("fifo_bytes", &self.fifo_front.resident_bytes())
             .field("link_busy_bytes", &self.link_busy.resident_bytes())
             .field("rel_bytes", &self.rel_bytes)
+            .field("queue_bytes", &self.queue_bytes)
             .field("has_buffers", &self.buffers.is_some())
             .finish()
     }
@@ -1437,6 +1442,8 @@ impl<N: AsyncNode> AsyncSim<N> {
         arena.fifo_front = fifo_front;
         arena.link_busy = link_busy;
         arena.rel_bytes = rel.resident_bytes();
+        arena.queue_bytes = queue.resident_bytes()
+            + (outbox.capacity() * std::mem::size_of::<(Port, N::Message)>()) as u64;
         arena.buffers = Some(Box::new(AsyncBuffers { queue, outbox, rel }));
         AsyncOutcome {
             n,
@@ -2394,6 +2401,32 @@ mod tests {
         assert!(arena.resident_bytes() > 0);
         let dbg = format!("{arena:?}");
         assert!(dbg.contains("rel_bytes"), "{dbg}");
+    }
+
+    #[test]
+    fn resident_bytes_count_the_event_queue_and_outbox() {
+        // A fault-free trial keeps no reliability state or busy horizons,
+        // yet its recycled queue and outbox hold every event slot the
+        // trial needed: they must show above the map and the FIFO floors.
+        let n = 32;
+        let mut arena = AsyncArena::new();
+        AsyncSimBuilder::new(n)
+            .seed(3)
+            .backend(PortBackend::Dense)
+            .build_in(&mut arena, Flood::new)
+            .unwrap()
+            .run_reusing(&mut arena)
+            .unwrap();
+        let map = arena.ports.as_ref().map_or(0, PortMap::resident_bytes);
+        let floors = arena.fifo_front.resident_bytes() + arena.link_busy.resident_bytes();
+        assert_eq!(arena.rel_bytes, 0);
+        // The ring's spine alone is 2048 vectors.
+        let spine = 2048 * std::mem::size_of::<Vec<()>>() as u64;
+        assert!(
+            arena.resident_bytes() > map + floors + spine,
+            "{arena:?}: {} B",
+            arena.resident_bytes()
+        );
     }
 
     #[test]

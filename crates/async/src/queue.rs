@@ -3,22 +3,28 @@
 //! of them.
 //!
 //! Time is cut into buckets of `1/256` time unit, event `t` lying in
-//! bucket `⌊t · 256⌋`. The queue keeps three parts:
+//! bucket `⌊t · 256⌋`. The queue keeps four parts:
 //!
-//! * `near`, a small heap holding every event of the buckets already
-//!   reached (`≤ cur`);
+//! * `run`, the events of the current bucket `cur` that were pending
+//!   when it was reached, sorted once, latest first;
+//! * `near`, a small heap holding every event pushed into a bucket
+//!   already reached (`≤ cur`) after that;
 //! * a ring of per-bucket vectors over the next 8 time units
 //!   (`cur < b < cur + 2048`), unordered within a bucket;
 //! * `far`, a heap for anything later (late wake-ups, backed-off
 //!   retransmission timers).
 //!
-//! A pop takes the top of `near`. Once `near` runs dry, `cur` moves to
-//! the earliest non-empty ring bucket (or, over an all-empty ring, to the
-//! earliest far event), that bucket is copied into `near`, and far events
-//! that came within the ring's span move into it. The bucket map is
-//! monotone, so an earlier bucket always holds strictly earlier times and
-//! equal times always share a bucket: `near` ordering by `(time, seq)`
-//! then reproduces the single heap's pop order exactly.
+//! A pop takes the earlier of `run`'s last event and `near`'s top. Once
+//! both run dry, `cur` moves to the earliest non-empty ring bucket (or,
+//! over an all-empty ring, to the earliest far event), that bucket and
+//! the far events in it are copied into `run` and sorted, and the other
+//! far events that came within the ring's span move into the ring. The
+//! bucket map is monotone, so an earlier bucket always holds strictly
+//! earlier times and equal times always share a bucket: merging `run`
+//! and `near` by `(time, seq)` then reproduces the single heap's pop
+//! order exactly. Most events are popped from `run`, for one sort per
+//! bucket instead of a heap sift per event; `near` only takes pushes
+//! behind the clock, such as a rushing adversary's, at O(log) each.
 //!
 //! Both constants come from the model, and neither is a tuning knob:
 //! message delays lie in `(0, 1]`, so almost every event lands within 256
@@ -87,7 +93,10 @@ impl<K> Ord for Event<K> {
 
 /// The pending events of one execution, popped in `(time, seq)` order.
 pub(crate) struct EventQueue<K> {
-    /// Every event in a bucket `≤ cur`, heap-ordered.
+    /// The events of bucket `cur` pending when it was reached, sorted
+    /// latest first, so the earliest is popped off the end.
+    run: Vec<Event<K>>,
+    /// Every event pushed into a bucket `≤ cur` since, heap-ordered.
     near: BinaryHeap<Event<K>>,
     /// Slot `slot(b)` holds the events of bucket `b`, for
     /// `cur < b < cur + RING`.
@@ -105,6 +114,7 @@ pub(crate) struct EventQueue<K> {
 impl<K> Default for EventQueue<K> {
     fn default() -> Self {
         EventQueue {
+            run: Vec::new(),
             near: BinaryHeap::new(),
             ring: (0..RING).map(|_| Vec::new()).collect(),
             ring_len: 0,
@@ -137,25 +147,40 @@ impl<K> EventQueue<K> {
 
     /// Removes and returns the earliest event (ties by push order).
     pub(crate) fn pop(&mut self) -> Option<Event<K>> {
-        if self.near.is_empty() && !self.advance() {
+        if self.run.is_empty() && self.near.is_empty() && !self.advance() {
             return None;
         }
-        self.near.pop()
+        // `Event`'s order is reversed: the greater event is the earlier.
+        match (self.run.last(), self.near.peek()) {
+            (Some(run), Some(near)) if near > run => self.near.pop(),
+            (Some(_), _) => self.run.pop(),
+            (None, _) => self.near.pop(),
+        }
     }
 
     /// Pending events.
     pub(crate) fn len(&self) -> usize {
-        self.near.len() + self.ring_len + self.far.len()
+        self.run.len() + self.near.len() + self.ring_len + self.far.len()
     }
 
     /// Whether no event is pending.
     pub(crate) fn is_empty(&self) -> bool {
-        self.near.is_empty() && self.ring_len == 0 && self.far.is_empty()
+        self.run.is_empty() && self.near.is_empty() && self.ring_len == 0 && self.far.is_empty()
+    }
+
+    /// Bytes of event storage held, counting retained capacity: `run`,
+    /// `near`, `far`, every ring slot and the ring's spine.
+    pub(crate) fn resident_bytes(&self) -> u64 {
+        let slots: usize = self.ring.iter().map(Vec::capacity).sum();
+        let events = self.run.capacity() + self.near.capacity() + self.far.capacity() + slots;
+        let spine = self.ring.capacity() * std::mem::size_of::<Vec<Event<K>>>();
+        (events * std::mem::size_of::<Event<K>>() + spine) as u64
     }
 
     /// Drops every pending event and restarts `seq` and the clock at 0,
     /// keeping all storage for the next execution.
     pub(crate) fn clear(&mut self) {
+        self.run.clear();
         self.near.clear();
         if self.ring_len > 0 {
             self.ring.iter_mut().for_each(Vec::clear);
@@ -167,8 +192,8 @@ impl<K> EventQueue<K> {
     }
 
     /// Moves `cur` to the earliest non-empty bucket after it and fills
-    /// `near` from it; `false` if nothing is pending. Requires an empty
-    /// `near`.
+    /// `run` from it; `false` if nothing is pending. Requires empty `run`
+    /// and `near`.
     fn advance(&mut self) -> bool {
         let next = if self.ring_len > 0 {
             // Ring buckets all precede `cur + RING`, hence every far event.
@@ -184,12 +209,12 @@ impl<K> EventQueue<K> {
             return false;
         };
         self.cur = next;
-        // Copy, not swap: swapping the bucket's vector in as `near`'s
+        // Copy, not swap: swapping the bucket's vector in as `run`'s
         // storage would let every slot keep the largest capacity any slot
         // ever held.
         let bucket_events = &mut self.ring[slot(next)];
         self.ring_len -= bucket_events.len();
-        self.near.extend(bucket_events.drain(..));
+        self.run.append(bucket_events);
         // Far events never precede `cur` (they were at least `RING`
         // buckets past an earlier `cur`, or `cur` is the earliest of
         // them), so `b - cur` cannot underflow.
@@ -200,12 +225,14 @@ impl<K> EventQueue<K> {
             }
             let ev = self.far.pop().expect("peeked");
             if b == self.cur {
-                self.near.push(ev);
+                self.run.push(ev);
             } else {
                 self.ring[slot(b)].push(ev);
                 self.ring_len += 1;
             }
         }
+        // Ascending in the reversed order: the earliest event ends last.
+        self.run.sort_unstable();
         true
     }
 }

@@ -998,8 +998,10 @@ impl PortMap {
     /// touched since construction (or the previous reset): only the rows
     /// of nodes with at least one link are visited, each restored in
     /// O(degree) by chasing displacement cycles of the partitioned
-    /// permutations. Repeated trials over one map therefore pay the
-    /// construction cost once and O(links) per trial.
+    /// permutations. The dense store rewrites a row whole instead once its
+    /// degree reaches a sixteenth of the row, which is still O(degree).
+    /// Repeated trials over one map therefore pay the construction cost
+    /// once and O(links) per trial.
     ///
     /// Afterwards the map is observationally identical to a freshly
     /// constructed one: the same sequence of resolver choices (and RNG

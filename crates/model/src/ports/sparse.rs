@@ -491,8 +491,8 @@ impl PortStore for SparseStore {
             }
             self.degree[u] = 0;
             // Chase displacement cycles from the prefix (see the dense
-            // backend's reset for the argument that this restores the
-            // whole row): each swap returns one value to its base slot,
+            // backend's `chase_row` for the argument that this restores
+            // the whole row): each swap returns one value to its base slot,
             // shrinking the override maps until they are empty for u.
             for k in 0..d {
                 loop {

@@ -2,8 +2,9 @@
 //! packed `u64` keys.
 //!
 //! The sparse port-map backend stores six maps keyed by packed
-//! `(node << 32) | index` coordinates, and the async engine's FIFO floors
-//! use `src·n + dst` keys — small integers the caller fully controls. The
+//! `(node << 32) | index` coordinates, the async engine's FIFO floors
+//! use `src·n + dst` keys, and `rng::sample_distinct` keys the positions
+//! its shuffle displaced — small integers the caller fully controls. The
 //! std `HashMap` (even with a splitmix hasher) pays for generality this
 //! workload never uses: SIMD control bytes, tombstone bookkeeping, and a
 //! layout that keeps keys and values in separate groups. [`OpenTable`] is
@@ -33,7 +34,8 @@
 //!
 //! The all-ones key `u64::MAX` is reserved as the empty-slot sentinel.
 //! Every producer in this workspace packs a node index below `u32::MAX`
-//! into the high half (or a product `src·n + dst < n² ≪ 2⁶⁴`), so the
+//! into the high half (or a product `src·n + dst < n² ≪ 2⁶⁴`, or a
+//! shuffle position below a universe of at most `usize::MAX`), so the
 //! sentinel can never collide with a real key; `insert` debug-asserts it.
 
 /// Reserved empty-slot marker (see the module docs for why no real key can
@@ -76,6 +78,27 @@ impl<V: Copy + Default> OpenTable<V> {
             len: 0,
             high_water: 0,
             grows: 0,
+        }
+    }
+
+    /// Creates an empty table whose slab is allocated up front to hold
+    /// `entries` entries within the ≤ 1/2 load factor, so the first
+    /// `entries` inserts never grow it (nothing is allocated for zero).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use clique_model::ports::OpenTable;
+    /// let mut t = OpenTable::with_capacity(100);
+    /// for k in 0..100u64 {
+    ///     t.insert(k, k);
+    /// }
+    /// assert_eq!(t.growth_count(), 0);
+    /// ```
+    pub fn with_capacity(entries: usize) -> Self {
+        OpenTable {
+            slots: Self::fresh_slab(Self::capacity_for(entries)),
+            ..OpenTable::new()
         }
     }
 
@@ -419,6 +442,22 @@ mod tests {
         }
         // Removing entries frees nothing: the slab is retained.
         assert_eq!(t.resident_bytes(), at_peak);
+    }
+
+    #[test]
+    fn with_capacity_fits_its_entries_without_growing() {
+        for entries in [0, 1, 7, 8, 9, 96, 1023, 1024] {
+            let mut t = OpenTable::with_capacity(entries);
+            assert_eq!(
+                t.resident_bytes(),
+                (OpenTable::<u64>::capacity_for(entries) * 16) as u64
+            );
+            for k in 0..entries as u64 {
+                t.insert(k * 7919, k);
+            }
+            assert_eq!(t.growth_count(), 0, "{entries} entries grew the slab");
+            assert_eq!(t.len(), entries);
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::ports::OpenTable;
+
 /// Creates a small, fast, deterministic RNG from a 64-bit seed.
 ///
 /// # Example
@@ -54,7 +56,11 @@ pub fn derive_seed(master: u64, stream: u64) -> u64 {
 /// materialising the universe (partial Fisher–Yates on a sparse map).
 ///
 /// The result is in sampling order (itself a uniform random `k`-permutation
-/// of a uniform random `k`-subset).
+/// of a uniform random `k`-subset). Step `i` makes one
+/// `gen_range(i..universe)` draw, so a call consumes exactly `k` draws.
+/// The displaced entries live in an [`OpenTable`] allocated up front for
+/// the at most `k` positions the shuffle touches, so the draw never
+/// rehashes and hashes with one multiply.
 ///
 /// # Panics
 ///
@@ -78,14 +84,17 @@ pub fn sample_distinct(rng: &mut impl Rng, universe: usize, k: usize) -> Vec<usi
         "cannot sample {k} distinct values from a universe of {universe}"
     );
     // Sparse Fisher–Yates: conceptually shuffle [0..universe) but only touch
-    // the first k positions; `moved` records displaced entries.
-    let mut moved: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+    // the first k positions; `moved` records displaced entries. Positions
+    // are below `universe ≤ usize::MAX`, so none is the table's reserved
+    // all-ones key.
+    let mut moved: OpenTable<u64> = OpenTable::with_capacity(k);
+    let at = |moved: &OpenTable<u64>, pos: usize| moved.get(pos as u64).map_or(pos, |v| v as usize);
     let mut out = Vec::with_capacity(k);
     for i in 0..k {
         let j = rng.gen_range(i..universe);
-        let value_j = *moved.get(&j).unwrap_or(&j);
-        let value_i = *moved.get(&i).unwrap_or(&i);
-        moved.insert(j, value_i);
+        let value_j = at(&moved, j);
+        let value_i = at(&moved, i);
+        moved.insert(j as u64, value_i as u64);
         out.push(value_j);
     }
     out
@@ -167,6 +176,53 @@ mod tests {
                 (freq - 0.1).abs() < 0.02,
                 "frequency {freq} too far from 0.1"
             );
+        }
+    }
+
+    /// The `std` `HashMap` version `sample_distinct` replaced, kept as
+    /// the reference its output is pinned to.
+    fn sample_distinct_hashmap(rng: &mut impl Rng, universe: usize, k: usize) -> Vec<usize> {
+        let mut moved: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
+        let mut out = Vec::with_capacity(k);
+        for i in 0..k {
+            let j = rng.gen_range(i..universe);
+            let value_j = *moved.get(&j).unwrap_or(&j);
+            let value_i = *moved.get(&i).unwrap_or(&i);
+            moved.insert(j, value_i);
+            out.push(value_j);
+        }
+        out
+    }
+
+    #[test]
+    fn sample_distinct_matches_the_hashmap_reference() {
+        // Same output and same RNG position afterwards: every caller (ID
+        // assignment, wake sets, Algorithm 2's port draws, crash victims)
+        // sees the stream it saw before.
+        let grid = [
+            (1, 0),
+            (1, 1),
+            (10, 10),
+            (1023, 96),
+            (1023, 1023),
+            (21504, 1024),
+            (1 << 40, 500),
+        ];
+        for seed in 0..6 {
+            for (universe, k) in grid {
+                let mut rng = rng_from_seed(seed);
+                let mut reference = rng_from_seed(seed);
+                assert_eq!(
+                    sample_distinct(&mut rng, universe, k),
+                    sample_distinct_hashmap(&mut reference, universe, k),
+                    "seed {seed}, {k} of {universe}"
+                );
+                assert_eq!(
+                    rng.gen::<u64>(),
+                    reference.gen::<u64>(),
+                    "seed {seed}, {k} of {universe}: RNG position moved"
+                );
+            }
         }
     }
 
