@@ -105,9 +105,11 @@ enum WireFate {
 /// Reusable simulation state for repeated asynchronous trials: the
 /// [`PortMap`], the per-link FIFO-floor storage (a flat `Θ(n²)` array on
 /// the dense backend, a hashed touched-links map on the sparse one), the
-/// event queue's storage (its sorted run, its near and far heaps and its
-/// per-bucket ring vectors, each keeping its capacity), the outbox, and
-/// the reliability protocol's per-link slab and key table.
+/// event queue's storage (its sorted run, its near and far heaps, each
+/// keeping its capacity, and the fixed-size chunks its ring buckets
+/// share through one free list), the outbox, and the reliability
+/// protocol's per-link slab and key table. Each store keeps what its
+/// largest trial held at once, so recycled trials do not grow the arena.
 ///
 /// A trial addresses each reliable link by its `u32` index in that slab,
 /// which the link's data, ack and timer events carry. Indices restart at
@@ -192,6 +194,10 @@ impl std::fmt::Debug for AsyncArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AsyncArena")
             .field("ports", &self.ports.as_ref().map(|p| p.n()))
+            .field(
+                "ports_bytes",
+                &self.ports.as_ref().map_or(0, PortMap::resident_bytes),
+            )
             .field("fifo_bytes", &self.fifo_front.resident_bytes())
             .field("link_busy_bytes", &self.link_busy.resident_bytes())
             .field("rel_bytes", &self.rel_bytes)
@@ -1117,12 +1123,12 @@ impl<N: AsyncNode> AsyncSim<N> {
         self.stats.faults.payloads += 1;
         if self.rel_cfg.is_some() {
             let link = self.rel.touch(ix(src), ix(dst.node), self.n);
-            let l = &mut self.rel[link];
-            if l.inflight.is_some() {
+            if self.rel[link].inflight.is_some() {
                 // Stop-and-wait: one unacknowledged payload per link; the
                 // rest wait in the backlog.
-                l.backlog.push_back((dst.port, msg));
+                self.rel.push_backlog(link, (dst.port, msg));
             } else {
+                let l = &mut self.rel[link];
                 l.next_seq += 1;
                 l.inflight = Some(Outstanding {
                     seq: l.next_seq,
@@ -1342,9 +1348,9 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// Clears reliable link `link`'s in-flight slot and starts the next
     /// backlog payload, if any.
     fn begin_next_payload(&mut self, link: u32) -> Result<(), ModelError> {
-        let l = &mut self.rel[link];
-        l.inflight = None;
-        if let Some((dst_port, msg)) = l.backlog.pop_front() {
+        self.rel[link].inflight = None;
+        if let Some((dst_port, msg)) = self.rel.pop_backlog(link) {
+            let l = &mut self.rel[link];
             l.next_seq += 1;
             l.inflight = Some(Outstanding {
                 seq: l.next_seq,
@@ -1470,7 +1476,7 @@ mod tests {
     #[test]
     fn events_stay_48_bytes() {
         // Every delivery, ack and timer is moved through the calendar
-        // queue's bucket vectors and heaps, so event size is paid per
+        // queue's bucket chunks and heaps, so event size is paid per
         // event, several times over. `u32` node, port and link fields and
         // the reliability events' slab index keep an event with a 16-byte
         // message (Algorithm 2's is one) at 48 bytes; a `usize` or a
@@ -2420,13 +2426,10 @@ mod tests {
         let map = arena.ports.as_ref().map_or(0, PortMap::resident_bytes);
         let floors = arena.fifo_front.resident_bytes() + arena.link_busy.resident_bytes();
         assert_eq!(arena.rel_bytes, 0);
-        // The ring's spine alone is 2048 vectors.
-        let spine = 2048 * std::mem::size_of::<Vec<()>>() as u64;
-        assert!(
-            arena.resident_bytes() > map + floors + spine,
-            "{arena:?}: {} B",
-            arena.resident_bytes()
-        );
+        assert_eq!(arena.resident_bytes(), map + floors + arena.queue_bytes);
+        // The ring's spine alone is 2048 chunk lists of two `u32`s; the
+        // trial's chunks and the outbox come on top.
+        assert!(arena.queue_bytes > 2048 * 8, "{arena:?}");
     }
 
     #[test]
@@ -2451,9 +2454,8 @@ mod tests {
                 .unwrap()
         };
         let first = run(&mut arena);
-        // The second trial's reset parks the first trial's entries in the
-        // recycling pool, which gains its spine capacity exactly once;
-        // from there the footprint must be a fixed point.
+        // From the second trial on, every store is at the high-water of
+        // identical trials: the footprint must be a fixed point.
         let warm = run(&mut arena);
         assert_eq!(full_fingerprint(&first), full_fingerprint(&warm));
         let settled = arena.resident_bytes();

@@ -30,15 +30,17 @@ impl Default for LinkTable {
 impl LinkTable {
     /// Returns a table for an `n`-node trial on the (resolved, concrete)
     /// `backend`, recycling the previous trial's storage when the variant
-    /// matches.
+    /// and, for a dense table, the size match. A dense table of another
+    /// size is reallocated, so a small trial never keeps a larger one's
+    /// `n²` slots.
     pub(crate) fn recycle(self, backend: PortBackend, n: usize) -> LinkTable {
+        // Checked even though the port map allocates first: at n ≥ 2³² the
+        // flat index arithmetic itself would wrap, so fail loudly rather
+        // than corrupt link state.
+        let dense_len = || n.checked_mul(n).expect("dense link index overflow");
         match (self, backend) {
-            (LinkTable::Dense(mut slots), PortBackend::Dense) => {
-                slots.clear();
-                // Checked even though the port map allocates first: at
-                // n ≥ 2³² the flat index arithmetic itself would wrap, so
-                // fail loudly rather than corrupt link state.
-                slots.resize(n.checked_mul(n).expect("dense link index overflow"), 0.0);
+            (LinkTable::Dense(mut slots), PortBackend::Dense) if slots.len() == dense_len() => {
+                slots.fill(0.0);
                 LinkTable::Dense(slots)
             }
             (LinkTable::Hashed(mut slots), PortBackend::Sparse) => {
@@ -46,12 +48,7 @@ impl LinkTable {
                 slots.end_trial();
                 LinkTable::Hashed(slots)
             }
-            (_, PortBackend::Dense) => {
-                LinkTable::Dense(vec![
-                    0.0;
-                    n.checked_mul(n).expect("dense link index overflow")
-                ])
-            }
+            (_, PortBackend::Dense) => LinkTable::Dense(vec![0.0; dense_len()]),
             (_, PortBackend::Sparse) => LinkTable::Hashed(OpenTable::new()),
             (_, PortBackend::Auto) => unreachable!("backend is resolved before recycling"),
         }
@@ -94,6 +91,15 @@ mod tests {
             LinkTable::Dense(v) => assert_eq!(v.capacity(), cap_before),
             LinkTable::Hashed(_) => unreachable!("dense recycle must stay dense"),
         }
+    }
+
+    #[test]
+    fn dense_recycle_at_a_smaller_n_releases_the_larger_table() {
+        let t = LinkTable::default().recycle(PortBackend::Dense, 512);
+        assert_eq!(t.resident_bytes(), 512 * 512 * 8);
+        let mut t = t.recycle(PortBackend::Dense, 64);
+        assert_eq!(t.resident_bytes(), 64 * 64 * 8);
+        assert_eq!(*t.slot_mut(64 * 64 - 1), 0.0);
     }
 
     #[test]

@@ -17,10 +17,19 @@
 //! timer events, and every handler indexes the slab directly. An index
 //! stays valid for the whole trial: the slab only grows until
 //! [`RelState::reset`].
+//!
+//! Reset clears the slab and keeps its capacity, so a recycled arena
+//! holds one slab sized for its largest trial. Backlogs live in a table
+//! beside the slab: a link gets one when a payload first has to wait, and
+//! its entry holds the backlog's `u32` index, which keeps an entry at 64
+//! bytes with a 16-byte message. Reset drops every backlog.
 
 use std::collections::VecDeque;
 
 use clique_model::ports::{OpenTable, Port};
+
+/// The backlog index of a link that has had no payload waiting.
+const NO_BACKLOG: u32 = u32::MAX;
 
 /// The single unacknowledged payload in flight on a directed link.
 pub(crate) struct Outstanding<M> {
@@ -46,8 +55,9 @@ pub(crate) struct RelLink<M> {
     pub(crate) next_seq: u32,
     /// The sender's unacknowledged in-flight payload.
     pub(crate) inflight: Option<Outstanding<M>>,
-    /// Payloads waiting for the link (stop-and-wait admits one at a time).
-    pub(crate) backlog: VecDeque<(Port, M)>,
+    /// The link's index in [`RelState`]'s backlog table, or `NO_BACKLOG`
+    /// until a payload first has to wait for the link.
+    backlog: u32,
     /// Highest sequence the receiver accepted on this link (duplicate
     /// suppression; gaps appear only when the sender abandoned a payload).
     pub(crate) delivered_hi: u32,
@@ -60,22 +70,15 @@ impl<M> RelLink<M> {
             dst,
             next_seq: 0,
             inflight: None,
-            backlog: VecDeque::new(),
+            backlog: NO_BACKLOG,
             delivered_hi: 0,
         }
-    }
-
-    fn scrub(&mut self) {
-        self.next_seq = 0;
-        self.inflight = None;
-        self.backlog.clear();
-        self.delivered_hi = 0;
     }
 }
 
 /// All touched-link protocol state of one execution, with storage that
-/// recycles across arena trials: cleared entries park in a pool and are
-/// reissued (backlog allocations intact) instead of reallocated.
+/// recycles across arena trials: the key table, the slab and the backlog
+/// table keep their capacity (see module docs).
 ///
 /// [`RelState::touch`] returns a link's `u32` slab index, and
 /// `rel[index]` reads its [`RelLink`]; only `touch` consults the key
@@ -85,8 +88,9 @@ pub(crate) struct RelState<M> {
     links: OpenTable<u32>,
     /// Touched links in insertion order.
     slab: Vec<RelLink<M>>,
-    /// Scrubbed entries awaiting reuse by a later trial.
-    pool: Vec<RelLink<M>>,
+    /// Payloads waiting for a link (stop-and-wait admits one at a time),
+    /// one queue per link that has had one waiting this trial.
+    backlogs: Vec<VecDeque<(Port, M)>>,
 }
 
 impl<M> Default for RelState<M> {
@@ -94,23 +98,20 @@ impl<M> Default for RelState<M> {
         RelState {
             links: OpenTable::new(),
             slab: Vec::new(),
-            pool: Vec::new(),
+            backlogs: Vec::new(),
         }
     }
 }
 
 impl<M> RelState<M> {
-    /// Clears all protocol state for a new trial, keeping the table,
-    /// slab, and backlog allocations (payloads are dropped).
+    /// Clears all protocol state for a new trial, keeping the key table's,
+    /// the slab's and the backlog table's capacity (payloads and backlog
+    /// buffers are dropped).
     pub(crate) fn reset(&mut self) {
         self.links.clear();
         self.links.end_trial();
-        // drain() keeps the slab's capacity; scrubbed entries keep their
-        // backlog capacity inside the pool.
-        for mut link in self.slab.drain(..) {
-            link.scrub();
-            self.pool.push(link);
-        }
+        self.slab.clear();
+        self.backlogs.clear();
     }
 
     /// The slab index of directed link `src → dst` in an `n`-node
@@ -122,10 +123,26 @@ impl<M> RelState<M> {
         }
         let idx = u32::try_from(self.slab.len()).expect("fewer than 2³² touched links");
         self.links.insert(key, idx);
-        let mut link = self.pool.pop().unwrap_or_else(|| RelLink::new(src, dst));
-        (link.src, link.dst) = (src, dst);
-        self.slab.push(link);
+        self.slab.push(RelLink::new(src, dst));
         idx
+    }
+
+    /// Queues `payload` behind the payload in flight on link `link`.
+    pub(crate) fn push_backlog(&mut self, link: u32, payload: (Port, M)) {
+        let l = &mut self.slab[link as usize];
+        if l.backlog == NO_BACKLOG {
+            l.backlog = u32::try_from(self.backlogs.len()).expect("fewer than 2³² backlogs");
+            self.backlogs.push(VecDeque::new());
+        }
+        self.backlogs[l.backlog as usize].push_back(payload);
+    }
+
+    /// Removes and returns the oldest payload waiting for link `link`.
+    pub(crate) fn pop_backlog(&mut self, link: u32) -> Option<(Port, M)> {
+        match self.slab[link as usize].backlog {
+            NO_BACKLOG => None,
+            b => self.backlogs[b as usize].pop_front(),
+        }
     }
 
     /// Touched links in insertion order (deterministic; see module docs).
@@ -134,19 +151,13 @@ impl<M> RelState<M> {
     }
 
     /// Estimated resident bytes of the protocol state: the key table, the
-    /// slab and pool entries, and every retained backlog buffer.
+    /// slab, the backlog table and every backlog buffer.
     pub(crate) fn resident_bytes(&self) -> u64 {
-        let entry = std::mem::size_of::<RelLink<M>>() as u64;
-        let backlog_slot = std::mem::size_of::<(Port, M)>() as u64;
-        let backlogs: u64 = self
-            .slab
-            .iter()
-            .chain(self.pool.iter())
-            .map(|l| l.backlog.capacity() as u64 * backlog_slot)
-            .sum();
-        self.links.resident_bytes()
-            + (self.slab.capacity() + self.pool.capacity()) as u64 * entry
-            + backlogs
+        let entries = self.slab.capacity() * std::mem::size_of::<RelLink<M>>();
+        let backlogs = self.backlogs.capacity() * std::mem::size_of::<VecDeque<(Port, M)>>();
+        let waiting: usize = self.backlogs.iter().map(VecDeque::capacity).sum();
+        let buffers = waiting * std::mem::size_of::<(Port, M)>();
+        self.links.resident_bytes() + (entries + backlogs + buffers) as u64
     }
 }
 
@@ -185,27 +196,40 @@ mod tests {
     }
 
     #[test]
-    fn reset_pools_entries_and_keeps_backlog_capacity() {
+    fn links_stay_64_bytes() {
+        // A slab entry per touched link: indexing the backlog table keeps
+        // an entry with a 16-byte message (as Algorithm 2's is) at 64
+        // bytes; an inline `VecDeque` makes it 88.
+        assert_eq!(std::mem::size_of::<RelLink<(u64, u64)>>(), 64);
+    }
+
+    #[test]
+    fn reset_clears_entries_and_drops_backlogs() {
         let mut rel: RelState<u32> = RelState::default();
         for src in 0..4 {
             let link = rel.touch(src, 0, 4);
-            rel[link].backlog.extend((0..16).map(|j| (Port(0), j)));
+            rel[link].next_seq = 5;
+            rel[link].delivered_hi = 3;
+            for j in 0..16 {
+                rel.push_backlog(link, (Port(0), j));
+            }
         }
+        assert_eq!(rel.pop_backlog(2).map(|(_, m)| m), Some(0), "FIFO");
         let bytes_before = rel.resident_bytes();
         rel.reset();
         assert_eq!(rel.iter().count(), 0);
-        // The pooled entries still hold their backlog buffers (the pool's
-        // own spine may add a little on top).
-        assert!(rel.resident_bytes() >= bytes_before);
-        // Reissued entries come back scrubbed, numbered from 0 again.
+        // The backlogs are freed; the slab and key table keep their
+        // capacity.
+        assert!(rel.resident_bytes() < bytes_before);
+        // New entries start scrubbed, numbered from 0 again.
         let link = rel.touch(2, 3, 4);
         assert_eq!(link, 0);
         let l = &rel[link];
         assert_eq!((l.src, l.dst), (2, 3));
         assert_eq!(l.next_seq, 0);
         assert!(l.inflight.is_none());
-        assert!(l.backlog.is_empty());
-        assert!(l.backlog.capacity() >= 16, "backlog buffer was reissued");
+        assert_eq!(l.backlog, NO_BACKLOG, "a new entry holds no backlog");
         assert_eq!(l.delivered_hi, 0);
+        assert!(rel.pop_backlog(link).is_none());
     }
 }

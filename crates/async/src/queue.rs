@@ -9,7 +9,7 @@
 //!   when it was reached, sorted once, latest first;
 //! * `near`, a small heap holding every event pushed into a bucket
 //!   already reached (`≤ cur`) after that;
-//! * a ring of per-bucket vectors over the next 8 time units
+//! * a ring of buckets over the next 8 time units
 //!   (`cur < b < cur + 2048`), unordered within a bucket;
 //! * `far`, a heap for anything later (late wake-ups, backed-off
 //!   retransmission timers).
@@ -31,6 +31,17 @@
 //! buckets of `cur`, and the 8-unit span also holds the default
 //! retransmission timeouts `2.5` and `5` (`rto · 2^k`). 256 is a power of
 //! two, so `t · 256` is exact and bucket edges fall exactly on `k/256`.
+//!
+//! A ring bucket stores its events in fixed chunks of [`CHUNK`] events:
+//! a list of full chunks ending in a tail chunk that pushes fill. All
+//! buckets share one free list of empty chunks. A push takes a chunk from
+//! the free list when the bucket's tail is full, and reaching a bucket
+//! appends its chunks to `run` and returns every one of them, tail
+//! included, to the free list. A drained bucket holds no storage, so the
+//! ring holds at most the events it held at once plus one partly filled
+//! tail per bucket, whichever buckets they fell in: a queue recycled
+//! across trials keeps its largest trial's live state instead of growing
+//! with every trial.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -39,6 +50,16 @@ use std::collections::BinaryHeap;
 const BUCKETS_PER_UNIT: f64 = 256.0;
 /// Buckets in the ring: the next 8 time units.
 const RING: u64 = 8 * 256;
+/// Events per ring chunk: 768 bytes at the engine's 48-byte events. A
+/// chunk costs a 32-byte header in the chunk table (4 % at 16 events, 17 %
+/// at 4) and one free-list step per 16 pushes. A bucket's partly filled
+/// tail wastes at most `CHUNK − 1` slots, so the ring holds at most
+/// `2048 · 15` events (1.4 MB) beyond its live ones, against the ~10 MB
+/// the queue holds for a congested 1024-node trial; chunks of 64 would
+/// allow 6 MB.
+const CHUNK: usize = 16;
+/// The end of a chunk list.
+const NIL: u32 = u32::MAX;
 
 /// The bucket of time `t`. The float-to-integer cast saturates: `+∞`, and
 /// any time past `2⁶⁴/256`, maps to `u64::MAX`, so no bucket arithmetic
@@ -91,6 +112,28 @@ impl<K> Ord for Event<K> {
     }
 }
 
+/// Up to [`CHUNK`] events of one ring bucket, or a free chunk.
+struct Chunk<K> {
+    /// The events, in push order; allocated once at capacity `CHUNK`.
+    events: Vec<Event<K>>,
+    /// The next chunk of the same bucket, or of the free list.
+    next: u32,
+}
+
+/// A ring bucket's chunk list, first to tail; `NIL` ends when empty.
+#[derive(Clone, Copy)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        head: NIL,
+        tail: NIL,
+    };
+}
+
 /// The pending events of one execution, popped in `(time, seq)` order.
 pub(crate) struct EventQueue<K> {
     /// The events of bucket `cur` pending when it was reached, sorted
@@ -98,9 +141,13 @@ pub(crate) struct EventQueue<K> {
     run: Vec<Event<K>>,
     /// Every event pushed into a bucket `≤ cur` since, heap-ordered.
     near: BinaryHeap<Event<K>>,
-    /// Slot `slot(b)` holds the events of bucket `b`, for
+    /// Slot `slot(b)` lists the chunks of bucket `b`, for
     /// `cur < b < cur + RING`.
-    ring: Vec<Vec<Event<K>>>,
+    ring: Vec<Bucket>,
+    /// Every chunk ever allocated, in a bucket's list or the free list.
+    chunks: Vec<Chunk<K>>,
+    /// The first empty chunk, linked through `next`.
+    free: u32,
     /// Events held in `ring`.
     ring_len: usize,
     /// Every event in a bucket `≥ cur + RING`, heap-ordered.
@@ -116,7 +163,9 @@ impl<K> Default for EventQueue<K> {
         EventQueue {
             run: Vec::new(),
             near: BinaryHeap::new(),
-            ring: (0..RING).map(|_| Vec::new()).collect(),
+            ring: vec![Bucket::EMPTY; RING as usize],
+            chunks: Vec::new(),
+            free: NIL,
             ring_len: 0,
             far: BinaryHeap::new(),
             cur: 0,
@@ -138,8 +187,7 @@ impl<K> EventQueue<K> {
         if b <= self.cur {
             self.near.push(ev);
         } else if b - self.cur < RING {
-            self.ring[slot(b)].push(ev);
-            self.ring_len += 1;
+            self.push_ring(b, ev);
         } else {
             self.far.push(ev);
         }
@@ -169,26 +217,66 @@ impl<K> EventQueue<K> {
     }
 
     /// Bytes of event storage held, counting retained capacity: `run`,
-    /// `near`, `far`, every ring slot and the ring's spine.
+    /// `near`, `far`, every chunk, and the spines of the ring and the
+    /// chunk table.
     pub(crate) fn resident_bytes(&self) -> u64 {
-        let slots: usize = self.ring.iter().map(Vec::capacity).sum();
-        let events = self.run.capacity() + self.near.capacity() + self.far.capacity() + slots;
-        let spine = self.ring.capacity() * std::mem::size_of::<Vec<Event<K>>>();
+        let chunked: usize = self.chunks.iter().map(|c| c.events.capacity()).sum();
+        let events = self.run.capacity() + self.near.capacity() + self.far.capacity() + chunked;
+        let spine = self.ring.capacity() * std::mem::size_of::<Bucket>()
+            + self.chunks.capacity() * std::mem::size_of::<Chunk<K>>();
         (events * std::mem::size_of::<Event<K>>() + spine) as u64
     }
 
     /// Drops every pending event and restarts `seq` and the clock at 0,
-    /// keeping all storage for the next execution.
+    /// keeping all storage for the next execution, every chunk free.
     pub(crate) fn clear(&mut self) {
         self.run.clear();
         self.near.clear();
+        // An empty ring has every chunk on the free list already.
         if self.ring_len > 0 {
-            self.ring.iter_mut().for_each(Vec::clear);
+            self.ring.fill(Bucket::EMPTY);
             self.ring_len = 0;
+            let mut free = NIL;
+            for (c, chunk) in self.chunks.iter_mut().enumerate().rev() {
+                chunk.events.clear();
+                chunk.next = free;
+                free = c as u32;
+            }
+            self.free = free;
         }
         self.far.clear();
         self.cur = 0;
         self.seq = 0;
+    }
+
+    /// Appends `ev` to ring bucket `b`'s tail chunk, first linking a chunk
+    /// from the free list (or a new one) when the tail is full or absent.
+    fn push_ring(&mut self, b: u64, ev: Event<K>) {
+        let bucket = &mut self.ring[slot(b)];
+        let mut tail = bucket.tail;
+        if tail == NIL || self.chunks[tail as usize].events.len() == CHUNK {
+            let fresh = if self.free == NIL {
+                let c = u32::try_from(self.chunks.len()).expect("fewer than 2³² ring chunks");
+                self.chunks.push(Chunk {
+                    events: Vec::with_capacity(CHUNK),
+                    next: NIL,
+                });
+                c
+            } else {
+                let c = self.free;
+                self.free = std::mem::replace(&mut self.chunks[c as usize].next, NIL);
+                c
+            };
+            if tail == NIL {
+                bucket.head = fresh;
+            } else {
+                self.chunks[tail as usize].next = fresh;
+            }
+            bucket.tail = fresh;
+            tail = fresh;
+        }
+        self.chunks[tail as usize].events.push(ev);
+        self.ring_len += 1;
     }
 
     /// Moves `cur` to the earliest non-empty bucket after it and fills
@@ -199,7 +287,7 @@ impl<K> EventQueue<K> {
             // Ring buckets all precede `cur + RING`, hence every far event.
             // A ring event's bucket exceeds `cur`, so `b` cannot overflow.
             let mut b = self.cur + 1;
-            while self.ring[slot(b)].is_empty() {
+            while self.ring[slot(b)].head == NIL {
                 b += 1;
             }
             b
@@ -209,12 +297,20 @@ impl<K> EventQueue<K> {
             return false;
         };
         self.cur = next;
-        // Copy, not swap: swapping the bucket's vector in as `run`'s
-        // storage would let every slot keep the largest capacity any slot
-        // ever held.
-        let bucket_events = &mut self.ring[slot(next)];
-        self.ring_len -= bucket_events.len();
-        self.run.append(bucket_events);
+        // Copy each chunk's events into `run`, then hand the whole list,
+        // tail included, to the free list.
+        let Bucket { head, tail } = std::mem::replace(&mut self.ring[slot(next)], Bucket::EMPTY);
+        let mut c = head;
+        while c != NIL {
+            let chunk = &mut self.chunks[c as usize];
+            self.ring_len -= chunk.events.len();
+            self.run.append(&mut chunk.events);
+            c = chunk.next;
+        }
+        if head != NIL {
+            self.chunks[tail as usize].next = self.free;
+            self.free = head;
+        }
         // Far events never precede `cur` (they were at least `RING`
         // buckets past an earlier `cur`, or `cur` is the earliest of
         // them), so `b - cur` cannot underflow.
@@ -227,8 +323,7 @@ impl<K> EventQueue<K> {
             if b == self.cur {
                 self.run.push(ev);
             } else {
-                self.ring[slot(b)].push(ev);
-                self.ring_len += 1;
+                self.push_ring(b, ev);
             }
         }
         // Ascending in the reversed order: the earliest event ends last.
@@ -388,6 +483,43 @@ mod tests {
         q.push(f64::INFINITY, 4);
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.kind)).collect();
         assert_eq!(order, [3, 2, 4]);
+    }
+
+    #[test]
+    fn recycled_storage_stays_within_the_live_events() {
+        // Sixteen cycles on one queue, cleared between them as an arena
+        // clears it between trials. Each cycle pushes a burst of 64 events
+        // into each of 127 buckets, a different range of ring slots every
+        // time, so together the bursts cover the whole ring; then it drains
+        // the burst. Storage must stay within the peak live events (plus a
+        // quarter for partly filled chunks and `run`) and 64 KiB of spine,
+        // not grow to every slot's own high-water mark.
+        const PER_BUCKET: u64 = 64;
+        let mut q: EventQueue<u64> = EventQueue::default();
+        let mut peak = 0;
+        for cycle in 0..16u64 {
+            q.clear();
+            let first = cycle * 128 + 1;
+            for i in 0..PER_BUCKET {
+                for b in first..first + 127 {
+                    q.push((b as f64 + 0.5) / 256.0, i);
+                }
+            }
+            peak = peak.max(q.len());
+            let mut last = 0.0;
+            while let Some(ev) = q.pop() {
+                assert!(ev.time >= last, "cycle {cycle}: popped out of order");
+                last = ev.time;
+            }
+        }
+        assert_eq!(peak, 127 * PER_BUCKET as usize);
+        let live = peak * std::mem::size_of::<Event<u64>>();
+        let bound = (live + live / 4 + 64 * 1024) as u64;
+        assert!(
+            q.resident_bytes() <= bound,
+            "{} B held for {live} B of live events (bound {bound} B)",
+            q.resident_bytes()
+        );
     }
 
     #[test]

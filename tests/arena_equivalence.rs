@@ -9,16 +9,28 @@
 //! trials *and algorithms* — and compares full outcome fingerprints:
 //! rounds/time, total and per-round message counts, every node's decision,
 //! the awake set, the ID assignment, and the halt reason.
+//!
+//! Recycling must also keep an arena at the live state of its largest
+//! trial: asynchronous trials on one arena, fault-free and on a
+//! congested lossy network, must not grow its resident bytes. The
+//! `n = 1024` version of that check is ignored by default; CI runs it in
+//! release mode:
+//!
+//! ```sh
+//! cargo test --release --test arena_equivalence -- --ignored --nocapture
+//! ```
 
 use improved_le::algorithms::asynchronous::{afek_gafni as a_ag, tradeoff as a_tr};
 use improved_le::algorithms::sync::{
     afek_gafni, gossip_baseline, improved_tradeoff, las_vegas, small_id, sublinear_mc,
     two_round_adversarial,
 };
-use improved_le::asynchronous::{AsyncArena, AsyncSimBuilder, AsyncWakeSchedule};
+use improved_le::asynchronous::{
+    AsyncArena, AsyncSimBuilder, AsyncWakeSchedule, NetworkConfig, Reliability,
+};
 use improved_le::model::ids::IdSpace;
 use improved_le::model::rng::rng_from_seed;
-use improved_le::model::{Decision, NodeIndex};
+use improved_le::model::{Decision, NodeIndex, PortBackend};
 use improved_le::sync::{Outcome, SyncArena, SyncSimBuilder, WakeSchedule};
 
 const N: usize = 48;
@@ -307,4 +319,70 @@ fn golden_fingerprint_holds_through_recycling() {
             "recycled run broke the golden fingerprint at n = {n}"
         );
     }
+}
+
+/// `exp_congestion`'s congested-loss network: 8 messages per time unit
+/// per link, 8 queued, 5 % loss, stop-and-wait retransmission.
+fn congested_loss() -> NetworkConfig {
+    NetworkConfig::new()
+        .link_rate(8.0)
+        .queue_cap(8)
+        .loss(0.05)
+        .reliable(Reliability::default())
+}
+
+/// Runs Algorithm 2 (`k = 2`) at `n` for seeds `0..trials` on one arena
+/// and returns the arena's resident bytes after each trial.
+fn async_resident_per_trial(n: usize, trials: u64, network: Option<NetworkConfig>) -> Vec<u64> {
+    let mut arena = AsyncArena::new();
+    (0..trials)
+        .map(|seed| {
+            let builder = AsyncSimBuilder::new(n)
+                .seed(seed)
+                .backend(PortBackend::Auto)
+                .wake(AsyncWakeSchedule::single(NodeIndex(0)));
+            let builder = match network.clone() {
+                Some(net) => builder.network(net),
+                None => builder,
+            };
+            let outcome = builder
+                .build_in(&mut arena, |_, _| a_tr::Node::new(a_tr::Config::new(2)))
+                .unwrap()
+                .run_reusing(&mut arena)
+                .unwrap();
+            assert!(outcome.elects_despite_faults(), "seed {seed}: no election");
+            arena.resident_bytes()
+        })
+        .collect()
+}
+
+/// Asserts that the last trial left the arena within 10 % of its size
+/// after the second: the first trials size every store, and from there a
+/// recycled store keeps its largest trial's live state instead of growing
+/// with every trial.
+fn assert_arena_does_not_grow(label: &str, resident: &[u64]) {
+    let (second, last) = (resident[1], resident[resident.len() - 1]);
+    assert!(
+        last * 10 <= second * 11,
+        "{label}: recycled trials grew the arena from {second} to {last} B: {resident:?}"
+    );
+}
+
+#[test]
+fn recycled_async_arena_does_not_grow() {
+    let clean = async_resident_per_trial(256, 12, None);
+    assert_arena_does_not_grow("fault-free", &clean);
+    let lossy = async_resident_per_trial(256, 12, Some(congested_loss()));
+    assert_arena_does_not_grow("congested-loss", &lossy);
+}
+
+#[test]
+#[ignore = "large-n arena check: run explicitly (CI) in release mode"]
+fn recycled_async_arena_does_not_grow_at_n_1024() {
+    // perfbench's `async_lossy` workload: 1024 nodes on the congested-loss
+    // network, where the event queue and the reliability slab hold most
+    // of a trial's transient state.
+    let lossy = async_resident_per_trial(1024, 40, Some(congested_loss()));
+    println!("async_lossy arena, bytes after each trial: {lossy:?}");
+    assert_arena_does_not_grow("congested-loss, n = 1024", &lossy);
 }
