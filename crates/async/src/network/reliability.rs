@@ -131,7 +131,10 @@ impl<M> RelState<M> {
     pub(crate) fn push_backlog(&mut self, link: u32, payload: (Port, M)) {
         let l = &mut self.slab[link as usize];
         if l.backlog == NO_BACKLOG {
-            l.backlog = u32::try_from(self.backlogs.len()).expect("fewer than 2³² backlogs");
+            l.backlog = u32::try_from(self.backlogs.len())
+                .ok()
+                .filter(|&b| b != NO_BACKLOG)
+                .expect("fewer than 2³² − 1 backlogs");
             self.backlogs.push(VecDeque::new());
         }
         self.backlogs[l.backlog as usize].push_back(payload);

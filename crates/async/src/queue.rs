@@ -256,7 +256,10 @@ impl<K> EventQueue<K> {
         let mut tail = bucket.tail;
         if tail == NIL || self.chunks[tail as usize].events.len() == CHUNK {
             let fresh = if self.free == NIL {
-                let c = u32::try_from(self.chunks.len()).expect("fewer than 2³² ring chunks");
+                let c = u32::try_from(self.chunks.len())
+                    .ok()
+                    .filter(|&c| c != NIL)
+                    .expect("fewer than 2³² − 1 ring chunks");
                 self.chunks.push(Chunk {
                     events: Vec::with_capacity(CHUNK),
                     next: NIL,
