@@ -26,7 +26,7 @@
 //! bucket instead of a heap sift per event; `near` only takes pushes
 //! behind the clock, such as a rushing adversary's, at O(log) each.
 //!
-//! Both constants come from the model, and neither is a tuning knob:
+//! Both bucket constants come from the model, and neither is a tuning knob:
 //! message delays lie in `(0, 1]`, so almost every event lands within 256
 //! buckets of `cur`, and the 8-unit span also holds the default
 //! retransmission timeouts `2.5` and `5` (`rto · 2^k`). 256 is a power of
