@@ -32,16 +32,16 @@
 //! retransmission timeouts `2.5` and `5` (`rto · 2^k`). 256 is a power of
 //! two, so `t · 256` is exact and bucket edges fall exactly on `k/256`.
 //!
-//! A ring bucket stores its events in fixed chunks of [`CHUNK`] events:
-//! a list of full chunks ending in a tail chunk that pushes fill. All
-//! buckets share one free list of empty chunks. A push takes a chunk from
-//! the free list when the bucket's tail is full, and reaching a bucket
-//! appends its chunks to `run` and returns every one of them, tail
-//! included, to the free list. A drained bucket holds no storage, so the
-//! ring holds at most the events it held at once plus one partly filled
-//! tail per bucket, whichever buckets they fell in: a queue recycled
-//! across trials keeps its largest trial's live state instead of growing
-//! with every trial.
+//! A ring bucket stores its events in fixed chunks of [`CHUNK`] events,
+//! linked newest first: pushes fill the first chunk, and a full one gets
+//! a fresh chunk linked in front of it. All buckets share one free list of
+//! empty chunks, which supplies those fresh chunks. Reaching a bucket
+//! appends its chunks to `run` (the sort makes their order irrelevant) and
+//! returns every one of them to the free list. A drained bucket holds no
+//! storage, so the ring holds at most the events it held at once plus one
+//! partly filled chunk per bucket, whichever buckets they fell in: a queue
+//! recycled across trials keeps its largest trial's live state instead of
+//! growing with every trial.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -53,7 +53,7 @@ const RING: u64 = 8 * 256;
 /// Events per ring chunk: 768 bytes at the engine's 48-byte events. A
 /// chunk costs a 32-byte header in the chunk table (4 % at 16 events, 17 %
 /// at 4) and one free-list step per 16 pushes. A bucket's partly filled
-/// tail wastes at most `CHUNK − 1` slots, so the ring holds at most
+/// first chunk wastes at most `CHUNK − 1` slots, so the ring holds at most
 /// `2048 · 15` events (1.4 MB) beyond its live ones, against the ~10 MB
 /// the queue holds for a congested 1024-node trial; chunks of 64 would
 /// allow 6 MB.
@@ -120,20 +120,6 @@ struct Chunk<K> {
     next: u32,
 }
 
-/// A ring bucket's chunk list, first to tail; `NIL` ends when empty.
-#[derive(Clone, Copy)]
-struct Bucket {
-    head: u32,
-    tail: u32,
-}
-
-impl Bucket {
-    const EMPTY: Bucket = Bucket {
-        head: NIL,
-        tail: NIL,
-    };
-}
-
 /// The pending events of one execution, popped in `(time, seq)` order.
 pub(crate) struct EventQueue<K> {
     /// The events of bucket `cur` pending when it was reached, sorted
@@ -141,9 +127,9 @@ pub(crate) struct EventQueue<K> {
     run: Vec<Event<K>>,
     /// Every event pushed into a bucket `≤ cur` since, heap-ordered.
     near: BinaryHeap<Event<K>>,
-    /// Slot `slot(b)` lists the chunks of bucket `b`, for
-    /// `cur < b < cur + RING`.
-    ring: Vec<Bucket>,
+    /// Slot `slot(b)` is the newest chunk of bucket `b`, for
+    /// `cur < b < cur + RING`, or `NIL` while the bucket is empty.
+    ring: Vec<u32>,
     /// Every chunk ever allocated, in a bucket's list or the free list.
     chunks: Vec<Chunk<K>>,
     /// The first empty chunk, linked through `next`.
@@ -163,7 +149,7 @@ impl<K> Default for EventQueue<K> {
         EventQueue {
             run: Vec::new(),
             near: BinaryHeap::new(),
-            ring: vec![Bucket::EMPTY; RING as usize],
+            ring: vec![NIL; RING as usize],
             chunks: Vec::new(),
             free: NIL,
             ring_len: 0,
@@ -222,7 +208,7 @@ impl<K> EventQueue<K> {
     pub(crate) fn resident_bytes(&self) -> u64 {
         let chunked: usize = self.chunks.iter().map(|c| c.events.capacity()).sum();
         let events = self.run.capacity() + self.near.capacity() + self.far.capacity() + chunked;
-        let spine = self.ring.capacity() * std::mem::size_of::<Bucket>()
+        let spine = self.ring.capacity() * std::mem::size_of::<u32>()
             + self.chunks.capacity() * std::mem::size_of::<Chunk<K>>();
         (events * std::mem::size_of::<Event<K>>() + spine) as u64
     }
@@ -234,7 +220,7 @@ impl<K> EventQueue<K> {
         self.near.clear();
         // An empty ring has every chunk on the free list already.
         if self.ring_len > 0 {
-            self.ring.fill(Bucket::EMPTY);
+            self.ring.fill(NIL);
             self.ring_len = 0;
             let mut free = NIL;
             for (c, chunk) in self.chunks.iter_mut().enumerate().rev() {
@@ -249,12 +235,13 @@ impl<K> EventQueue<K> {
         self.seq = 0;
     }
 
-    /// Appends `ev` to ring bucket `b`'s tail chunk, first linking a chunk
-    /// from the free list (or a new one) when the tail is full or absent.
+    /// Appends `ev` to ring bucket `b`'s first chunk, first linking a
+    /// chunk from the free list (or a new one) in front when that chunk is
+    /// full or absent.
     fn push_ring(&mut self, b: u64, ev: Event<K>) {
-        let bucket = &mut self.ring[slot(b)];
-        let mut tail = bucket.tail;
-        if tail == NIL || self.chunks[tail as usize].events.len() == CHUNK {
+        let s = slot(b);
+        let mut head = self.ring[s];
+        if head == NIL || self.chunks[head as usize].events.len() == CHUNK {
             let fresh = if self.free == NIL {
                 let c = u32::try_from(self.chunks.len())
                     .ok()
@@ -262,23 +249,18 @@ impl<K> EventQueue<K> {
                     .expect("fewer than 2³² − 1 ring chunks");
                 self.chunks.push(Chunk {
                     events: Vec::with_capacity(CHUNK),
-                    next: NIL,
+                    next: head,
                 });
                 c
             } else {
                 let c = self.free;
-                self.free = std::mem::replace(&mut self.chunks[c as usize].next, NIL);
+                self.free = std::mem::replace(&mut self.chunks[c as usize].next, head);
                 c
             };
-            if tail == NIL {
-                bucket.head = fresh;
-            } else {
-                self.chunks[tail as usize].next = fresh;
-            }
-            bucket.tail = fresh;
-            tail = fresh;
+            self.ring[s] = fresh;
+            head = fresh;
         }
-        self.chunks[tail as usize].events.push(ev);
+        self.chunks[head as usize].events.push(ev);
         self.ring_len += 1;
     }
 
@@ -290,7 +272,7 @@ impl<K> EventQueue<K> {
             // Ring buckets all precede `cur + RING`, hence every far event.
             // A ring event's bucket exceeds `cur`, so `b` cannot overflow.
             let mut b = self.cur + 1;
-            while self.ring[slot(b)].head == NIL {
+            while self.ring[slot(b)] == NIL {
                 b += 1;
             }
             b
@@ -300,19 +282,16 @@ impl<K> EventQueue<K> {
             return false;
         };
         self.cur = next;
-        // Copy each chunk's events into `run`, then hand the whole list,
-        // tail included, to the free list.
-        let Bucket { head, tail } = std::mem::replace(&mut self.ring[slot(next)], Bucket::EMPTY);
-        let mut c = head;
+        // Copy each chunk's events into `run` and hand the emptied chunk
+        // to the free list.
+        let mut c = std::mem::replace(&mut self.ring[slot(next)], NIL);
         while c != NIL {
             let chunk = &mut self.chunks[c as usize];
             self.ring_len -= chunk.events.len();
             self.run.append(&mut chunk.events);
-            c = chunk.next;
-        }
-        if head != NIL {
-            self.chunks[tail as usize].next = self.free;
-            self.free = head;
+            let rest = std::mem::replace(&mut chunk.next, self.free);
+            self.free = c;
+            c = rest;
         }
         // Far events never precede `cur` (they were at least `RING`
         // buckets past an earlier `cur`, or `cur` is the earliest of
