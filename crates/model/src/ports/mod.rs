@@ -1535,6 +1535,31 @@ mod tests {
         // splitmix64 key schedule), n = 17, seed 0.
         const EXPECTED: [usize; 8] = [15, 11, 9, 2, 7, 14, 6, 10];
         assert_eq!(seq, EXPECTED, "sparse RandomResolver schedule drifted");
+
+        // The peers above read neither the port permutations nor the
+        // skip-`u` mapping of any node but 0. Pin every endpoint, peer
+        // *and* port, of four ports per node at n = 1031, over two trials
+        // with a reset between them.
+        let n = 1031;
+        let mut map = sparse_map(n);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for trial in 0..2 {
+            let mut rng = rng_from_seed(trial);
+            for (u, p) in (0..n).flat_map(|u| (0..4).map(move |p| (u, p))) {
+                let e = map
+                    .resolve(NodeIndex(u), Port(p), &mut resolver, &mut rng)
+                    .unwrap();
+                let word = ((e.node.0 as u64) << 32) | e.port.0 as u64;
+                hash = (hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            map.validate().unwrap();
+            map.reset();
+        }
+        // Recorded on the six-table sparse store (cycle-chasing reset).
+        assert_eq!(
+            hash, 0x4efd_ee43_8acf_e108,
+            "sparse RandomResolver endpoints drifted"
+        );
     }
 
     #[test]
