@@ -7,9 +7,14 @@
 //! the fitted message exponent stays near 1 (times a log factor), and
 //! correctness holds in every run (the algorithm is deterministic given
 //! the delays).
+//!
+//! Under `LE_CRASH` a crashed node cannot decide, so a trial is not
+//! validated but counted: the run prints how many trials still elected
+//! one leader with every live, awake node decided.
 
 use clique_async::{
-    AsyncArena, AsyncSimBuilder, AsyncWakeSchedule, ConstDelay, DelayStrategy, UniformDelay,
+    AsyncArena, AsyncSimBuilder, AsyncWakeSchedule, ConstDelay, DelayStrategy, NetworkConfig,
+    UniformDelay,
 };
 use le_analysis::regression::{fit_linear, fit_power_law};
 use le_analysis::stats::Summary;
@@ -19,12 +24,18 @@ use le_bench::{seeds, sweep, SweepRunner};
 use le_bounds::formulas;
 use leader_election::asynchronous::afek_gafni::Node;
 
+/// Whether the environment's network schedules crash faults.
+fn crash_faults() -> bool {
+    NetworkConfig::from_env().is_some_and(|net| !net.fault_plan().is_empty())
+}
+
+/// Messages, time, and whether the trial elected despite any crashes.
 fn measure(
     n: usize,
     seed: u64,
     delays: Box<dyn DelayStrategy>,
     arena: &mut AsyncArena,
-) -> (u64, f64) {
+) -> (u64, f64, bool) {
     let outcome = AsyncSimBuilder::new(n)
         .seed(seed)
         .wake(AsyncWakeSchedule::simultaneous(n))
@@ -33,10 +44,17 @@ fn measure(
         .expect("valid configuration")
         .run_reusing(arena)
         .expect("no resolver faults");
+    if crash_faults() {
+        return (
+            outcome.stats.total(),
+            outcome.time,
+            outcome.elects_despite_faults(),
+        );
+    }
     outcome
         .validate_implicit()
         .expect("the asynchronized Afek-Gafni algorithm never fails");
-    (outcome.stats.total(), outcome.time)
+    (outcome.stats.total(), outcome.time, true)
 }
 
 fn main() {
@@ -93,7 +111,8 @@ fn main() {
                 ];
                 let fit_points = (delay_name == "const(1)")
                     .then_some(((n as f64, msgs.mean), (formulas::log2(n), time.mean)));
-                (row, fit_points)
+                let elected = runs.iter().filter(|r| r.2).count();
+                (row, fit_points, (elected, runs.len()))
             }));
         }
     }
@@ -114,10 +133,13 @@ fn main() {
     let mut msg_points = Vec::new();
     let mut time_points = Vec::new();
     let mut restored = 0;
+    let (mut elected, mut trials) = (0, 0);
     for handle in handles {
         match runner.wait(handle) {
-            Some((row, fit_points)) => {
+            Some((row, fit_points, (cell_elected, cell_trials))) => {
                 table.add_row(row);
+                elected += cell_elected;
+                trials += cell_trials;
                 if let Some((msg_point, time_point)) = fit_points {
                     msg_points.push(msg_point);
                     time_points.push(time_point);
@@ -127,6 +149,12 @@ fn main() {
         }
     }
     println!("{table}");
+    if crash_faults() {
+        println!(
+            "Crash faults: {elected} of {trials} trials elected one leader with every live, \
+             awake node decided"
+        );
+    }
     if restored > 0 {
         println!(
             "({restored} row(s) restored from a checkpointed run; see the CSV — fits skipped)"

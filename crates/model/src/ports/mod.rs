@@ -64,11 +64,15 @@
 //! Construction cost is paid once per *map*, not once per *trial*:
 //! [`PortMap::reset`] returns a used map to the exact state construction
 //! produces, in time proportional to the state the previous trial actually
-//! touched (a dirty-node list records which rows have links; each dirty row
-//! is restored by swapping its partitioned permutations back to canonical
-//! order — no reallocation, no full-table sweep — on *both* backends). A
-//! reset map is observationally identical to a fresh one: the same
-//! resolver draws from the same RNG state produce the same mapping.
+//! touched. A dirty-node list records which rows have links. The dense and
+//! graph stores restore each dirty row by swapping its partitioned
+//! permutations back to canonical order, with no reallocation and no
+//! full-table sweep. The sparse store zeroes the dirty degrees and clears
+//! its hashed tables, since an empty override table *is* the base
+//! permutation; its tables shrink when a trial leaves them ≥ 8× oversized,
+//! so the clear is O(touched) amortized. A reset map is observationally
+//! identical to a fresh one: the same resolver draws from the same RNG
+//! state produce the same mapping.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -127,7 +131,8 @@ impl std::fmt::Display for Endpoint {
 /// The uniform storage interface both backends implement.
 ///
 /// [`PortMap`] validates every mutation (bounds, bijectivity, resolver
-/// sanity) before it reaches the store, so implementations only maintain
+/// sanity) and the range of every read before it reaches the store, so
+/// implementations only maintain
 /// the representation: the partitioned peer/port permutations whose first
 /// `degree(u)` positions are the connected prefix, plus whatever link
 /// tables the backend keeps beside them (dense keeps none).
@@ -156,7 +161,8 @@ trait PortStore {
     fn port_at_pos(&self, u: NodeIndex, k: usize) -> Port;
     /// Fixes the (pre-validated) link `(u, pu) ↔ (v, pv)`.
     fn insert_link(&mut self, u: NodeIndex, pu: Port, v: NodeIndex, pv: Port);
-    /// Returns the store to its pristine state in O(touched-state).
+    /// Returns the store to its pristine state in O(touched state),
+    /// amortized on sparse (which clears its tables).
     fn reset(&mut self);
     /// Exhaustively checks representation invariants (test helper).
     fn validate(&self) -> Result<(), ModelError>;
@@ -387,7 +393,8 @@ impl<'a> PortView<'a> {
         self.map.n()
     }
 
-    /// Whether a link between `u` and `v` has already been fixed.
+    /// Whether a link between `u` and `v` has already been fixed (`false`
+    /// when either node is out of range).
     pub fn is_connected(&self, u: NodeIndex, v: NodeIndex) -> bool {
         self.map.connected(u, v)
     }
@@ -397,7 +404,8 @@ impl<'a> PortView<'a> {
         self.map.degree(u)
     }
 
-    /// Whether port `p` of node `u` has already been mapped.
+    /// Whether port `p` of node `u` has already been mapped (`false` when
+    /// `u` or `p` is out of range).
     pub fn is_port_assigned(&self, u: NodeIndex, p: Port) -> bool {
         self.map.peer(u, p).is_some()
     }
@@ -816,21 +824,32 @@ impl PortMap {
         with_store!(self, s => s.degree(u))
     }
 
-    /// Whether `u` and `v` are already connected by a fixed link.
+    /// Whether `u` and `v` are already connected by a fixed link (`false`
+    /// when either node is out of range).
     #[inline]
     pub fn connected(&self, u: NodeIndex, v: NodeIndex) -> bool {
-        with_store!(self, s => s.connected(u, v))
+        let n = self.n();
+        u.0 < n && v.0 < n && with_store!(self, s => s.connected(u, v))
     }
 
-    /// The endpoint reached from `u`'s port `p`, if that port is assigned.
+    /// The endpoint reached from `u`'s port `p`, if that port is assigned
+    /// (`None` when `u` or `p` is out of range).
     #[inline]
     pub fn peer(&self, u: NodeIndex, p: Port) -> Option<Endpoint> {
+        if u.0 >= self.n() || p.0 >= self.ports_of(u) {
+            return None;
+        }
         with_store!(self, s => s.peer(u, p))
     }
 
-    /// The port of `u` that connects to `v`, if such a link is fixed.
+    /// The port of `u` that connects to `v`, if such a link is fixed
+    /// (`None` when either node is out of range).
     #[inline]
     pub fn port_to(&self, u: NodeIndex, v: NodeIndex) -> Option<Port> {
+        let n = self.n();
+        if u.0 >= n || v.0 >= n {
+            return None;
+        }
         with_store!(self, s => s.port_to(u, v))
     }
 
@@ -880,7 +899,8 @@ impl PortMap {
                 ports_per_node: self.ports_of(u),
             });
         }
-        if let Some(dest) = self.peer(u, port) {
+        // Ranges are checked above, so the store is asked directly.
+        if let Some(dest) = with_store!(self, s => s.peer(u, port)) {
             return Ok(dest);
         }
         let v = resolver.choose_peer(self.view(), u, port, rng);
@@ -905,7 +925,7 @@ impl PortMap {
                 reason: "resolver chose a peer outside the topology",
             });
         }
-        if self.connected(u, v) {
+        if with_store!(self, s => s.connected(u, v)) {
             return Err(ModelError::InvalidResolution {
                 node: u,
                 port,
@@ -920,7 +940,7 @@ impl PortMap {
                 reason: "resolver chose an out-of-range peer port",
             });
         }
-        if self.peer(v, j).is_some() {
+        if with_store!(self, s => s.peer(v, j)).is_some() {
             return Err(ModelError::InvalidResolution {
                 node: u,
                 port,
@@ -992,16 +1012,19 @@ impl PortMap {
     }
 
     /// Un-connects everything, returning the map to the exact state
-    /// construction produces — without reallocating any table.
+    /// construction produces.
     ///
-    /// On *both* backends the cost is proportional to the state actually
-    /// touched since construction (or the previous reset): only the rows
-    /// of nodes with at least one link are visited, each restored in
-    /// O(degree) by chasing displacement cycles of the partitioned
-    /// permutations. The dense store rewrites a row whole instead once its
-    /// degree reaches a sixteenth of the row, which is still O(degree).
-    /// Repeated trials over one map therefore pay the construction cost
-    /// once and O(links) per trial.
+    /// The cost is proportional to the state actually touched since
+    /// construction (or the previous reset). The dense and graph stores
+    /// visit only the rows of nodes with at least one link and restore
+    /// each in O(degree) by chasing displacement cycles of the partitioned
+    /// permutations, reallocating nothing; dense rewrites a row whole
+    /// instead once its degree reaches a sixteenth of the row, which is
+    /// still O(degree). The sparse store zeroes those nodes' degrees and
+    /// clears its hashed tables, keeping each slab unless the trial left it
+    /// ≥ 8× oversized, which makes the clear O(links) amortized. Repeated
+    /// trials over one map therefore pay the construction cost once and
+    /// O(links) per trial.
     ///
     /// Afterwards the map is observationally identical to a freshly
     /// constructed one: the same sequence of resolver choices (and RNG
@@ -1761,6 +1784,34 @@ mod tests {
             }
         }
         assert_eq!(recycled, fresh);
+    }
+
+    #[test]
+    fn out_of_range_reads_are_false_or_none() {
+        let ring = Topology::ring(8).unwrap();
+        let maps = [
+            PortMap::with_backend(8, PortBackend::Dense).unwrap(),
+            sparse_map(8),
+            PortMap::for_topology(&ring, PortBackend::Sparse).unwrap(),
+        ];
+        for mut map in maps {
+            map.connect(NodeIndex(1), Port(0), NodeIndex(0), Port(0))
+                .unwrap();
+            let (u, past) = (NodeIndex(0), NodeIndex(8));
+            let past_port = Port(map.ports_of(u));
+            assert!(!map.connected(u, past) && !map.connected(past, u));
+            assert_eq!(map.peer(u, past_port), None);
+            assert_eq!(map.peer(past, Port(0)), None);
+            assert_eq!(map.port_to(u, past), None);
+            assert_eq!(map.port_to(past, u), None);
+            let view = map.view();
+            assert!(!view.is_connected(u, past));
+            assert!(!view.is_port_assigned(u, past_port));
+            assert!(!view.is_port_assigned(past, Port(0)));
+            // In-range reads still see the link.
+            assert!(view.is_connected(u, NodeIndex(1)));
+            assert_eq!(map.port_to(u, NodeIndex(1)), Some(Port(0)));
+        }
     }
 
     #[test]

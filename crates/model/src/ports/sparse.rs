@@ -4,41 +4,49 @@
 //! open-addressing hash table ([`OpenTable`]) holding only *touched*
 //! state, and each node's untouched peer/port permutations are represented
 //! implicitly by a keyed pseudo-random permutation ([`KeyedPerm`], a
-//! small-domain Feistel network with cycle-walking) evaluated on demand:
+//! small-domain Feistel network with cycle-walking) evaluated on demand.
+//! One type, [`SparsePerm`], holds a partitioned permutation for every
+//! node; the store keeps one for peers and one for ports:
 //!
-//! * the forward table and the peer→port index store one entry per fixed
-//!   half-link;
-//! * the partitioned permutations store only their *deviation* from the
-//!   node's base permutation — a position→value override and its inverse,
-//!   with entries removed the moment a slot returns to its base value, so
-//!   "untouched" is always represented by *absence*.
+//! * each stores only its *deviation* from the node's base permutation —
+//!   a position→value override and its inverse, with entries removed the
+//!   moment a slot returns to its base value, so "untouched" is always
+//!   represented by *absence*;
+//! * the peer permutation ranges over raw indices `0..n−1`, and the store
+//!   maps raw index `r` to node `r + [r ≥ u]`, skipping `u` itself.
 //!
 //! The partial-Fisher–Yates structure is identical to the dense backend's
 //! (the first `degree(u)` positions of each permutation are the connected
-//! prefix), so `RandomResolver` and `uniform_free_port` remain one uniform
+//! prefix, so `RandomResolver` and `uniform_free_port` remain one uniform
 //! indexed draw — O(1) expected per draw, with the base permutation
 //! evaluated in O(1) expected time and at most O(degree) override entries
-//! per node. Memory is O(n) fixed (the degree table) plus O(links) hashed
-//! entries, which is what reopens `n = 65536+`: there the dense tables
-//! would need 8 bytes per ordered node pair (32 GiB at `n = 65536`), and
-//! past 65536 nodes their `u16` entries run out.
+//! per node). As in the dense backend, fixing a link moves the peer and
+//! the local port to the same prefix position, so `connected` and
+//! `port_to` read the link off the permutations. Memory is O(n) fixed (the
+//! degree table) plus O(links) hashed entries, which is what reopens
+//! `n = 65536+`: there the dense tables would need 8 bytes per ordered
+//! node pair (32 GiB at `n = 65536`), and past 65536 nodes their `u16`
+//! entries run out.
 //!
 //! # The warm path
 //!
-//! Two structures close the gap to the dense backend's flat reads on
-//! recycled (warm) trials:
-//!
-//! * The six hashed tables are [`OpenTable`]s — one multiplicative hash,
-//!   linear probing over adjacent key/value pairs, backward-shift deletion
-//!   — instead of `std::HashMap`s, cutting the per-operation constant on
-//!   the insert/remove churn every promote performs.
-//! * Base-permutation evaluations are memoized in four direct-mapped
-//!   caches ([`RowCaches`]). A base permutation is a *pure function* of
-//!   `(n, node)`, so cached outputs are never invalidated — not by links,
-//!   not by [`PortStore::reset`] — and repeated draws along a node's hot
-//!   row skip the 4-round Feistel network entirely. The caches are
-//!   interior-mutable (`Cell`) so hits stay `&self`, and are excluded from
-//!   equality: they are a transparent view of pure computation, not state.
+//! * The five hashed tables (the forward table and the two override
+//!   tables of each permutation) are [`OpenTable`]s — one multiplicative
+//!   hash, linear probing over adjacent key/value pairs, backward-shift
+//!   deletion — instead of `std::HashMap`s, cutting the per-operation
+//!   constant on the insert/remove churn every promote performs.
+//! * Base-permutation evaluations are memoized in two direct-mapped caches
+//!   per permutation ([`PermCache`]). A base permutation is a *pure
+//!   function* of `(n, node)`, so cached outputs are never invalidated —
+//!   not by links, not by [`PortStore::reset`] — and repeated draws along
+//!   a node's hot row skip the 4-round Feistel network entirely. The
+//!   caches are interior-mutable (`Cell`) so hits stay `&self`, and are
+//!   excluded from equality: they are a transparent view of pure
+//!   computation, not state.
+//! * Reset clears the tables. An empty override table *is* the base
+//!   permutation, so no displacement cycle is chased back, and
+//!   [`OpenTable::end_trial`]'s shrink policy keeps the sequential clear
+//!   O(touched) amortized.
 //!
 //! The enumeration *order* of unconnected peers and free ports differs
 //! from the dense backend (keyed pseudo-random versus ascending), so
@@ -61,16 +69,17 @@ const PEER_STREAM: u64 = 0x7065_6572_7065_726d; // "peerperm"
 /// Key-stream tweak for the port permutations.
 const PORT_STREAM: u64 = 0x706f_7274_7065_726d; // "portperm"
 
-/// Packs a `(node, index)` coordinate into one map key.
+/// Packs a `(node, index)` coordinate into one map key (and an endpoint
+/// into a forward-table value).
 #[inline]
 fn key(u: usize, x: usize) -> u64 {
     ((u as u64) << 32) | x as u64
 }
 
-/// Packs an endpoint into a forward-table value.
+/// Splits a packed key back into its `(node, index)` halves.
 #[inline]
-fn enc(v: usize, p: usize) -> u64 {
-    ((v as u64) << 32) | p as u64
+fn unkey(k: u64) -> (usize, usize) {
+    ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize)
 }
 
 /// A direct-mapped memo cache for one base-permutation direction: slot
@@ -125,103 +134,179 @@ impl PermCache {
     }
 }
 
-/// The four memo caches: forward and inverse, peer and port permutations.
+/// One partitioned permutation of `0..m` per node, stored as its
+/// deviation from the node's keyed base permutation (see the module
+/// docs).
 #[derive(Debug, Clone)]
-struct RowCaches {
-    peer_fwd: PermCache,
-    peer_inv: PermCache,
-    port_fwd: PermCache,
-    port_inv: PermCache,
+struct SparsePerm {
+    /// Domain size, `n − 1` for both the peer and the port permutations.
+    m: usize,
+    /// Precomputed Feistel half-width for the domain `m`.
+    half_bits: u32,
+    /// Tweak that keys this permutation family apart from the other.
+    stream: u64,
+    /// `(u, k) → x` where position `k` of `u`'s permutation deviates from
+    /// the base permutation.
+    val: OpenTable<u32>,
+    /// Inverse overrides: `(u, x) → k`.
+    pos: OpenTable<u32>,
+    /// Memoized base permutation, forward and inverse — excluded from
+    /// equality and never invalidated.
+    fwd_memo: PermCache,
+    inv_memo: PermCache,
 }
 
-impl RowCaches {
-    fn new(n: usize) -> Self {
+/// Equal iff the overrides are: the memo caches are a view of pure
+/// computation (a warm recycled map would otherwise never equal a fresh
+/// one).
+impl PartialEq for SparsePerm {
+    fn eq(&self, other: &Self) -> bool {
+        self.val == other.val && self.pos == other.pos
+    }
+}
+
+impl Eq for SparsePerm {}
+
+impl SparsePerm {
+    fn new(m: usize, stream: u64) -> Self {
         // Scale with the network but stay bounded: ~4 slots per node keeps
         // the per-trial working set (promotes touch a handful of positions
         // per link) mostly resident, while the clamp caps the fixed
         // footprint at 2 MiB per direction even at n = 131072+ and keeps
         // tiny maps smaller than their dense twins.
-        let slots = (4 * n).next_power_of_two().clamp(64, 1 << 17);
-        RowCaches {
-            peer_fwd: PermCache::new(slots),
-            peer_inv: PermCache::new(slots),
-            port_fwd: PermCache::new(slots),
-            port_inv: PermCache::new(slots),
+        let slots = (4 * (m + 1)).next_power_of_two().clamp(64, 1 << 17);
+        SparsePerm {
+            m,
+            half_bits: KeyedPerm::half_bits_for(m),
+            stream,
+            val: OpenTable::new(),
+            pos: OpenTable::new(),
+            fwd_memo: PermCache::new(slots),
+            inv_memo: PermCache::new(slots),
         }
     }
 
-    fn resident_bytes(&self) -> u64 {
-        self.peer_fwd.resident_bytes()
-            + self.peer_inv.resident_bytes()
-            + self.port_fwd.resident_bytes()
-            + self.port_inv.resident_bytes()
+    /// Node `u`'s keyed base permutation.
+    #[inline]
+    fn base(&self, u: usize) -> KeyedPerm {
+        KeyedPerm::with_half_bits(self.m, self.half_bits, mix64(u as u64 ^ self.stream))
     }
 
-    /// Lifetime `(hits, misses)` summed over the four directions.
-    fn counter_totals(&self) -> (u64, u64) {
-        let caches = [
-            &self.peer_fwd,
-            &self.peer_inv,
-            &self.port_fwd,
-            &self.port_inv,
-        ];
-        (
-            caches.iter().map(|c| c.hits.get()).sum(),
-            caches.iter().map(|c| c.misses.get()).sum(),
-        )
+    /// The base value at position `k` of `u`'s permutation. Memoized — a
+    /// pure function of `(m, u, k)`.
+    #[inline]
+    fn base_at(&self, u: usize, k: usize) -> u32 {
+        self.fwd_memo
+            .get_or(key(u, k), || self.base(u).apply(k) as u32)
+    }
+
+    /// The base position of value `x` in `u`'s permutation. Memoized.
+    #[inline]
+    fn base_pos(&self, u: usize, x: usize) -> u32 {
+        self.inv_memo
+            .get_or(key(u, x), || self.base(u).invert(x) as u32)
+    }
+
+    /// The value at position `k`: the override if the slot was displaced,
+    /// the base permutation otherwise.
+    #[inline]
+    fn at(&self, u: usize, k: usize) -> u32 {
+        match self.val.get(key(u, k)) {
+            Some(x) => x,
+            None => self.base_at(u, k),
+        }
+    }
+
+    /// The position of value `x` in `u`'s permutation.
+    #[inline]
+    fn pos_of(&self, u: usize, x: usize) -> u32 {
+        match self.pos.get(key(u, x)) {
+            Some(k) => k,
+            None => self.base_pos(u, x),
+        }
+    }
+
+    /// Writes `table[key] = x`, removing the override instead when `x` is
+    /// the base value, so the tables hold only genuine deviations.
+    #[inline]
+    fn put(table: &mut OpenTable<u32>, key: u64, x: u32, base: u32) {
+        if x == base {
+            table.remove(key);
+        } else {
+            table.insert(key, x);
+        }
+    }
+
+    /// Swaps value `x` into position `d` of `u`'s permutation: one
+    /// partial-Fisher–Yates step, as the dense backend's, through the
+    /// override tables.
+    fn promote(&mut self, u: usize, x: usize, d: usize) {
+        let k = self.pos_of(u, x) as usize;
+        debug_assert!(k >= d, "promoting a value already in the prefix");
+        let y = self.at(u, d);
+        let (base_d, base_k) = (self.base_at(u, d), self.base_at(u, k));
+        Self::put(&mut self.val, key(u, d), x as u32, base_d);
+        Self::put(&mut self.val, key(u, k), y, base_k);
+        let (base_x, base_y) = (self.base_pos(u, x), self.base_pos(u, y as usize));
+        Self::put(&mut self.pos, key(u, x), d as u32, base_x);
+        Self::put(&mut self.pos, key(u, y as usize), k as u32, base_y);
+    }
+
+    /// Drops every override, returning each node to its base permutation,
+    /// and applies the tables' shrink-if-oversized policy. The memo caches
+    /// are deliberately *not* touched: their contents are pure function
+    /// outputs that stay valid across trials, which is where the recycled
+    /// warm path gets its Feistel hits from.
+    fn clear(&mut self) {
+        for table in [&mut self.val, &mut self.pos] {
+            table.clear();
+            table.end_trial();
+        }
+    }
+
+    /// The first override that merely restates its base value.
+    fn redundant_override(&self) -> Option<(usize, usize)> {
+        let val = self.val.iter().filter(|&(k, x)| {
+            let (u, i) = unkey(k);
+            self.base_at(u, i) == x
+        });
+        let pos = self.pos.iter().filter(|&(k, x)| {
+            let (u, i) = unkey(k);
+            self.base_pos(u, i) == x
+        });
+        val.chain(pos).next().map(|(k, _)| unkey(k))
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        self.val.resident_bytes()
+            + self.pos.resident_bytes()
+            + self.fwd_memo.resident_bytes()
+            + self.inv_memo.resident_bytes()
     }
 }
 
 /// The sparse storage backend (see the module docs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct SparseStore {
     n: usize,
-    /// Precomputed Feistel half-width for the shared domain `n − 1`.
-    half_bits: u32,
     /// Links incident to each node — the only Θ(n) table.
     degree: Vec<u32>,
     /// Total number of links fixed so far.
     links: usize,
     /// Nodes with at least one link (pushed on the 0 → 1 transition).
     dirty: Vec<u32>,
-    /// `(u, i) → (v << 32) | j` for each assigned port `i` of `u`.
+    /// `(u, i) → (v << 32) | j` for each assigned port `i` of `u`: the one
+    /// record of each link besides the permutations. `peer` could read it
+    /// off them too, but that takes four dependent hashed probes a call;
+    /// resolving 524 k already-fixed ports at `n = 65536` then took
+    /// 100–135 ms instead of ~20 ms.
     fwd: OpenTable<u64>,
-    /// `(u, v) → i` iff `u`'s port `i` connects to `v`.
-    by_peer: OpenTable<u32>,
-    /// Peer-permutation overrides: `(u, k) → v` where position `k` of
-    /// `u`'s peer permutation deviates from the base permutation.
-    peer_val: OpenTable<u32>,
-    /// Inverse overrides: `(u, v) → k`.
-    peer_pos: OpenTable<u32>,
-    /// Port-permutation overrides: `(u, k) → p`.
-    port_val: OpenTable<u32>,
-    /// Inverse overrides: `(u, p) → k`.
-    port_pos: OpenTable<u32>,
-    /// Pure-function memo caches — excluded from equality and never
-    /// invalidated (see the module docs).
-    cache: RowCaches,
+    /// Peer permutations over raw indices: raw `r` of node `u` is node
+    /// `r + [r ≥ u]`.
+    peers: SparsePerm,
+    /// Port permutations.
+    ports: SparsePerm,
 }
-
-/// Everything but the memo caches: two stores are equal iff they hold the
-/// same mapping in the same internal state. Cache contents are a view of
-/// pure computation and must not affect equality (a warm recycled map
-/// would otherwise never equal a fresh one).
-impl PartialEq for SparseStore {
-    fn eq(&self, other: &Self) -> bool {
-        self.n == other.n
-            && self.links == other.links
-            && self.degree == other.degree
-            && self.dirty == other.dirty
-            && self.fwd == other.fwd
-            && self.by_peer == other.by_peer
-            && self.peer_val == other.peer_val
-            && self.peer_pos == other.peer_pos
-            && self.port_val == other.port_val
-            && self.port_pos == other.port_pos
-    }
-}
-
-impl Eq for SparseStore {}
 
 impl SparseStore {
     /// Creates an empty sparse store for an `n`-node clique (`n ≥ 2`,
@@ -232,168 +317,19 @@ impl SparseStore {
         debug_assert!(n < u32::MAX as usize, "node indices must fit in u32");
         SparseStore {
             n,
-            half_bits: KeyedPerm::half_bits_for(n - 1),
             degree: vec![0; n],
             links: 0,
             dirty: Vec::new(),
             fwd: OpenTable::new(),
-            by_peer: OpenTable::new(),
-            peer_val: OpenTable::new(),
-            peer_pos: OpenTable::new(),
-            port_val: OpenTable::new(),
-            port_pos: OpenTable::new(),
-            cache: RowCaches::new(n),
+            peers: SparsePerm::new(n - 1, PEER_STREAM),
+            ports: SparsePerm::new(n - 1, PORT_STREAM),
         }
     }
 
-    /// Node `u`'s keyed base permutation over peer *positions*.
+    /// The position of peer `v ≠ u` in `u`'s peer permutation.
     #[inline]
-    fn peer_perm(&self, u: usize) -> KeyedPerm {
-        KeyedPerm::with_half_bits(self.n - 1, self.half_bits, mix64(u as u64 ^ PEER_STREAM))
-    }
-
-    /// Node `u`'s keyed base permutation over port *positions*.
-    #[inline]
-    fn port_perm(&self, u: usize) -> KeyedPerm {
-        KeyedPerm::with_half_bits(self.n - 1, self.half_bits, mix64(u as u64 ^ PORT_STREAM))
-    }
-
-    /// The base (untouched) peer at position `k` of `u`'s permutation: the
-    /// keyed permutation composed with the skip-`u` enumeration of peers.
-    /// Memoized — a pure function of `(n, u, k)`.
-    #[inline]
-    fn base_peer(&self, u: usize, k: usize) -> u32 {
-        self.cache.peer_fwd.get_or(key(u, k), || {
-            let v = self.peer_perm(u).apply(k);
-            (v + usize::from(v >= u)) as u32
-        })
-    }
-
-    /// The base position of peer `v` in `u`'s permutation. Memoized.
-    #[inline]
-    fn base_peer_pos(&self, u: usize, v: usize) -> u32 {
-        self.cache.peer_inv.get_or(key(u, v), || {
-            self.peer_perm(u).invert(v - usize::from(v > u)) as u32
-        })
-    }
-
-    /// The base (untouched) port at position `k` of `u`'s permutation.
-    /// Memoized.
-    #[inline]
-    fn base_port(&self, u: usize, k: usize) -> u32 {
-        self.cache
-            .port_fwd
-            .get_or(key(u, k), || self.port_perm(u).apply(k) as u32)
-    }
-
-    /// The base position of port `p` in `u`'s permutation. Memoized.
-    #[inline]
-    fn base_port_pos(&self, u: usize, p: usize) -> u32 {
-        self.cache
-            .port_inv
-            .get_or(key(u, p), || self.port_perm(u).invert(p) as u32)
-    }
-
-    /// The peer at position `k`: the override if the slot was displaced,
-    /// the base permutation otherwise.
-    #[inline]
-    fn peer_at(&self, u: usize, k: usize) -> u32 {
-        match self.peer_val.get(key(u, k)) {
-            Some(v) => v,
-            None => self.base_peer(u, k),
-        }
-    }
-
-    /// The position of peer `v` in `u`'s permutation.
-    #[inline]
-    fn pos_of_peer(&self, u: usize, v: usize) -> u32 {
-        match self.peer_pos.get(key(u, v)) {
-            Some(k) => k,
-            None => self.base_peer_pos(u, v),
-        }
-    }
-
-    /// The port at position `k`.
-    #[inline]
-    fn port_at(&self, u: usize, k: usize) -> u32 {
-        match self.port_val.get(key(u, k)) {
-            Some(p) => p,
-            None => self.base_port(u, k),
-        }
-    }
-
-    /// The position of port `p` in `u`'s permutation.
-    #[inline]
-    fn pos_of_port(&self, u: usize, p: usize) -> u32 {
-        match self.port_pos.get(key(u, p)) {
-            Some(k) => k,
-            None => self.base_port_pos(u, p),
-        }
-    }
-
-    /// Writes position `k` of `u`'s peer permutation, removing the
-    /// override when the slot returns to its base value so the maps hold
-    /// only genuine deviations.
-    #[inline]
-    fn set_peer_at(&mut self, u: usize, k: usize, v: u32) {
-        if self.base_peer(u, k) == v {
-            self.peer_val.remove(key(u, k));
-        } else {
-            self.peer_val.insert(key(u, k), v);
-        }
-    }
-
-    /// Inverse of [`SparseStore::set_peer_at`].
-    #[inline]
-    fn set_pos_of_peer(&mut self, u: usize, v: usize, k: u32) {
-        if self.base_peer_pos(u, v) == k {
-            self.peer_pos.remove(key(u, v));
-        } else {
-            self.peer_pos.insert(key(u, v), k);
-        }
-    }
-
-    /// Writes position `k` of `u`'s port permutation.
-    #[inline]
-    fn set_port_at(&mut self, u: usize, k: usize, p: u32) {
-        if self.base_port(u, k) == p {
-            self.port_val.remove(key(u, k));
-        } else {
-            self.port_val.insert(key(u, k), p);
-        }
-    }
-
-    /// Inverse of [`SparseStore::set_port_at`].
-    #[inline]
-    fn set_pos_of_port(&mut self, u: usize, p: usize, k: u32) {
-        if self.base_port_pos(u, p) == k {
-            self.port_pos.remove(key(u, p));
-        } else {
-            self.port_pos.insert(key(u, p), k);
-        }
-    }
-
-    /// Swaps peer `v` and port `p` into the connected prefix of `u`'s
-    /// partitioned permutations — the same two partial-Fisher–Yates steps
-    /// as the dense backend, through the override maps.
-    fn promote(&mut self, u: usize, v: usize, p: usize) {
-        let d = self.degree[u] as usize;
-
-        let k = self.pos_of_peer(u, v) as usize;
-        debug_assert!(k >= d, "promoting an already-connected peer");
-        let w = self.peer_at(u, d);
-        self.set_peer_at(u, d, v as u32);
-        self.set_peer_at(u, k, w);
-        self.set_pos_of_peer(u, v, d as u32);
-        self.set_pos_of_peer(u, w as usize, k as u32);
-
-        let kp = self.pos_of_port(u, p) as usize;
-        debug_assert!(kp >= d, "promoting an already-assigned port");
-        let q = self.port_at(u, d);
-        self.set_port_at(u, d, p as u32);
-        self.set_port_at(u, kp, q);
-        self.set_pos_of_port(u, p, d as u32);
-        self.set_pos_of_port(u, q as usize, kp as u32);
+    fn pos_of_peer(&self, u: usize, v: usize) -> usize {
+        self.peers.pos_of(u, v - usize::from(v > u)) as usize
     }
 }
 
@@ -427,112 +363,67 @@ impl PortStore for SparseStore {
 
     #[inline]
     fn connected(&self, u: NodeIndex, v: NodeIndex) -> bool {
-        self.by_peer.contains_key(key(u.0, v.0))
+        u != v && self.pos_of_peer(u.0, v.0) < self.degree[u.0] as usize
     }
 
     #[inline]
     fn peer(&self, u: NodeIndex, p: Port) -> Option<Endpoint> {
-        self.fwd.get(key(u.0, p.0)).map(|enc| Endpoint {
-            node: NodeIndex((enc >> 32) as usize),
-            port: Port((enc & 0xFFFF_FFFF) as usize),
+        self.fwd.get(key(u.0, p.0)).map(|e| {
+            let (v, j) = unkey(e);
+            Endpoint {
+                node: NodeIndex(v),
+                port: Port(j),
+            }
         })
     }
 
     #[inline]
     fn port_to(&self, u: NodeIndex, v: NodeIndex) -> Option<Port> {
-        self.by_peer.get(key(u.0, v.0)).map(|p| Port(p as usize))
+        if u == v {
+            return None;
+        }
+        let k = self.pos_of_peer(u.0, v.0);
+        (k < self.degree[u.0] as usize).then(|| self.port_at_pos(u, k))
     }
 
     #[inline]
     fn peer_at_pos(&self, u: NodeIndex, k: usize) -> NodeIndex {
-        NodeIndex(self.peer_at(u.0, k) as usize)
+        let r = self.peers.at(u.0, k) as usize;
+        NodeIndex(r + usize::from(r >= u.0))
     }
 
     #[inline]
     fn port_at_pos(&self, u: NodeIndex, k: usize) -> Port {
-        Port(self.port_at(u.0, k) as usize)
+        Port(self.ports.at(u.0, k) as usize)
     }
 
     fn insert_link(&mut self, u: NodeIndex, pu: Port, v: NodeIndex, pv: Port) {
         let (u, pu, v, pv) = (u.0, pu.0, v.0, pv.0);
-        if self.degree[u] == 0 {
-            self.dirty.push(u as u32);
+        for (a, pa, b, pb) in [(u, pu, v, pv), (v, pv, u, pu)] {
+            let d = self.degree[a] as usize;
+            if d == 0 {
+                self.dirty.push(a as u32);
+            }
+            self.fwd.insert(key(a, pa), key(b, pb));
+            self.peers.promote(a, b - usize::from(b > a), d);
+            self.ports.promote(a, pa, d);
+            self.degree[a] += 1;
         }
-        if self.degree[v] == 0 {
-            self.dirty.push(v as u32);
-        }
-        self.fwd.insert(key(u, pu), enc(v, pv));
-        self.fwd.insert(key(v, pv), enc(u, pu));
-        self.by_peer.insert(key(u, v), pu as u32);
-        self.by_peer.insert(key(v, u), pv as u32);
-        self.promote(u, v, pu);
-        self.promote(v, u, pv);
-        self.degree[u] += 1;
-        self.degree[v] += 1;
         self.links += 1;
     }
 
-    /// Un-connects everything in O(touched-state): only dirty rows are
-    /// visited, each restored in O(degree) by the same cycle-chasing walk
-    /// as the dense backend — every swap parks one entry at its *base*
-    /// position, which removes its overrides, so a fully reset store holds
-    /// no hashed entries at all and is `==` to a freshly constructed one.
+    /// Un-connects everything: zeroes the dirty nodes' degrees and clears
+    /// every table (see the module docs), which leaves the store `==` to a
+    /// freshly constructed one.
     fn reset(&mut self) {
         for u in std::mem::take(&mut self.dirty) {
-            let u = u as usize;
-            let d = self.degree[u] as usize;
-            // The connected peers and assigned ports are exactly the first
-            // d entries of the partitioned permutations.
-            for k in 0..d {
-                let v = self.peer_at(u, k);
-                self.by_peer.remove(key(u, v as usize));
-                let p = self.port_at(u, k);
-                self.fwd.remove(key(u, p as usize));
-            }
-            self.degree[u] = 0;
-            // Chase displacement cycles from the prefix (see the dense
-            // backend's `chase_row` for the argument that this restores
-            // the whole row): each swap returns one value to its base slot,
-            // shrinking the override maps until they are empty for u.
-            for k in 0..d {
-                loop {
-                    let v = self.peer_at(u, k) as usize;
-                    let home = self.base_peer_pos(u, v) as usize;
-                    if home == k {
-                        break;
-                    }
-                    let w = self.peer_at(u, home);
-                    self.set_peer_at(u, k, w);
-                    self.set_peer_at(u, home, v as u32);
-                    self.set_pos_of_peer(u, v, home as u32);
-                    self.set_pos_of_peer(u, w as usize, k as u32);
-                }
-                loop {
-                    let p = self.port_at(u, k) as usize;
-                    let home = self.base_port_pos(u, p) as usize;
-                    if home == k {
-                        break;
-                    }
-                    let q = self.port_at(u, home);
-                    self.set_port_at(u, k, q);
-                    self.set_port_at(u, home, p as u32);
-                    self.set_pos_of_port(u, p, home as u32);
-                    self.set_pos_of_port(u, q as usize, k as u32);
-                }
-            }
+            self.degree[u as usize] = 0;
         }
         self.links = 0;
-        // Apply the shrink-if-oversized policy to every (now empty) hashed
-        // table. The memo caches are deliberately *not* touched: their
-        // contents are pure function outputs that stay valid across
-        // trials, which is where the recycled warm path gets its Feistel
-        // hits from.
+        self.fwd.clear();
         self.fwd.end_trial();
-        self.by_peer.end_trial();
-        self.peer_val.end_trial();
-        self.peer_pos.end_trial();
-        self.port_val.end_trial();
-        self.port_pos.end_trial();
+        self.peers.clear();
+        self.ports.clear();
     }
 
     fn validate(&self) -> Result<(), ModelError> {
@@ -543,83 +434,49 @@ impl PortStore for SparseStore {
                 reason,
             })
         };
-        let ports = self.n - 1;
-        // Hashed-table bookkeeping: one entry per half-link in each table.
-        if self.fwd.len() != 2 * self.links || self.by_peer.len() != 2 * self.links {
+        let (n, ports) = (self.n, self.n - 1);
+        if self.fwd.len() != 2 * self.links {
             return fail(0, 0, "link count out of sync");
         }
+        // Each forward entry is in range, symmetric, and sits at one prefix
+        // position of both permutations; with a degree equal to the
+        // node's entry count, the prefix holds exactly the links.
+        let mut ends = vec![0u32; n];
         for (k, e) in self.fwd.iter() {
-            let (u, i) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
-            let (v, j) = ((e >> 32) as usize, (e & 0xFFFF_FFFF) as usize);
-            if u >= self.n || v >= self.n || i >= ports || j >= ports {
+            let ((u, i), (v, j)) = (unkey(k), unkey(e));
+            if u >= n || v >= n || i >= ports || j >= ports {
                 return fail(u, i, "forward entry out of range");
             }
             if v == u {
                 return fail(u, i, "self-link");
             }
-            if self.fwd.get(key(v, j)) != Some(enc(u, i)) {
+            if self.fwd.get(key(v, j)) != Some(key(u, i)) {
                 return fail(u, i, "asymmetric link");
             }
-            if self.by_peer.get(key(u, v)) != Some(i as u32) {
-                return fail(u, i, "peer index out of sync");
+            if self.port_to(NodeIndex(u), NodeIndex(v)) != Some(Port(i)) {
+                return fail(u, i, "forward entry and permutations disagree");
             }
+            ends[u] += 1;
+        }
+        if let Some(u) = (0..n).find(|&u| ends[u] != self.degree[u]) {
+            return fail(u, 0, "degree out of sync with forward table");
         }
         // Every override is a genuine deviation: the
         // remove-on-return-to-base discipline keeps "untouched" == absent.
-        for (k, v) in self.peer_val.iter() {
-            let (u, pos) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
-            if self.base_peer(u, pos) == v {
-                return fail(u, 0, "redundant peer override");
+        for perm in [&self.peers, &self.ports] {
+            if let Some((u, x)) = perm.redundant_override() {
+                return fail(u, x, "redundant override");
             }
         }
-        for (k, pos) in self.peer_pos.iter() {
-            let (u, v) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
-            if self.base_peer_pos(u, v) == pos {
-                return fail(u, 0, "redundant peer position override");
-            }
-        }
-        for (k, p) in self.port_val.iter() {
-            let (u, pos) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
-            if self.base_port(u, pos) == p {
-                return fail(u, 0, "redundant port override");
-            }
-        }
-        for (k, pos) in self.port_pos.iter() {
-            let (u, p) = ((k >> 32) as usize, (k & 0xFFFF_FFFF) as usize);
-            if self.base_port_pos(u, p) == pos {
-                return fail(u, 0, "redundant port position override");
-            }
-        }
-        // Exhaustive per-node partition and inverse checks — mirrors the
-        // dense validate (O(n²); intended for tests, like the facade docs
-        // say).
-        for u in 0..self.n {
-            let d = self.degree[u] as usize;
-            let mut assigned = 0usize;
-            for i in 0..ports {
-                if self.fwd.contains_key(key(u, i)) {
-                    assigned += 1;
-                }
-            }
-            if assigned != d {
-                return fail(u, 0, "degree out of sync with forward table");
-            }
-            for k in 0..ports {
-                let v = self.peer_at(u, k);
-                if self.pos_of_peer(u, v as usize) != k as u32 {
-                    return fail(u, 0, "peer permutation/position out of sync");
-                }
-                let connected = self.by_peer.contains_key(key(u, v as usize));
-                if connected != (k < d) {
-                    return fail(u, 0, "peer permutation partition broken");
-                }
-                let p = self.port_at(u, k);
-                if self.pos_of_port(u, p as usize) != k as u32 {
-                    return fail(u, 0, "port permutation/position out of sync");
-                }
-                let taken = self.fwd.contains_key(key(u, p as usize));
-                if taken != (k < d) {
-                    return fail(u, 0, "port permutation partition broken");
+        // Exhaustive per-node inverse checks — mirrors the dense validate
+        // (O(n²); intended for tests, like the facade docs say).
+        for u in 0..n {
+            for perm in [&self.peers, &self.ports] {
+                for k in 0..ports {
+                    let x = perm.at(u, k) as usize;
+                    if x >= ports || perm.pos_of(u, x) as usize != k {
+                        return fail(u, 0, "permutation/position out of sync");
+                    }
                 }
             }
         }
@@ -635,26 +492,110 @@ impl PortStore for SparseStore {
         // memo caches are real fixed allocations and count too.
         (self.degree.capacity() * 4 + self.dirty.capacity() * 4) as u64
             + self.fwd.resident_bytes()
-            + self.by_peer.resident_bytes()
-            + self.peer_val.resident_bytes()
-            + self.peer_pos.resident_bytes()
-            + self.port_val.resident_bytes()
-            + self.port_pos.resident_bytes()
-            + self.cache.resident_bytes()
+            + self.peers.resident_bytes()
+            + self.ports.resident_bytes()
     }
 
     fn counters(&self) -> crate::trace::BackendCounters {
-        let (memo_hits, memo_misses) = self.cache.counter_totals();
+        let perms = [&self.peers, &self.ports];
+        let memos = perms.iter().flat_map(|p| [&p.fwd_memo, &p.inv_memo]);
+        let tables = perms
+            .iter()
+            .flat_map(|p| [p.val.growth_count(), p.pos.growth_count()]);
         crate::trace::BackendCounters {
-            memo_hits,
-            memo_misses,
-            table_grows: self.fwd.growth_count()
-                + self.by_peer.growth_count()
-                + self.peer_val.growth_count()
-                + self.peer_pos.growth_count()
-                + self.port_val.growth_count()
-                + self.port_pos.growth_count(),
+            memo_hits: memos.clone().map(|c| c.hits.get()).sum(),
+            memo_misses: memos.map(|c| c.misses.get()).sum(),
+            table_grows: self.fwd.growth_count() + tables.sum::<u64>(),
             rows_materialized: 0,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ports::{PortBackend, PortMap, RandomResolver, Store};
+    use crate::rng::rng_from_seed;
+
+    /// A sparse store at `n = 12` with three random ports resolved per
+    /// node.
+    fn resolved_store() -> Box<SparseStore> {
+        let n = 12;
+        let mut map = PortMap::with_backend(n, PortBackend::Sparse).unwrap();
+        let mut rng = rng_from_seed(7);
+        for (u, p) in (0..n).flat_map(|u| (0..3).map(move |p| (u, p))) {
+            map.resolve(NodeIndex(u), Port(p), &mut RandomResolver, &mut rng)
+                .unwrap();
+        }
+        let Store::Sparse(s) = map.store else {
+            unreachable!("the backend was pinned to sparse");
+        };
+        s.validate().unwrap();
+        s
+    }
+
+    #[test]
+    fn validate_rejects_each_corruption() {
+        let corruptions = [
+            "a crossed forward entry",
+            "a broken pos inverse",
+            "a redundant override",
+            "a degree bumped by one",
+            "a dirty-list entry dropped",
+        ];
+        for (case, what) in corruptions.into_iter().enumerate() {
+            let mut s = resolved_store();
+            let u = (0..s.n).find(|&u| s.degree[u] >= 2).unwrap();
+            match case {
+                0 => {
+                    // Swap the links behind u's first two ports in both
+                    // directions: the forward table stays symmetric but
+                    // no longer matches the permutations' prefix.
+                    let (p, q) = (s.ports.at(u, 0) as usize, s.ports.at(u, 1) as usize);
+                    let (a, b) = (s.fwd.get(key(u, p)).unwrap(), s.fwd.get(key(u, q)).unwrap());
+                    s.fwd.insert(key(u, p), b);
+                    s.fwd.insert(b, key(u, p));
+                    s.fwd.insert(key(u, q), a);
+                    s.fwd.insert(a, key(u, q));
+                }
+                1 => {
+                    let x = s.peers.at(u, 0) as usize;
+                    s.peers.pos.insert(key(u, x), 1);
+                }
+                2 => {
+                    let k = (0..s.n - 1)
+                        .rfind(|&k| !s.ports.val.contains_key(key(u, k)))
+                        .unwrap();
+                    let base = s.ports.base_at(u, k);
+                    s.ports.val.insert(key(u, k), base);
+                }
+                3 => s.degree[u] += 1,
+                _ => drop(s.dirty.pop()),
+            }
+            assert!(s.validate().is_err(), "validate() accepted {what}");
+        }
+    }
+
+    #[test]
+    fn reset_empties_every_table_and_keeps_its_slab() {
+        let tables = |s: &SparseStore| {
+            let (peers, ports) = (&s.peers, &s.ports);
+            [
+                (s.fwd.len(), s.fwd.resident_bytes()),
+                (peers.val.len(), peers.val.resident_bytes()),
+                (peers.pos.len(), peers.pos.resident_bytes()),
+                (ports.val.len(), ports.val.resident_bytes()),
+                (ports.pos.len(), ports.pos.resident_bytes()),
+            ]
+        };
+        let mut s = resolved_store();
+        let before = tables(&s);
+        assert!(before.iter().all(|&(len, _)| len > 0));
+        s.reset();
+        for ((len, bytes), (_, held)) in tables(&s).into_iter().zip(before) {
+            assert_eq!(len, 0, "reset left entries behind");
+            assert_eq!(bytes, held, "reset reallocated a slab its trial needed");
+        }
+        assert_eq!(*s, SparseStore::new(s.n));
     }
 }
