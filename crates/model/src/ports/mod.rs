@@ -132,10 +132,10 @@ impl std::fmt::Display for Endpoint {
 ///
 /// [`PortMap`] validates every mutation (bounds, bijectivity, resolver
 /// sanity) and the range of every read before it reaches the store, so
-/// implementations only maintain
-/// the representation: the partitioned peer/port permutations whose first
-/// `degree(u)` positions are the connected prefix, plus whatever link
-/// tables the backend keeps beside them (dense keeps none).
+/// implementations only maintain the representation: the partitioned
+/// peer/port permutations whose first `degree(u)` positions are the
+/// connected prefix, plus whatever link tables the backend keeps beside
+/// them (dense keeps none, sparse one forward table).
 trait PortStore {
     /// Number of nodes.
     fn n(&self) -> usize;

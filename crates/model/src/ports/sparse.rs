@@ -43,8 +43,8 @@
 //!   caches are interior-mutable (`Cell`) so hits stay `&self`, and are
 //!   excluded from equality: they are a transparent view of pure
 //!   computation, not state.
-//! * Reset clears the tables. An empty override table *is* the base
-//!   permutation, so no displacement cycle is chased back, and
+//! * Reset clears the tables: an empty override table *is* the base
+//!   permutation, so a cleared store is a fresh one.
 //!   [`OpenTable::end_trial`]'s shrink policy keeps the sequential clear
 //!   O(touched) amortized.
 //!
@@ -168,16 +168,17 @@ impl PartialEq for SparsePerm {
 impl Eq for SparsePerm {}
 
 impl SparsePerm {
-    fn new(m: usize, stream: u64) -> Self {
+    /// The base permutations of `0..n−1` for `n` nodes, keyed by `stream`.
+    fn new(n: usize, stream: u64) -> Self {
         // Scale with the network but stay bounded: ~4 slots per node keeps
         // the per-trial working set (promotes touch a handful of positions
         // per link) mostly resident, while the clamp caps the fixed
         // footprint at 2 MiB per direction even at n = 131072+ and keeps
         // tiny maps smaller than their dense twins.
-        let slots = (4 * (m + 1)).next_power_of_two().clamp(64, 1 << 17);
+        let slots = (4 * n).next_power_of_two().clamp(64, 1 << 17);
         SparsePerm {
-            m,
-            half_bits: KeyedPerm::half_bits_for(m),
+            m: n - 1,
+            half_bits: KeyedPerm::half_bits_for(n - 1),
             stream,
             val: OpenTable::new(),
             pos: OpenTable::new(),
@@ -297,9 +298,9 @@ pub(super) struct SparseStore {
     dirty: Vec<u32>,
     /// `(u, i) → (v << 32) | j` for each assigned port `i` of `u`: the one
     /// record of each link besides the permutations. `peer` could read it
-    /// off them too, but that takes four dependent hashed probes a call;
-    /// resolving 524 k already-fixed ports at `n = 65536` then took
-    /// 100–135 ms instead of ~20 ms.
+    /// off them too, but that takes four dependent hashed probes a call:
+    /// re-resolving 524 k already-fixed ports at `n = 65536` took
+    /// 263–357 ms that way against 24–44 ms here (2-vCPU Linux VM).
     fwd: OpenTable<u64>,
     /// Peer permutations over raw indices: raw `r` of node `u` is node
     /// `r + [r ≥ u]`.
@@ -321,8 +322,8 @@ impl SparseStore {
             links: 0,
             dirty: Vec::new(),
             fwd: OpenTable::new(),
-            peers: SparsePerm::new(n - 1, PEER_STREAM),
-            ports: SparsePerm::new(n - 1, PORT_STREAM),
+            peers: SparsePerm::new(n, PEER_STREAM),
+            ports: SparsePerm::new(n, PORT_STREAM),
         }
     }
 
@@ -559,8 +560,12 @@ mod tests {
                     s.fwd.insert(a, key(u, q));
                 }
                 1 => {
-                    let x = s.peers.at(u, 0) as usize;
-                    s.peers.pos.insert(key(u, x), 1);
+                    // Misplace a free port, which no link check reads, off
+                    // both its true and its base position.
+                    let last = s.n - 2;
+                    let x = s.ports.at(u, last) as usize;
+                    let wrong = last - 1 - usize::from(s.ports.base_pos(u, x) as usize == last - 1);
+                    s.ports.pos.insert(key(u, x), wrong as u32);
                 }
                 2 => {
                     let k = (0..s.n - 1)

@@ -1,7 +1,7 @@
 //! A purpose-built open-addressing hash table for the sparse backends'
 //! packed `u64` keys.
 //!
-//! The sparse port-map backend stores six maps keyed by packed
+//! The sparse port-map backend stores five maps keyed by packed
 //! `(node << 32) | index` coordinates, the async engine's FIFO floors
 //! use `src·n + dst` keys, and `rng::sample_distinct` keys the positions
 //! its shuffle displaced — small integers the caller fully controls. The
@@ -249,7 +249,7 @@ impl<V: Copy + Default> OpenTable<V> {
     /// trial touched nothing). Resets the high-water mark either way.
     ///
     /// Must only be called when the table is empty (the port-map reset
-    /// drains every entry first).
+    /// clears it first).
     pub fn end_trial(&mut self) {
         debug_assert_eq!(self.len, 0, "end_trial on a non-empty table");
         let needed = Self::capacity_for(self.high_water);
