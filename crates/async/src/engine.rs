@@ -16,7 +16,7 @@ use crate::adversary::{
     Adversary, DelayStrategy, MessageClass, Oblivious, Observation, Transcript, UniformDelay,
 };
 use crate::network::reliability::{Outstanding, RelState};
-use crate::network::{LinkTable, NetworkConfig, Reliability};
+use crate::network::{link_dir, link_entry, NetworkConfig, Reliability};
 use crate::node::{AsyncContext, AsyncNode, Received};
 use crate::outcome::{AsyncHaltReason, AsyncOutcome};
 use crate::queue::EventQueue;
@@ -31,10 +31,9 @@ const STREAM_FAULTS: u64 = u64::MAX - 3;
 const STREAM_ADV_FAULTS: u64 = u64::MAX - 4;
 const STREAM_NODE_BASE: u64 = 0;
 
-/// The flat index of directed link `src → dst`.
-#[inline]
-fn link_key(src: NodeIndex, dst: NodeIndex, n: usize) -> usize {
-    src.0 * n + dst.0
+/// Bytes held by a link-indexed table (its capacity counts).
+fn link_table_bytes(table: &Vec<[f64; 2]>) -> u64 {
+    (table.capacity() * std::mem::size_of::<[f64; 2]>()) as u64
 }
 
 /// A node index as an event field. Lossless: the port stores and the
@@ -103,24 +102,27 @@ enum WireFate {
 }
 
 /// Reusable simulation state for repeated asynchronous trials: the
-/// [`PortMap`], the per-link FIFO-floor storage (a flat `Θ(n²)` array on
-/// the dense backend, a hashed touched-links map on the sparse one), the
-/// event queue's storage (its sorted run, its near and far heaps, each
-/// keeping its capacity, and the fixed-size chunks its ring buckets
-/// share through one free list), the outbox, and the reliability
-/// protocol's per-link slab and key table. Each store keeps what its
-/// largest trial held at once, so recycled trials do not grow the arena.
+/// [`PortMap`], the per-link FIFO floors and busy horizons, the event
+/// queue's storage (its sorted run, its near and far heaps, each keeping
+/// its capacity, and the fixed-size chunks its ring buckets share through
+/// one free list), the outbox, and the reliability protocol's per-link
+/// slab. Each store keeps what its largest trial held at once, so
+/// recycled trials do not grow the arena.
 ///
-/// A trial addresses each reliable link by its `u32` index in that slab,
-/// which the link's data, ack and timer events carry. Indices restart at
-/// 0 each trial, in first-touch order, so a recycled trial numbers its
+/// Per-link state is indexed by the port map's link id
+/// ([`PortMap::link_id`]), never hashed: the floors and horizons are one
+/// `[f64; 2]` entry per link used, 16 bytes for both directions, on every
+/// backend and topology. A trial addresses each reliable link by its
+/// `u32` index in the reliability slab, which the link's data, ack and
+/// timer events carry. Link ids and slab indices restart at 0 each trial,
+/// in creation and first-touch order, so a recycled trial numbers its
 /// links exactly as a fresh one does.
 ///
 /// The asynchronous mirror of [`clique_sync::SyncArena`]: build through
 /// [`AsyncSimBuilder::build_in`], finish with [`AsyncSim::run_reusing`],
 /// and consecutive trials at the same `n` (and backend) skip the big
 /// initializations (the map via [`PortMap::reset`] in O(touched-state),
-/// the FIFO floors via an in-place clear with no reallocation), with
+/// the per-link tables via a clear that keeps their capacity), with
 /// bit-identical outcomes. One arena serves any mix of algorithms and
 /// sizes; typed buffers are recycled when the message type matches and
 /// cheaply rebuilt when it does not; the map is rebuilt when the
@@ -130,10 +132,11 @@ enum WireFate {
 #[derive(Default)]
 pub struct AsyncArena {
     ports: Option<PortMap>,
-    fifo_front: LinkTable,
+    /// Per-link FIFO floors, indexed by link id.
+    fifo_front: Vec<[f64; 2]>,
     /// Per-link busy horizons of the capacity model (empty until a trial
     /// with a finite link rate runs).
-    link_busy: LinkTable,
+    link_busy: Vec<[f64; 2]>,
     /// Resident-byte estimate of the typed reliability-protocol state
     /// inside `buffers`, captured at stash time (the type-erased box
     /// cannot be measured from here).
@@ -152,8 +155,9 @@ impl AsyncArena {
         AsyncArena::default()
     }
 
-    /// Drops all recycled state, releasing the `Θ(n²)` tables immediately
-    /// (useful between sweep cells at very large `n`).
+    /// Drops all recycled state, releasing the port map's tables (`Θ(n²)`
+    /// on the dense backend) immediately (useful between sweep cells at
+    /// very large `n`).
     pub fn clear(&mut self) {
         *self = AsyncArena::default();
     }
@@ -175,18 +179,23 @@ impl AsyncArena {
     }
 
     /// Backend-reported estimate of the bytes resident in the recycled
-    /// engine tables: the port map, the FIFO-floor storage, the event
-    /// queue and the outbox, and — when a faulty network has run — the
-    /// per-link busy horizons and the reliability protocol's
-    /// queue/retransmit buffers (honest accounting: retained capacity
-    /// counts). The sweep harness records this per cell so
-    /// dense-vs-sparse footprints appear in every experiment CSV.
+    /// engine tables: the port map, the FIFO floors, the event queue and
+    /// the outbox, and — when a faulty network has run — the per-link
+    /// busy horizons and the reliability protocol's queue/retransmit
+    /// buffers (honest accounting: retained capacity counts). The sweep
+    /// harness records this per cell so dense-vs-sparse footprints appear
+    /// in every experiment CSV.
     pub fn resident_bytes(&self) -> u64 {
         self.ports.as_ref().map_or(0, PortMap::resident_bytes)
-            + self.fifo_front.resident_bytes()
-            + self.link_busy.resident_bytes()
+            + self.link_bytes()
             + self.rel_bytes
             + self.queue_bytes
+    }
+
+    /// Bytes held by the per-link FIFO floors and busy horizons: 16 per
+    /// link of the largest trial's capacity, whatever the backend.
+    pub fn link_bytes(&self) -> u64 {
+        link_table_bytes(&self.fifo_front) + link_table_bytes(&self.link_busy)
     }
 }
 
@@ -198,8 +207,8 @@ impl std::fmt::Debug for AsyncArena {
                 "ports_bytes",
                 &self.ports.as_ref().map_or(0, PortMap::resident_bytes),
             )
-            .field("fifo_bytes", &self.fifo_front.resident_bytes())
-            .field("link_busy_bytes", &self.link_busy.resident_bytes())
+            .field("fifo_bytes", &link_table_bytes(&self.fifo_front))
+            .field("link_busy_bytes", &link_table_bytes(&self.link_busy))
             .field("rel_bytes", &self.rel_bytes)
             .field("queue_bytes", &self.queue_bytes)
             .field("has_buffers", &self.buffers.is_some())
@@ -332,8 +341,9 @@ impl AsyncSimBuilder {
 
     /// Pins the port-map storage backend (default: the `LE_BACKEND`
     /// environment selection, `auto` when unset; see [`PortBackend`]).
-    /// The per-link FIFO-floor storage follows the same choice, so a
-    /// sparse-backend asynchronous trial holds no `Θ(n²)` state at all.
+    /// The engine's per-link state is indexed by the map's link ids on
+    /// every backend, so it holds one entry per link used, and a
+    /// sparse-backend trial holds no `Θ(n²)` state at all.
     pub fn backend(mut self, backend: PortBackend) -> Self {
         self.backend = Some(backend);
         self
@@ -396,11 +406,11 @@ impl AsyncSimBuilder {
     }
 
     /// Instantiates the simulation like [`AsyncSimBuilder::build`], but
-    /// recycles the `Θ(n²)` port map, the `Θ(n²)` FIFO-floor array, and
-    /// the event queue's heaps and bucket ring held by `arena` instead of
-    /// allocating fresh ones. Pair with [`AsyncSim::run_reusing`] to
-    /// return the state to the arena afterwards. The execution is
-    /// identical to a freshly built one.
+    /// recycles the port map, the per-link tables, the event queue's
+    /// heaps and bucket ring, and the reliability slab held by `arena`
+    /// instead of allocating fresh ones. Pair with
+    /// [`AsyncSim::run_reusing`] to return the state to the arena
+    /// afterwards. The execution is identical to a freshly built one.
     ///
     /// # Errors
     ///
@@ -461,19 +471,14 @@ impl AsyncSimBuilder {
             .unwrap_or_else(PortBackend::from_env)
             .resolve_for(n, topo.m());
         let ports = arena.take_ports(&topo, backend)?;
-        let fifo_front = std::mem::take(&mut arena.fifo_front).recycle(backend, n);
+        // Both per-link tables start empty and grow with the links the
+        // trial uses; the busy horizons only when the capacity model is on.
+        let mut fifo_front = std::mem::take(&mut arena.fifo_front);
+        fifo_front.clear();
+        let mut link_busy = std::mem::take(&mut arena.link_busy);
+        link_busy.clear();
         let net_active = net.is_active();
         let net_service = net.service();
-        // The busy-horizon table is only materialized when the capacity
-        // model is on — a fault-free (or capacity-free) dense trial must
-        // not pay a second Θ(n²) allocation. A stale table from an
-        // earlier capacity trial is carried through untouched (never read
-        // while `net_service == 0`).
-        let link_busy = if net_service > 0.0 {
-            std::mem::take(&mut arena.link_busy).recycle(backend, n)
-        } else {
-            std::mem::take(&mut arena.link_busy)
-        };
         let mut bufs: AsyncBuffers<N::Message> = arena
             .buffers
             .take()
@@ -582,11 +587,9 @@ pub struct AsyncSim<N: AsyncNode> {
     /// Per-node sent/delivered counts, maintained for adaptive adversaries.
     transcript: Transcript,
     queue: EventQueue<EventKind<N::Message>>,
-    /// Per directed link `src·n + dst`: the latest delivery time already
-    /// scheduled, enforcing FIFO order. Flat under the dense backend
-    /// (this sits on the per-message dispatch path), hashed under the
-    /// sparse backend (memory over raw speed at very large `n`).
-    fifo_front: LinkTable,
+    /// Per link id and direction ([`link_dir`]): the latest delivery time
+    /// already scheduled, enforcing FIFO order.
+    fifo_front: Vec<[f64; 2]>,
     max_events: u64,
     awake: Vec<bool>,
     /// Nodes woken so far (the `true` entries of `awake`).
@@ -629,9 +632,9 @@ pub struct AsyncSim<N: AsyncNode> {
     /// recorded trace replays exactly: replay consumes no adversary
     /// randomness, which must not shift the engine's own loss coins.
     adv_fault_rng: SmallRng,
-    /// Per-link busy horizons of the capacity model (unused storage when
-    /// `net_service == 0`).
-    link_busy: LinkTable,
+    /// Per link id and direction: the busy horizon of the capacity model
+    /// (empty when `net_service == 0`).
+    link_busy: Vec<[f64; 2]>,
     /// Per-link stop-and-wait protocol state.
     rel: RelState<N::Message>,
     crashed: Vec<bool>,
@@ -723,9 +726,10 @@ impl<N: AsyncNode> AsyncSim<N> {
 
     /// Runs until the event queue drains (or the event cap fires) like
     /// [`AsyncSim::run`], then returns the recyclable state — the port
-    /// map, FIFO floors, the event queue's heaps and bucket ring, and the
-    /// outbox — to `arena` for the next trial instead of dropping it. The
-    /// outcome is identical to [`AsyncSim::run`]'s.
+    /// map, the per-link tables, the event queue's heaps and bucket ring,
+    /// the outbox and the reliability slab — to `arena` for the next
+    /// trial instead of dropping it. The outcome is identical to
+    /// [`AsyncSim::run`]'s.
     ///
     /// # Errors
     ///
@@ -1067,6 +1071,10 @@ impl<N: AsyncNode> AsyncSim<N> {
         let dst = self
             .ports
             .resolve(src, port, self.resolver.as_mut(), &mut self.resolver_rng)?;
+        let link = self
+            .ports
+            .link_id(src, port)
+            .expect("a resolved port has a link");
         let class = N::classify(&msg);
         if self.tracer.enabled() {
             self.tracer.emit(TraceEvent::Send {
@@ -1098,7 +1106,8 @@ impl<N: AsyncNode> AsyncSim<N> {
                 });
             }
             self.transcript.record_send(src);
-            let floor = self.fifo_front.slot_mut(link_key(src, dst.node, self.n));
+            let dir = link_dir(ix(src), ix(dst.node));
+            let floor = &mut link_entry(&mut self.fifo_front, link, 0.0)[dir];
             let deliver_at = (self.now + delay).max(*floor);
             *floor = deliver_at;
             self.stats.record(self.now.floor() as usize + 1, src);
@@ -1122,13 +1131,13 @@ impl<N: AsyncNode> AsyncSim<N> {
         self.stats.record(self.now.floor() as usize + 1, src);
         self.stats.faults.payloads += 1;
         if self.rel_cfg.is_some() {
-            let link = self.rel.touch(ix(src), ix(dst.node), self.n);
-            if self.rel[link].inflight.is_some() {
+            let rel = self.rel.touch(ix(src), ix(dst.node), link);
+            if self.rel[rel].inflight.is_some() {
                 // Stop-and-wait: one unacknowledged payload per link; the
                 // rest wait in the backlog.
-                self.rel.push_backlog(link, (dst.port, msg));
+                self.rel.push_backlog(rel, (dst.port, msg));
             } else {
-                let l = &mut self.rel[link];
+                let l = &mut self.rel[rel];
                 l.next_seq += 1;
                 l.inflight = Some(Outstanding {
                     seq: l.next_seq,
@@ -1136,12 +1145,12 @@ impl<N: AsyncNode> AsyncSim<N> {
                     msg,
                     attempts: 0,
                 });
-                self.send_reliable_copy(link)?;
+                self.send_reliable_copy(rel)?;
             }
         } else {
             // Unreliable: one shot on the wire; a drop is a permanently
             // lost payload.
-            match self.transmit_raw(src, dst.node, class)? {
+            match self.transmit_raw(src, dst.node, link, class)? {
                 WireFate::At(t) => {
                     self.queue.push(
                         t,
@@ -1161,24 +1170,26 @@ impl<N: AsyncNode> AsyncSim<N> {
         Ok(())
     }
 
-    /// One wire transmission attempt on the faulty network: link-queue
-    /// admission, loss (configured and adversarial), delay, the adaptive
-    /// crash directive, and the FIFO floor. The consultation order is
-    /// fixed — admission, loss coin, adversary loss, adversary delay,
-    /// crash directive — so recorded fault traces replay exactly.
+    /// One wire transmission attempt from `src` to `dst` over port-map
+    /// link `link` on the faulty network: link-queue admission, loss
+    /// (configured and adversarial), delay, the adaptive crash directive,
+    /// and the FIFO floor. The consultation order is fixed — admission,
+    /// loss coin, adversary loss, adversary delay, crash directive — so
+    /// recorded fault traces replay exactly.
     fn transmit_raw(
         &mut self,
         src: NodeIndex,
         dst: NodeIndex,
+        link: u32,
         class: MessageClass,
     ) -> Result<WireFate, ModelError> {
-        let key = link_key(src, dst, self.n);
+        let dir = link_dir(ix(src), ix(dst));
         // Capacity model: the message occupies the link for the service
         // time; a backlog beyond the queue capacity is drop-tail.
         let mut depart = self.now;
         let mut queue_dropped = false;
         if self.net_service > 0.0 {
-            let busy = self.link_busy.slot_mut(key);
+            let busy = &mut link_entry(&mut self.link_busy, link, 0.0)[dir];
             let backlog = ((*busy - self.now).max(0.0) / self.net_service).ceil();
             if self.net_queue_cap != usize::MAX && backlog >= self.net_queue_cap as f64 {
                 queue_dropped = true;
@@ -1236,7 +1247,7 @@ impl<N: AsyncNode> AsyncSim<N> {
         }
         Ok(match fate {
             WireFate::At(t) => {
-                let floor = self.fifo_front.slot_mut(key);
+                let floor = &mut link_entry(&mut self.fifo_front, link, 0.0)[dir];
                 let at = t.max(*floor);
                 *floor = at;
                 WireFate::At(at)
@@ -1273,7 +1284,7 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// timer.
     fn send_reliable_copy(&mut self, link: u32) -> Result<(), ModelError> {
         let l = &self.rel[link];
-        let (src, dst) = (node(l.src), node(l.dst));
+        let (src, dst, link_id) = (node(l.src), node(l.dst), l.link);
         let o = l
             .inflight
             .as_ref()
@@ -1291,7 +1302,7 @@ impl<N: AsyncNode> AsyncSim<N> {
             }
         }
         let class = N::classify(&msg);
-        if let WireFate::At(t) = self.transmit_raw(src, dst, class)? {
+        if let WireFate::At(t) = self.transmit_raw(src, dst, link_id, class)? {
             self.queue.push(
                 t,
                 EventKind::DeliverData {
@@ -1329,7 +1340,7 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// the data retransmission provoking a fresh one).
     fn send_ack(&mut self, link: u32, data_seq: u32) -> Result<(), ModelError> {
         let l = &self.rel[link];
-        let (from, to) = (node(l.dst), node(l.src));
+        let (from, to, link_id) = (node(l.dst), node(l.src), l.link);
         self.stats.faults.acks += 1;
         if self.tracer.enabled() {
             self.tracer.emit(TraceEvent::Fault {
@@ -1339,7 +1350,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                 dst: ix(to),
             });
         }
-        if let WireFate::At(t) = self.transmit_raw(from, to, MessageClass::Ack)? {
+        if let WireFate::At(t) = self.transmit_raw(from, to, link_id, MessageClass::Ack)? {
             self.queue.push(t, EventKind::DeliverAck { link, data_seq });
         }
         Ok(())
@@ -1936,8 +1947,7 @@ mod tests {
                 ),
             );
         }
-        // Hashed floors + sparse map: far below the dense n² tables
-        // even at this tiny n once both structures are hashed.
+        // The sparse map and the link-indexed floors are accounted.
         assert!(arena.resident_bytes() > 0);
     }
 
@@ -2424,7 +2434,7 @@ mod tests {
             .run_reusing(&mut arena)
             .unwrap();
         let map = arena.ports.as_ref().map_or(0, PortMap::resident_bytes);
-        let floors = arena.fifo_front.resident_bytes() + arena.link_busy.resident_bytes();
+        let floors = arena.link_bytes();
         assert_eq!(arena.rel_bytes, 0);
         // 48 KiB: six times the ring's spine of 2048 `u32` links, so only
         // the trial's ring chunks (768 B each), `run` and the outbox can
@@ -2435,6 +2445,31 @@ mod tests {
             "{arena:?}: {} B",
             arena.resident_bytes()
         );
+    }
+
+    #[test]
+    fn link_tables_hold_one_entry_per_link() {
+        // The floors grow to one entry per link the trial fixed; the busy
+        // horizons stay empty until the capacity model is on.
+        let mut arena = AsyncArena::new();
+        for rate in [None, Some(8.0)] {
+            let net = rate.map_or_else(NetworkConfig::new, |r| NetworkConfig::new().link_rate(r));
+            for backend in [PortBackend::Dense, PortBackend::Sparse] {
+                AsyncSimBuilder::new(12)
+                    .seed(1)
+                    .backend(backend)
+                    .network(net.clone())
+                    .build_in(&mut arena, Flood::new)
+                    .unwrap()
+                    .run_reusing(&mut arena)
+                    .unwrap();
+                let links = arena.ports.as_ref().map(PortMap::link_count);
+                assert_eq!(links, Some(12 * 11 / 2), "the flood fixes every link");
+                assert_eq!(Some(arena.fifo_front.len()), links);
+                let busy = if rate.is_some() { links } else { Some(0) };
+                assert_eq!(Some(arena.link_busy.len()), busy);
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! `LE_LOSS` / `LE_LINK_RATE` / `LE_QUEUE_CAP` / `LE_CRASH` environment
 //! knobs (validated and latched once, like `LE_BACKEND` / `LE_THREADS`).
 //!
+//! Per-link network state — the capacity model's busy horizons, the
+//! FIFO floors and the reliability protocol's entries — is indexed by the
+//! port map's link id ([`PortMap::link_id`]), one slot per direction, so
+//! it takes one entry per link used and no hashing on any backend.
+//!
+//! [`PortMap::link_id`]: clique_model::ports::PortMap::link_id
+//!
 //! Fault injection composes with the [`Adversary`](crate::Adversary)
 //! tiers: an adaptive adversary can destroy chosen transmission attempts
 //! ([`Adversary::induces_loss`](crate::Adversary::induces_loss)) and crash
@@ -28,14 +35,31 @@
 //! [`Recorder`](crate::Recorder) /
 //! [`RecordedSchedule`](crate::RecordedSchedule).
 
-mod link;
 pub(crate) mod reliability;
-
-pub(crate) use link::LinkTable;
 
 use std::sync::OnceLock;
 
 use clique_model::NodeIndex;
+
+/// The direction of `src → dst` on their link: 0 sending from the lower
+/// node index, 1 from the higher. Per-link tables keep one `[T; 2]` entry
+/// per port-map link id, so a link's two directions share an entry.
+#[inline]
+pub(crate) fn link_dir(src: u32, dst: u32) -> usize {
+    usize::from(src > dst)
+}
+
+/// Link `link`'s entry in a link-indexed table, growing the table with
+/// `empty` entries up to it. Link ids run `0..link_count()`, so a table
+/// holds one entry per link the trial has used.
+#[inline]
+pub(crate) fn link_entry<T: Copy>(table: &mut Vec<[T; 2]>, link: u32, empty: T) -> &mut [T; 2] {
+    let i = link as usize;
+    if i >= table.len() {
+        table.resize(i + 1, [empty; 2]);
+    }
+    &mut table[i]
+}
 
 /// Configuration of the per-link stop-and-wait reliability protocol.
 ///

@@ -11,12 +11,15 @@
 //! table capacity, which keeps fresh and arena-recycled trials
 //! byte-identical.
 //!
-//! The engine hashes a link's `src·n + dst` key once per payload, when it
-//! hands the link that payload ([`RelState::touch`]). The returned `u32`
-//! slab index then rides in the payload's data, ack and retransmission
-//! timer events, and every handler indexes the slab directly. An index
-//! stays valid for the whole trial: the slab only grows until
-//! [`RelState::reset`].
+//! The engine finds a directed link's entry once per payload, when it
+//! hands the link that payload ([`RelState::touch`]): one read of a table
+//! indexed by the port map's link id, with one slot per direction. The
+//! returned `u32` slab index then rides in the payload's data, ack and
+//! retransmission timer events, and every handler indexes the slab
+//! directly. An index stays valid for the whole trial: the slab only
+//! grows until [`RelState::reset`]. Each entry records its link id, so
+//! the ack path reaches the reverse direction's floor and horizon
+//! without a lookup.
 //!
 //! Reset clears the slab and keeps its capacity, so a recycled arena
 //! holds one slab sized for its largest trial. Backlogs live in a table
@@ -26,10 +29,15 @@
 
 use std::collections::VecDeque;
 
-use clique_model::ports::{OpenTable, Port};
+use clique_model::ports::Port;
+
+use super::{link_dir, link_entry};
 
 /// The backlog index of a link that has had no payload waiting.
 const NO_BACKLOG: u32 = u32::MAX;
+
+/// The slab index of a direction no payload has used yet.
+const UNTOUCHED: u32 = u32::MAX;
 
 /// The single unacknowledged payload in flight on a directed link.
 pub(crate) struct Outstanding<M> {
@@ -51,6 +59,8 @@ pub(crate) struct RelLink<M> {
     pub(crate) src: u32,
     /// The receiving endpoint.
     pub(crate) dst: u32,
+    /// The port-map id of the link, shared with the reverse direction.
+    pub(crate) link: u32,
     /// Sequence number most recently assigned by the sender (0 = none).
     pub(crate) next_seq: u32,
     /// The sender's unacknowledged in-flight payload.
@@ -64,10 +74,11 @@ pub(crate) struct RelLink<M> {
 }
 
 impl<M> RelLink<M> {
-    fn new(src: u32, dst: u32) -> Self {
+    fn new(src: u32, dst: u32, link: u32) -> Self {
         RelLink {
             src,
             dst,
+            link,
             next_seq: 0,
             inflight: None,
             backlog: NO_BACKLOG,
@@ -77,15 +88,16 @@ impl<M> RelLink<M> {
 }
 
 /// All touched-link protocol state of one execution, with storage that
-/// recycles across arena trials: the key table, the slab and the backlog
+/// recycles across arena trials: the link index, the slab and the backlog
 /// table keep their capacity (see module docs).
 ///
 /// [`RelState::touch`] returns a link's `u32` slab index, and
-/// `rel[index]` reads its [`RelLink`]; only `touch` consults the key
-/// table.
+/// `rel[index]` reads its [`RelLink`]; only `touch` consults the link
+/// index.
 pub(crate) struct RelState<M> {
-    /// Directed-link key `src·n + dst` → index into `slab`.
-    links: OpenTable<u32>,
+    /// Per port-map link id and [`link_dir`], the slab index of the
+    /// direction's entry (`UNTOUCHED` until first used).
+    index: Vec<[u32; 2]>,
     /// Touched links in insertion order.
     slab: Vec<RelLink<M>>,
     /// Payloads waiting for a link (stop-and-wait admits one at a time),
@@ -96,7 +108,7 @@ pub(crate) struct RelState<M> {
 impl<M> Default for RelState<M> {
     fn default() -> Self {
         RelState {
-            links: OpenTable::new(),
+            index: Vec::new(),
             slab: Vec::new(),
             backlogs: Vec::new(),
         }
@@ -104,27 +116,27 @@ impl<M> Default for RelState<M> {
 }
 
 impl<M> RelState<M> {
-    /// Clears all protocol state for a new trial, keeping the key table's,
-    /// the slab's and the backlog table's capacity (payloads and backlog
-    /// buffers are dropped).
+    /// Clears all protocol state for a new trial, keeping the link
+    /// index's, the slab's and the backlog table's capacity (payloads and
+    /// backlog buffers are dropped).
     pub(crate) fn reset(&mut self) {
-        self.links.clear();
-        self.links.end_trial();
+        self.index.clear();
         self.slab.clear();
         self.backlogs.clear();
     }
 
-    /// The slab index of directed link `src → dst` in an `n`-node
-    /// network, creating the link's state on first touch.
-    pub(crate) fn touch(&mut self, src: u32, dst: u32, n: usize) -> u32 {
-        let key = u64::from(src) * n as u64 + u64::from(dst);
-        if let Some(idx) = self.links.get(key) {
-            return idx;
+    /// The slab index of direction `src → dst` of port-map link `link`,
+    /// creating the direction's state on first touch.
+    pub(crate) fn touch(&mut self, src: u32, dst: u32, link: u32) -> u32 {
+        let slot = &mut link_entry(&mut self.index, link, UNTOUCHED)[link_dir(src, dst)];
+        if *slot == UNTOUCHED {
+            *slot = u32::try_from(self.slab.len())
+                .ok()
+                .filter(|&idx| idx != UNTOUCHED)
+                .expect("fewer than 2³² − 1 touched links");
+            self.slab.push(RelLink::new(src, dst, link));
         }
-        let idx = u32::try_from(self.slab.len()).expect("fewer than 2³² touched links");
-        self.links.insert(key, idx);
-        self.slab.push(RelLink::new(src, dst));
-        idx
+        *slot
     }
 
     /// Queues `payload` behind the payload in flight on link `link`.
@@ -153,14 +165,15 @@ impl<M> RelState<M> {
         self.slab.iter()
     }
 
-    /// Estimated resident bytes of the protocol state: the key table, the
-    /// slab, the backlog table and every backlog buffer.
+    /// Estimated resident bytes of the protocol state: the link index,
+    /// the slab, the backlog table and every backlog buffer.
     pub(crate) fn resident_bytes(&self) -> u64 {
+        let index = self.index.capacity() * std::mem::size_of::<[u32; 2]>();
         let entries = self.slab.capacity() * std::mem::size_of::<RelLink<M>>();
         let backlogs = self.backlogs.capacity() * std::mem::size_of::<VecDeque<(Port, M)>>();
         let waiting: usize = self.backlogs.iter().map(VecDeque::capacity).sum();
         let buffers = waiting * std::mem::size_of::<(Port, M)>();
-        self.links.resident_bytes() + (entries + backlogs + buffers) as u64
+        (index + entries + backlogs + buffers) as u64
     }
 }
 
@@ -187,15 +200,17 @@ mod tests {
     #[test]
     fn entries_are_created_once_and_keep_insertion_order() {
         let mut rel: RelState<u32> = RelState::default();
-        let a = rel.touch(4, 2, 10);
+        let a = rel.touch(4, 2, 3);
         rel[a].next_seq = 7;
-        let b = rel.touch(0, 7, 10);
+        let b = rel.touch(0, 7, 0);
         rel[b].next_seq = 1;
-        assert_eq!((a, b), (0, 1));
-        assert_eq!(rel.touch(4, 2, 10), a, "a touched link keeps its index");
+        // The reverse direction of link 3 is an entry of its own.
+        let c = rel.touch(2, 4, 3);
+        assert_eq!((a, b, c), (0, 1, 2));
+        assert_eq!(rel.touch(4, 2, 3), a, "a touched link keeps its index");
         assert_eq!(rel[a].next_seq, 7);
-        let ends: Vec<(u32, u32)> = rel.iter().map(|l| (l.src, l.dst)).collect();
-        assert_eq!(ends, vec![(4, 2), (0, 7)]);
+        let ends: Vec<(u32, u32, u32)> = rel.iter().map(|l| (l.src, l.dst, l.link)).collect();
+        assert_eq!(ends, vec![(4, 2, 3), (0, 7, 0), (2, 4, 3)]);
     }
 
     #[test]
@@ -210,7 +225,7 @@ mod tests {
     fn reset_clears_entries_and_drops_backlogs() {
         let mut rel: RelState<u32> = RelState::default();
         for src in 0..4 {
-            let link = rel.touch(src, 0, 4);
+            let link = rel.touch(src, 0, src);
             rel[link].next_seq = 5;
             rel[link].delivered_hi = 3;
             for j in 0..16 {
@@ -221,14 +236,14 @@ mod tests {
         let bytes_before = rel.resident_bytes();
         rel.reset();
         assert_eq!(rel.iter().count(), 0);
-        // The backlogs are freed; the slab and key table keep their
+        // The backlogs are freed; the slab and link index keep their
         // capacity.
         assert!(rel.resident_bytes() < bytes_before);
         // New entries start scrubbed, numbered from 0 again.
-        let link = rel.touch(2, 3, 4);
+        let link = rel.touch(2, 3, 2);
         assert_eq!(link, 0);
         let l = &rel[link];
-        assert_eq!((l.src, l.dst), (2, 3));
+        assert_eq!((l.src, l.dst, l.link), (2, 3, 2));
         assert_eq!(l.next_seq, 0);
         assert!(l.inflight.is_none());
         assert_eq!(l.backlog, NO_BACKLOG, "a new entry holds no backlog");

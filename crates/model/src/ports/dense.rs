@@ -1,5 +1,5 @@
 //! The dense backend: four flat `u16` tables, 8 bytes per ordered node
-//! pair, for `n ≤ 65536`.
+//! pair, and a `u32` link-id table beside them, for `n ≤ 65536`.
 //!
 //! Each node keeps a *partitioned permutation* over its peers and one over
 //! its ports, each with its inverse, allocated once in [`DenseStore::new`].
@@ -11,8 +11,11 @@
 //! peer and its local port to the same position of `u`'s two rows, and
 //! the connected prefix does not move again until [`DenseStore::reset`].
 //! So `u`'s port to `v` is the port at `v`'s peer position, and the peer
-//! behind port `p` is the peer at `p`'s port position. Every operation is
-//! O(1) with no hashing.
+//! behind port `p` is the peer at `p`'s port position. A fifth table,
+//! indexed by position like the permutations, holds each link's id at
+//! both of its prefix positions. It is zero-allocated and reset clears
+//! only the connected prefixes, so only pages under prefixes that ever
+//! held a link become resident. Every operation is O(1) with no hashing.
 
 use super::{Endpoint, Port, PortBackend, PortStore};
 use crate::error::ModelError;
@@ -37,6 +40,9 @@ pub(super) struct DenseStore {
     port_perm: Vec<u16>,
     /// `port_pos[u·(n−1) + p]` = position of port `p` in row `u`.
     port_pos: Vec<u16>,
+    /// `link[u·(n−1) + k]` = the id of the link at position `k < degree[u]`
+    /// of row `u`; 0 past the connected prefix.
+    link: Vec<u32>,
     /// Links incident to each node (also: assigned ports of each node).
     degree: Vec<u32>,
     /// Total number of links fixed so far.
@@ -81,6 +87,7 @@ impl DenseStore {
             peer_pos,
             port_perm,
             port_pos,
+            link: vec![0; n * ports],
             degree: vec![0; n],
             links: 0,
             dirty: Vec::new(),
@@ -234,6 +241,13 @@ impl PortStore for DenseStore {
         Port(self.port_perm[self.row(u.0) + k] as usize)
     }
 
+    #[inline]
+    fn link_id(&self, u: NodeIndex, p: Port) -> Option<u32> {
+        let row = self.row(u.0);
+        let k = self.port_pos[row + p.0] as usize;
+        (k < self.degree[u.0] as usize).then(|| self.link[row + k])
+    }
+
     fn insert_link(&mut self, u: NodeIndex, pu: Port, v: NodeIndex, pv: Port) {
         if self.degree[u.0] == 0 {
             self.dirty.push(u.0 as u32);
@@ -243,6 +257,11 @@ impl PortStore for DenseStore {
         }
         self.promote(u.0, v.0, pu.0);
         self.promote(v.0, u.0, pv.0);
+        // Both promotes filled their row's boundary position.
+        for w in [u.0, v.0] {
+            let at = self.row(w) + self.degree[w] as usize;
+            self.link[at] = self.links as u32;
+        }
         self.degree[u.0] += 1;
         self.degree[v.0] += 1;
         self.links += 1;
@@ -254,7 +273,8 @@ impl PortStore for DenseStore {
     /// has `16·d ≥ n − 1` is rewritten whole in one sequential pass; a
     /// lighter row chases its displacement cycles back in O(d) swaps.
     /// A rewritten row has `n − 1 ≤ 16·d`, so either way a row costs O(d)
-    /// and reset stays O(touched state).
+    /// and reset stays O(touched state). The link ids are cleared over
+    /// the connected prefix only, the one part of the row they occupy.
     ///
     /// The rule comes from a cold-cache microbenchmark: a rewrite costs
     /// ~2.1 µs per row at `n = 1024` and ~8 µs at 4096 whatever the
@@ -266,6 +286,8 @@ impl PortStore for DenseStore {
             let u = u as usize;
             // Links live only in the connected prefix: this unlinks them.
             let d = std::mem::take(&mut self.degree[u]) as usize;
+            let row = self.row(u);
+            self.link[row..row + d].fill(0);
             if 16 * d >= self.n - 1 {
                 self.rewrite_row(u);
             } else {
@@ -285,6 +307,9 @@ impl PortStore for DenseStore {
         };
         let (n, ports) = (self.n, self.n - 1);
         let mut ends = 0usize;
+        // Endpoints holding each link id, at most two each; with 2·links
+        // prefix positions in all, every id then has exactly two.
+        let mut holders = vec![0u8; self.links];
         for u in 0..n {
             let (row, d) = (self.row(u), self.degree[u] as usize);
             if d > ports {
@@ -313,6 +338,26 @@ impl PortStore for DenseStore {
                     return fail(u, p, "asymmetric link");
                 }
             }
+            // The prefix holds one id per link, the far end of the link
+            // holds the same id, and nothing lies past the prefix.
+            for (k, &id) in self.link[row..row + ports].iter().enumerate() {
+                if k >= d {
+                    if id != 0 {
+                        return fail(u, 0, "link id past the connected prefix");
+                    }
+                    continue;
+                }
+                let (v, p) = (self.peer_perm[row + k] as usize, self.port_perm[row + k]);
+                // Row v may not be checked yet, so read it without trusting it.
+                let far = self.link.get(self.row(v) + self.peer_pos(v, u)).copied();
+                let Some(held) = holders.get_mut(id as usize) else {
+                    return fail(u, p as usize, "link id out of range");
+                };
+                *held += 1;
+                if far != Some(id) || *held > 2 {
+                    return fail(u, p as usize, "link id not held by its two endpoints");
+                }
+            }
             ends += d;
         }
         if ends != 2 * self.links {
@@ -329,7 +374,8 @@ impl PortStore for DenseStore {
             + self.peer_pos.capacity()
             + self.port_perm.capacity()
             + self.port_pos.capacity();
-        (u16s * 2 + (self.degree.capacity() + self.dirty.capacity()) * 4) as u64
+        let u32s = self.link.capacity() + self.degree.capacity() + self.dirty.capacity();
+        (u16s * 2 + u32s * 4) as u64
     }
 }
 
@@ -347,6 +393,7 @@ mod tests {
             "a degree bumped by one",
             "a dirty-list entry dropped",
             "a node in its own peer row",
+            "two links' ids swapped at one endpoint",
         ];
         let n = 12;
         for (case, what) in corruptions.into_iter().enumerate() {
@@ -369,7 +416,8 @@ mod tests {
                 1 => s.peer_pos[u * n + s.peer_perm[row] as usize] = 1,
                 2 => s.degree[u] += 1,
                 3 => drop(s.dirty.pop()),
-                _ => s.peer_perm[row] = u as u16,
+                4 => s.peer_perm[row] = u as u16,
+                _ => s.link.swap(row, row + 1),
             }
             assert!(s.validate().is_err(), "validate() accepted {what}");
         }

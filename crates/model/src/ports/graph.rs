@@ -5,9 +5,10 @@
 //! neighbors. This store lays flat tables over that ragged port space:
 //! one entry per *directed CSR slot* (`2m` total), with node `u`'s row
 //! occupying the topology's slot range for `u`. Each slot holds a `u64`
-//! forward entry and five `u32` permutation, position and peer-index
-//! entries, 28 bytes — the layout the `auto` budget's cost model
-//! ([`PortBackend::edge_table_bytes`]) charges.
+//! forward entry, the `u32` id of the link behind the port, and five
+//! `u32` permutation, position and peer-index entries: 32 bytes, of which
+//! the `auto` budget's cost model ([`PortBackend::edge_table_bytes`])
+//! charges 28 (its docs say why).
 //! The partitioned-permutation discipline is identical — the first
 //! `degree(u)` positions of `u`'s peer/port permutations are the
 //! connected prefix, so a uniform fresh draw is one indexed lookup and
@@ -45,6 +46,9 @@ pub(super) struct GraphStore {
     /// `forward[slot(u) + i] = (v << 32) | j` for each assigned port
     /// `i < deg(u)`, [`EMPTY_U64`] otherwise.
     forward: Vec<u64>,
+    /// `link[slot(u) + i]` = the id of the link behind `u`'s port `i`
+    /// while `forward` holds it, 0 otherwise.
+    link: Vec<u32>,
     /// `port_of[slot(u) + idx(v)] = i` iff `u`'s port `i` connects to
     /// its CSR neighbor at row index `idx(v)`, [`EMPTY_U32`] otherwise.
     port_of: Vec<u32>,
@@ -91,6 +95,7 @@ impl GraphStore {
         }
         GraphStore {
             forward: vec![EMPTY_U64; slots],
+            link: vec![0; slots],
             port_of: vec![EMPTY_U32; slots],
             peer_perm,
             peer_pos,
@@ -199,6 +204,12 @@ impl PortStore for GraphStore {
     }
 
     #[inline]
+    fn link_id(&self, u: NodeIndex, p: Port) -> Option<u32> {
+        let slot = self.base(u.0) + p.0;
+        (self.forward[slot] != EMPTY_U64).then(|| self.link[slot])
+    }
+
+    #[inline]
     fn port_to(&self, u: NodeIndex, v: NodeIndex) -> Option<Port> {
         let iv = self.idx(u.0, v.0)?;
         let p = self.port_of[self.base(u.0) + iv];
@@ -227,6 +238,8 @@ impl PortStore for GraphStore {
         let iv = self.idx(v.0, u.0).expect("linking a non-edge");
         self.forward[bu + pu.0] = ((v.0 as u64) << 32) | pv.0 as u64;
         self.forward[bv + pv.0] = ((u.0 as u64) << 32) | pu.0 as u64;
+        self.link[bu + pu.0] = self.links as u32;
+        self.link[bv + pv.0] = self.links as u32;
         self.port_of[bu + iu] = pu.0 as u32;
         self.port_of[bv + iv] = pv.0 as u32;
         self.promote(u.0, v.0, pu.0);
@@ -252,6 +265,7 @@ impl PortStore for GraphStore {
                 self.port_of[base + iv] = EMPTY_U32;
                 let p = self.port_perm[base + k] as usize;
                 self.forward[base + p] = EMPTY_U64;
+                self.link[base + p] = 0;
             }
             self.degree[u] = 0;
             for k in 0..d {
@@ -294,12 +308,18 @@ impl PortStore for GraphStore {
         };
         let n = self.topo.n();
         let mut counted = 0usize;
+        // Endpoints holding each link id, at most two each; with 2·links
+        // assigned ports in all, every id then has exactly two.
+        let mut holders = vec![0u8; self.links];
         for u in 0..n {
             let base = self.base(u);
             let ports = self.topo.degree(NodeIndex(u));
             let mut assigned = 0usize;
             for i in 0..ports {
                 let Some(Endpoint { node: v, port: j }) = self.peer(NodeIndex(u), Port(i)) else {
+                    if self.link[base + i] != 0 {
+                        return fail(u, i, "link id on an unassigned port");
+                    }
                     continue;
                 };
                 counted += 1;
@@ -322,6 +342,14 @@ impl PortStore for GraphStore {
                 let iv = self.idx(u, v.0).expect("checked edge above");
                 if self.port_of[base + iv] != i as u32 {
                     return fail(u, i, "peer index out of sync");
+                }
+                let id = self.link[base + i];
+                let Some(held) = holders.get_mut(id as usize) else {
+                    return fail(u, i, "link id out of range");
+                };
+                *held += 1;
+                if self.link[self.base(v.0) + j.0] != id || *held > 2 {
+                    return fail(u, i, "link id not held by its two endpoints");
                 }
             }
             if assigned != self.degree[u] as usize {
@@ -367,7 +395,8 @@ impl PortStore for GraphStore {
     fn resident_bytes(&self) -> u64 {
         // Store-owned tables only: the topology's CSR is shared (one
         // copy per process regardless of maps/arenas holding it).
-        let u32s = self.port_of.capacity()
+        let u32s = self.link.capacity()
+            + self.port_of.capacity()
             + self.peer_perm.capacity()
             + self.peer_pos.capacity()
             + self.port_perm.capacity()
@@ -375,5 +404,46 @@ impl PortStore for GraphStore {
             + self.degree.capacity()
             + self.dirty.capacity();
         (self.forward.capacity() * 8 + u32s * 4) as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ports::{PortMap, RandomResolver, Store};
+    use crate::rng::rng_from_seed;
+
+    #[test]
+    fn validate_rejects_each_corruption() {
+        let corruptions = [
+            "two links' ids swapped at one endpoint",
+            "a link id on an unassigned port",
+        ];
+        let topo = Topology::ring(12).unwrap();
+        for (case, what) in corruptions.into_iter().enumerate() {
+            // Every port of nodes 0..6 resolved, so node 1 holds two links
+            // and node 9 none.
+            let mut map = PortMap::for_topology(&topo, PortBackend::Dense).unwrap();
+            let mut rng = rng_from_seed(7);
+            for (u, p) in (0..6).flat_map(|u| (0..2).map(move |p| (u, p))) {
+                map.resolve(NodeIndex(u), Port(p), &mut RandomResolver, &mut rng)
+                    .unwrap();
+            }
+            let Store::Graph(mut s) = map.store else {
+                unreachable!("a ring maps to the graph store");
+            };
+            s.validate().unwrap();
+            match case {
+                0 => {
+                    let base = s.base(1);
+                    s.link.swap(base, base + 1);
+                }
+                _ => {
+                    let base = s.base(9);
+                    s.link[base] = 1;
+                }
+            }
+            assert!(s.validate().is_err(), "validate() accepted {what}");
+        }
     }
 }

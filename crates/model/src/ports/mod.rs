@@ -33,9 +33,11 @@
 //! * **Dense** (`dense` submodule) — four flat row-major `u16` tables
 //!   (the permutations and their inverses, 8 bytes per ordered node pair)
 //!   allocated once at construction, for `n ≤ 65536`; the connected
-//!   prefixes double as the link table. Every operation is O(1) with no
-//!   hashing. The right choice wherever the tables fit: `n = 4096` is
-//!   128 MB, `n = 16384` is 2 GiB.
+//!   prefixes double as the link table, and a zero-allocated `u32` table
+//!   beside them holds each link's id at its prefix positions. Every
+//!   operation is O(1) with no hashing. The right choice wherever the
+//!   tables fit: `n = 4096` is 128 MB of permutations, `n = 16384` is
+//!   2 GiB.
 //! * **Sparse** (`sparse` submodule) — open-addressing tables
 //!   ([`OpenTable`]) holding only *touched* state, with each node's
 //!   untouched peer/port permutations represented implicitly by a keyed
@@ -50,6 +52,10 @@
 //! choice programmatically. `auto` picks dense while the budget's cost
 //! model ([`PortBackend::dense_table_bytes`], 28 bytes per ordered pair)
 //! fits 8 GiB, i.e. up to `n = 16384`, and sparse beyond.
+//!
+//! Every store numbers its links in creation order ([`PortMap::link_id`]),
+//! so per-link state elsewhere — the asynchronous engine's FIFO floors,
+//! for one — lives in flat tables indexed by link id on every backend.
 //!
 //! RNG-free resolvers (round-robin, circulant, the lower-bound
 //! adversaries) resolve identically on both backends — enforced by
@@ -66,13 +72,14 @@
 //! produces, in time proportional to the state the previous trial actually
 //! touched. A dirty-node list records which rows have links. The dense and
 //! graph stores restore each dirty row by swapping its partitioned
-//! permutations back to canonical order, with no reallocation and no
-//! full-table sweep. The sparse store zeroes the dirty degrees and clears
-//! its hashed tables, since an empty override table *is* the base
-//! permutation; its tables shrink when a trial leaves them ≥ 8× oversized,
-//! so the clear is O(touched) amortized. A reset map is observationally
-//! identical to a fresh one: the same resolver draws from the same RNG
-//! state produce the same mapping.
+//! permutations back to canonical order and clearing the row's link ids,
+//! with no reallocation and no full-table sweep. The sparse store zeroes
+//! the dirty degrees and clears its tables, since an empty override table
+//! *is* the base permutation; its hashed tables shrink when a trial leaves
+//! them ≥ 8× oversized, so the clear is O(touched) amortized. A reset map
+//! is observationally identical to a fresh one: the same resolver draws
+//! from the same RNG state produce the same mapping, with the same link
+//! ids.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -134,8 +141,13 @@ impl std::fmt::Display for Endpoint {
 /// sanity) and the range of every read before it reaches the store, so
 /// implementations only maintain the representation: the partitioned
 /// peer/port permutations whose first `degree(u)` positions are the
-/// connected prefix, plus whatever link tables the backend keeps beside
-/// them (dense keeps none, sparse one forward table).
+/// connected prefix, plus the link tables the backend keeps beside them
+/// (dense a position-indexed link-id table, sparse a forward table and
+/// a link-indexed endpoint table).
+///
+/// Every store numbers its links in creation order: the `i`-th
+/// `insert_link` since construction or the last `reset` fixes link `i`,
+/// and both of its endpoints report that id.
 trait PortStore {
     /// Number of nodes.
     fn n(&self) -> usize;
@@ -155,6 +167,8 @@ trait PortStore {
     fn peer(&self, u: NodeIndex, p: Port) -> Option<Endpoint>;
     /// The port of `u` connecting to `v`, if such a link is fixed.
     fn port_to(&self, u: NodeIndex, v: NodeIndex) -> Option<Port>;
+    /// The id of the link behind `u`'s port `p`, if assigned.
+    fn link_id(&self, u: NodeIndex, p: Port) -> Option<u32>;
     /// The peer at position `k` of `u`'s partitioned peer permutation.
     fn peer_at_pos(&self, u: NodeIndex, k: usize) -> NodeIndex;
     /// The port at position `k` of `u`'s partitioned port permutation.
@@ -324,12 +338,17 @@ impl PortBackend {
     /// The `auto` budget's cost model at `n` nodes and `m` undirected
     /// edges: `56m + 12n` bytes. Each of the `2m` directed slots costs one
     /// `u64` forward entry plus five `u32` peer/port permutation,
-    /// position, and index entries (28 bytes per slot — the flat layout
-    /// the graph store keeps per CSR slot), plus one `u32` degree and two
-    /// words of amortized row bookkeeping per node. Chosen so that at the
-    /// clique's `m = n(n−1)/2` this is *exactly*
+    /// position, and index entries (28 bytes per slot), plus one `u32`
+    /// degree and two words of amortized row bookkeeping per node. Chosen
+    /// so that at the clique's `m = n(n−1)/2` this is *exactly*
     /// [`PortBackend::dense_table_bytes`]`(n)` = `28n² − 16n`: one
     /// budget formula, parameterized by the real edge count.
+    ///
+    /// The graph store keeps a `u32` link id per slot too (32 bytes), and
+    /// dense a link-id table, but the model charges 28 bytes per slot on
+    /// purpose: charging the link ids would move the dense/sparse
+    /// boundary, and with it which store `auto` picks and every draw
+    /// recorded on either side of it.
     pub fn edge_table_bytes(n: usize, m: u64) -> u64 {
         let bytes = 56 * m as u128 + 12 * n as u128;
         u64::try_from(bytes).unwrap_or(u64::MAX)
@@ -853,6 +872,22 @@ impl PortMap {
         with_store!(self, s => s.port_to(u, v))
     }
 
+    /// The id of the link behind `u`'s port `p`, if that port is assigned
+    /// (`None` when `u` or `p` is out of range, as for [`PortMap::peer`]).
+    ///
+    /// A link's id is its creation index, `0..link_count()`: the first
+    /// link fixed since construction or the last [`PortMap::reset`] is 0.
+    /// Both endpoints report the same id, and every backend gives the same
+    /// ids for the same sequence of resolutions, so per-link state can
+    /// live in a flat table indexed by id.
+    #[inline]
+    pub fn link_id(&self, u: NodeIndex, p: Port) -> Option<u32> {
+        if u.0 >= self.n() || p.0 >= self.ports_of(u) {
+            return None;
+        }
+        with_store!(self, s => s.link_id(u, p))
+    }
+
     /// The peer at position `k` of `u`'s partitioned peer permutation
     /// (connected prefix first).
     #[inline]
@@ -1151,9 +1186,11 @@ mod tests {
 
     #[test]
     fn dense_resident_bytes_are_its_four_u16_tables() {
-        // Three (n − 1)-wide rows and one n-wide row of u16 per node, plus
-        // the u32 degree table: 8n² − 2n bytes on a fresh map.
-        for (n, bytes) in [(2, 28), (16, 2016), (1024, 8_386_560)] {
+        // Three (n − 1)-wide rows and one n-wide row of u16 per node, one
+        // (n − 1)-wide row of u32 link ids, and the u32 degree table:
+        // 12n² − 6n bytes on a fresh map. The link ids are zero-allocated,
+        // so their pages count here before they are resident.
+        for (n, bytes) in [(2, 36), (16, 2976), (1024, 12_576_768)] {
             let map = PortMap::with_backend(n, PortBackend::Dense).unwrap();
             assert_eq!(map.resident_bytes(), bytes, "n = {n}");
         }

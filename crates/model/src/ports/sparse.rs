@@ -22,8 +22,11 @@
 //! evaluated in O(1) expected time and at most O(degree) override entries
 //! per node). As in the dense backend, fixing a link moves the peer and
 //! the local port to the same prefix position, so `connected` and
-//! `port_to` read the link off the permutations. Memory is O(n) fixed (the
-//! degree table) plus O(links) hashed entries, which is what reopens
+//! `port_to` read the link off the permutations. Each link's id is its
+//! index in a flat `ends` table holding its two endpoints; the forward
+//! table maps a port to that id, and `peer` reads the far endpoint there.
+//! Memory is O(n) fixed (the degree table) plus O(links) hashed and flat
+//! entries, which is what reopens
 //! `n = 65536+`: there the dense tables would need 8 bytes per ordered
 //! node pair (32 GiB at `n = 65536`), and past 65536 nodes their `u16`
 //! entries run out.
@@ -70,7 +73,7 @@ const PEER_STREAM: u64 = 0x7065_6572_7065_726d; // "peerperm"
 const PORT_STREAM: u64 = 0x706f_7274_7065_726d; // "portperm"
 
 /// Packs a `(node, index)` coordinate into one map key (and an endpoint
-/// into a forward-table value).
+/// into an `ends` entry).
 #[inline]
 fn key(u: usize, x: usize) -> u64 {
     ((u as u64) << 32) | x as u64
@@ -296,12 +299,16 @@ pub(super) struct SparseStore {
     links: usize,
     /// Nodes with at least one link (pushed on the 0 → 1 transition).
     dirty: Vec<u32>,
-    /// `(u, i) → (v << 32) | j` for each assigned port `i` of `u`: the one
-    /// record of each link besides the permutations. `peer` could read it
-    /// off them too, but that takes four dependent hashed probes a call:
-    /// re-resolving 524 k already-fixed ports at `n = 65536` took
-    /// 263–357 ms that way against 24–44 ms here (2-vCPU Linux VM).
-    fwd: OpenTable<u64>,
+    /// `(u, i) → id` for each assigned port `i` of `u`: the id of the link
+    /// behind it. With `ends` this is the one record of each link besides
+    /// the permutations. `peer` could read the link off them too, but that
+    /// takes four dependent hashed probes a call: re-resolving 524 k
+    /// already-fixed ports at `n = 65536` took 263–357 ms that way against
+    /// 24–44 ms through a forward table (2-vCPU Linux VM).
+    fwd: OpenTable<u32>,
+    /// `ends[id]` = the packed `(node, port)` endpoints of link `id`, in
+    /// creation order.
+    ends: Vec<[u64; 2]>,
     /// Peer permutations over raw indices: raw `r` of node `u` is node
     /// `r + [r ≥ u]`.
     peers: SparsePerm,
@@ -322,6 +329,7 @@ impl SparseStore {
             links: 0,
             dirty: Vec::new(),
             fwd: OpenTable::new(),
+            ends: Vec::new(),
             peers: SparsePerm::new(n, PEER_STREAM),
             ports: SparsePerm::new(n, PORT_STREAM),
         }
@@ -369,13 +377,18 @@ impl PortStore for SparseStore {
 
     #[inline]
     fn peer(&self, u: NodeIndex, p: Port) -> Option<Endpoint> {
-        self.fwd.get(key(u.0, p.0)).map(|e| {
-            let (v, j) = unkey(e);
-            Endpoint {
-                node: NodeIndex(v),
-                port: Port(j),
-            }
+        let near = key(u.0, p.0);
+        let [a, b] = self.ends[self.fwd.get(near)? as usize];
+        let (v, j) = unkey(if a == near { b } else { a });
+        Some(Endpoint {
+            node: NodeIndex(v),
+            port: Port(j),
         })
+    }
+
+    #[inline]
+    fn link_id(&self, u: NodeIndex, p: Port) -> Option<u32> {
+        self.fwd.get(key(u.0, p.0))
     }
 
     #[inline]
@@ -400,12 +413,14 @@ impl PortStore for SparseStore {
 
     fn insert_link(&mut self, u: NodeIndex, pu: Port, v: NodeIndex, pv: Port) {
         let (u, pu, v, pv) = (u.0, pu.0, v.0, pv.0);
-        for (a, pa, b, pb) in [(u, pu, v, pv), (v, pv, u, pu)] {
+        let id = self.links as u32;
+        self.ends.push([key(u, pu), key(v, pv)]);
+        for (a, pa, b) in [(u, pu, v), (v, pv, u)] {
             let d = self.degree[a] as usize;
             if d == 0 {
                 self.dirty.push(a as u32);
             }
-            self.fwd.insert(key(a, pa), key(b, pb));
+            self.fwd.insert(key(a, pa), id);
             self.peers.promote(a, b - usize::from(b > a), d);
             self.ports.promote(a, pa, d);
             self.degree[a] += 1;
@@ -423,6 +438,7 @@ impl PortStore for SparseStore {
         self.links = 0;
         self.fwd.clear();
         self.fwd.end_trial();
+        self.ends.clear();
         self.peers.clear();
         self.ports.clear();
     }
@@ -436,30 +452,40 @@ impl PortStore for SparseStore {
             })
         };
         let (n, ports) = (self.n, self.n - 1);
-        if self.fwd.len() != 2 * self.links {
+        if self.fwd.len() != 2 * self.links || self.ends.len() != self.links {
             return fail(0, 0, "link count out of sync");
         }
-        // Each forward entry is in range, symmetric, and sits at one prefix
-        // position of both permutations; with a degree equal to the
-        // node's entry count, the prefix holds exactly the links.
-        let mut ends = vec![0u32; n];
-        for (k, e) in self.fwd.iter() {
-            let ((u, i), (v, j)) = (unkey(k), unkey(e));
+        // Each forward entry names a link whose ends hold it, and that
+        // link is in range, symmetric, and sits at one prefix position of
+        // both permutations; with a degree equal to the node's entry
+        // count, the prefix holds exactly the links. Keys are unique, so
+        // 2·links entries over `links` ids with two ends each give every
+        // id exactly its two endpoints.
+        let mut entries = vec![0u32; n];
+        for (k, id) in self.fwd.iter() {
+            let (u, i) = unkey(k);
+            let Some(&[a, b]) = self.ends.get(id as usize) else {
+                return fail(u, i, "link id out of range");
+            };
+            if k != a && k != b {
+                return fail(u, i, "link id and ends disagree");
+            }
+            let (v, j) = unkey(if k == a { b } else { a });
             if u >= n || v >= n || i >= ports || j >= ports {
                 return fail(u, i, "forward entry out of range");
             }
             if v == u {
                 return fail(u, i, "self-link");
             }
-            if self.fwd.get(key(v, j)) != Some(key(u, i)) {
+            if self.fwd.get(key(v, j)) != Some(id) {
                 return fail(u, i, "asymmetric link");
             }
             if self.port_to(NodeIndex(u), NodeIndex(v)) != Some(Port(i)) {
                 return fail(u, i, "forward entry and permutations disagree");
             }
-            ends[u] += 1;
+            entries[u] += 1;
         }
-        if let Some(u) = (0..n).find(|&u| ends[u] != self.degree[u]) {
+        if let Some(u) = (0..n).find(|&u| entries[u] != self.degree[u]) {
             return fail(u, 0, "degree out of sync with forward table");
         }
         // Every override is a genuine deviation: the
@@ -491,7 +517,7 @@ impl PortStore for SparseStore {
         // Each OpenTable reports its allocated slot slab exactly, so
         // recycled trials see *retained* capacity, not live entries. The
         // memo caches are real fixed allocations and count too.
-        (self.degree.capacity() * 4 + self.dirty.capacity() * 4) as u64
+        (self.degree.capacity() * 4 + self.dirty.capacity() * 4 + self.ends.capacity() * 16) as u64
             + self.fwd.resident_bytes()
             + self.peers.resident_bytes()
             + self.ports.resident_bytes()
@@ -543,21 +569,25 @@ mod tests {
             "a redundant override",
             "a degree bumped by one",
             "a dirty-list entry dropped",
+            "two links' ids swapped at one endpoint",
         ];
         for (case, what) in corruptions.into_iter().enumerate() {
             let mut s = resolved_store();
             let u = (0..s.n).find(|&u| s.degree[u] >= 2).unwrap();
             match case {
                 0 => {
-                    // Swap the links behind u's first two ports in both
-                    // directions: the forward table stays symmetric but
-                    // no longer matches the permutations' prefix.
+                    // Swap the links behind u's first two ports, ids and
+                    // ends alike: the links stay symmetric but no longer
+                    // match the permutations' prefix.
                     let (p, q) = (s.ports.at(u, 0) as usize, s.ports.at(u, 1) as usize);
                     let (a, b) = (s.fwd.get(key(u, p)).unwrap(), s.fwd.get(key(u, q)).unwrap());
                     s.fwd.insert(key(u, p), b);
-                    s.fwd.insert(b, key(u, p));
                     s.fwd.insert(key(u, q), a);
-                    s.fwd.insert(a, key(u, q));
+                    for (id, end) in [(a, key(u, q)), (b, key(u, p))] {
+                        let ends = &mut s.ends[id as usize];
+                        let at = usize::from(unkey(ends[1]).0 == u);
+                        ends[at] = end;
+                    }
                 }
                 1 => {
                     // Misplace a free port, which no link check reads, off
@@ -575,7 +605,13 @@ mod tests {
                     s.ports.val.insert(key(u, k), base);
                 }
                 3 => s.degree[u] += 1,
-                _ => drop(s.dirty.pop()),
+                4 => drop(s.dirty.pop()),
+                _ => {
+                    let (p, q) = (s.ports.at(u, 0) as usize, s.ports.at(u, 1) as usize);
+                    let (a, b) = (s.fwd.get(key(u, p)).unwrap(), s.fwd.get(key(u, q)).unwrap());
+                    s.fwd.insert(key(u, p), b);
+                    s.fwd.insert(key(u, q), a);
+                }
             }
             assert!(s.validate().is_err(), "validate() accepted {what}");
         }

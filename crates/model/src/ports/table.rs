@@ -2,9 +2,9 @@
 //! packed `u64` keys.
 //!
 //! The sparse port-map backend stores five maps keyed by packed
-//! `(node << 32) | index` coordinates, the async engine's FIFO floors
-//! use `src·n + dst` keys, and `rng::sample_distinct` keys the positions
-//! its shuffle displaced — small integers the caller fully controls. The
+//! `(node << 32) | index` coordinates, and `rng::sample_distinct` keys the
+//! positions its shuffle displaced — small integers the caller fully
+//! controls. The
 //! std `HashMap` (even with a splitmix hasher) pays for generality this
 //! workload never uses: SIMD control bytes, tombstone bookkeeping, and a
 //! layout that keeps keys and values in separate groups. [`OpenTable`] is
@@ -34,9 +34,9 @@
 //!
 //! The all-ones key `u64::MAX` is reserved as the empty-slot sentinel.
 //! Every producer in this workspace packs a node index below `u32::MAX`
-//! into the high half (or a product `src·n + dst < n² ≪ 2⁶⁴`, or a
-//! shuffle position below a universe of at most `usize::MAX`), so the
-//! sentinel can never collide with a real key; `insert` debug-asserts it.
+//! into the high half (or a shuffle position below a universe of at most
+//! `usize::MAX`), so the sentinel can never collide with a real key;
+//! `insert` debug-asserts it.
 
 /// Reserved empty-slot marker (see the module docs for why no real key can
 /// collide with it).
@@ -187,20 +187,6 @@ impl<V: Copy + Default> OpenTable<V> {
                 _ => i = (i + 1) & mask,
             }
         }
-    }
-
-    /// A mutable reference to the value under `key`, inserting `default`
-    /// first if the key is absent.
-    #[inline]
-    pub fn get_or_insert_mut(&mut self, key: u64, default: V) -> &mut V {
-        let i = match self.find(key) {
-            Some(i) => i,
-            None => {
-                self.insert(key, default);
-                self.find(key).expect("just inserted")
-            }
-        };
-        &mut self.slots[i].1
     }
 
     /// Removes `key`, returning its value if it was present.

@@ -12,9 +12,11 @@
 //!
 //! Recycling must also keep an arena at the live state of its largest
 //! trial: asynchronous trials on one arena, fault-free and on a
-//! congested lossy network, must not grow its resident bytes. The
-//! `n = 1024` version of that check is ignored by default; CI runs it in
-//! release mode:
+//! congested lossy network, must not grow its resident bytes, and the
+//! engine's per-link state holds one entry per link used, so a sparse
+//! topology never pays for the `n²` node pairs it lacks. The
+//! `n = 1024` version of the growth check is ignored by default; CI runs
+//! it in release mode:
 //!
 //! ```sh
 //! cargo test --release --test arena_equivalence -- --ignored --nocapture
@@ -26,11 +28,12 @@ use improved_le::algorithms::sync::{
     two_round_adversarial,
 };
 use improved_le::asynchronous::{
-    AsyncArena, AsyncSimBuilder, AsyncWakeSchedule, NetworkConfig, Reliability,
+    AsyncArena, AsyncContext, AsyncNode, AsyncSimBuilder, AsyncWakeSchedule, NetworkConfig,
+    Received, Reliability,
 };
 use improved_le::model::ids::IdSpace;
 use improved_le::model::rng::rng_from_seed;
-use improved_le::model::{Decision, NodeIndex, PortBackend};
+use improved_le::model::{Decision, NodeIndex, PortBackend, Topology, WakeCause};
 use improved_le::sync::{Outcome, SyncArena, SyncSimBuilder, WakeSchedule};
 
 const N: usize = 48;
@@ -385,4 +388,69 @@ fn recycled_async_arena_does_not_grow_at_n_1024() {
     let lossy = async_resident_per_trial(1024, 40, Some(congested_loss()));
     println!("async_lossy arena, bytes after each trial: {lossy:?}");
     assert_arena_does_not_grow("congested-loss, n = 1024", &lossy);
+}
+
+/// Floods once: a node sends on every port when it wakes, and a message
+/// wakes its receiver. Each link then carries one message each way.
+struct Flood;
+
+impl AsyncNode for Flood {
+    type Message = ();
+
+    fn on_wake(&mut self, ctx: &mut AsyncContext<'_, ()>, _cause: WakeCause) {
+        for p in ctx.all_ports() {
+            ctx.send(p, ());
+        }
+    }
+
+    fn on_message(&mut self, _ctx: &mut AsyncContext<'_, ()>, _m: Received<()>) {}
+
+    fn decision(&self) -> Decision {
+        Decision::Undecided
+    }
+}
+
+#[test]
+fn per_link_state_is_linear_in_links_on_a_ring() {
+    // The auto backend resolves a 4096-node ring to the dense stand-in.
+    // Per-link state keyed by node pairs would take n·n slots, 128 MiB
+    // each for the FIFO floors and the busy horizons; indexed by link id
+    // each holds one 16-byte entry (both directions) per link.
+    let topo = Topology::ring(4096).unwrap();
+    let links = topo.m();
+    let trial = |arena: Option<&mut AsyncArena>| {
+        let builder = AsyncSimBuilder::new(topo.n())
+            .seed(5)
+            .topology(topo.clone())
+            .backend(PortBackend::Auto)
+            .wake(AsyncWakeSchedule::single(NodeIndex(0)))
+            // A finite link rate turns the busy horizons on too.
+            .network(NetworkConfig::new().link_rate(8.0));
+        let o = match arena {
+            Some(arena) => builder
+                .build_in(arena, |_, _| Flood)
+                .unwrap()
+                .run_reusing(arena),
+            None => builder.build(|_, _| Flood).unwrap().run(),
+        }
+        .unwrap();
+        assert_eq!(o.stats.total(), 2 * links, "the flood missed a link");
+        (
+            o.time.to_bits(),
+            o.stats.total(),
+            o.stats.rounds().to_vec(),
+            o.awake.clone(),
+            o.halt,
+        )
+    };
+    let fresh = trial(None);
+    let mut arena = AsyncArena::new();
+    for _ in 0..2 {
+        assert_eq!(trial(Some(&mut arena)), fresh);
+        let bytes = arena.link_bytes();
+        assert!(
+            bytes > 0 && bytes <= 64 * links,
+            "{bytes} B of floors and horizons for {links} links: {arena:?}"
+        );
+    }
 }

@@ -275,6 +275,75 @@ fn sparse_portmap_matches_dense_endpoint_for_endpoint() {
     }
 }
 
+/// Resolves `schedule` on `map` under round-robin, resets, and resolves it
+/// again, checking the link-id contract on the way: ids run
+/// `0..link_count()` in creation order, both endpoints of a link report
+/// its id, unassigned and out-of-range ports have none, and the second
+/// pass numbers every link as the first did, from 0. Returns the id of
+/// every resolution of the first pass.
+fn link_ids_over_a_reset(map: &mut PortMap, schedule: &[(usize, usize)]) -> Vec<u32> {
+    let n = map.n();
+    let mut first: Option<Vec<u32>> = None;
+    for _ in 0..2 {
+        assert_eq!(map.link_id(NodeIndex(0), Port(0)), None);
+        let mut rng = rng_from_seed(0);
+        let mut ids = Vec::new();
+        for &(u, p) in schedule {
+            let (u, p) = (NodeIndex(u), Port(p));
+            let (before, links) = (map.link_id(u, p), map.link_count());
+            let e = map
+                .resolve(u, p, &mut RoundRobinResolver, &mut rng)
+                .unwrap();
+            let id = map.link_id(u, p).expect("a resolved port has an id");
+            match before {
+                None => assert_eq!(id as usize, links, "{u}:{p} is not the next id"),
+                Some(held) => assert_eq!(id, held, "{u}:{p} changed its id"),
+            }
+            assert_eq!(map.link_id(e.node, e.port), Some(id), "{u}:{p} and {e}");
+            ids.push(id);
+        }
+        map.validate().unwrap();
+        assert_eq!(map.link_id(NodeIndex(n), Port(0)), None);
+        let last = NodeIndex(n - 1);
+        assert_eq!(map.link_id(last, Port(map.ports_of(last))), None);
+        match &first {
+            None => first = Some(ids),
+            Some(expect) => assert_eq!(&ids, expect, "ids did not restart at 0"),
+        }
+        map.reset();
+    }
+    first.unwrap()
+}
+
+/// The link-id contract on all three stores: one round-robin sequence
+/// through dense and sparse gives the same ids, and a ring's graph store
+/// numbers its links by the same rule.
+#[test]
+fn link_ids_follow_creation_order_on_every_store() {
+    use improved_le::model::topology::Topology;
+    let n = 17;
+    let total = n * (n - 1);
+    // Half of every (node, port) pair in a scattered order, so some
+    // resolutions fix a link and others find one fixed from its far end.
+    let schedule: Vec<(usize, usize)> = (0..total / 2)
+        .map(|s| {
+            let x = (s * 7919) % total;
+            (x / (n - 1), x % (n - 1))
+        })
+        .collect();
+    let mut dense = PortMap::with_backend(n, PortBackend::Dense).unwrap();
+    let mut sparse = PortMap::with_backend(n, PortBackend::Sparse).unwrap();
+    let ids = link_ids_over_a_reset(&mut dense, &schedule);
+    assert_eq!(ids, link_ids_over_a_reset(&mut sparse, &schedule));
+    assert!(ids.iter().any(|&id| id as usize > n), "{ids:?}");
+
+    let ring = Topology::ring(64).unwrap();
+    let mut graph = PortMap::for_topology(&ring, PortBackend::Auto).unwrap();
+    let every_port: Vec<(usize, usize)> = (0..64).flat_map(|u| [(u, 0), (u, 1)]).collect();
+    let ids = link_ids_over_a_reset(&mut graph, &every_port);
+    assert_eq!(ids.iter().max(), Some(&63));
+}
+
 /// Endpoint-level topology × backend differential: on a non-clique
 /// topology every backend serves the CSR graph tables (the requested
 /// backend survives only as the reported stand-in), so the draw schedule

@@ -5,7 +5,10 @@
 //! footprint, and recycled trials on one arena must not keep growing it.
 //! For the synchronous engine's worklists: one `singular` trial on a
 //! 65536-node ring, 98 k rounds in which only a few nodes act, must
-//! finish within a minute.
+//! finish within a minute. For the asynchronous engine on the sparse
+//! store: Afek–Gafni (Theorem 5.14) and Algorithm 2 with `k = 6`
+//! (Theorem 5.1) at `n = 65536` must stay within their theorems' bounds,
+//! and recycled Afek–Gafni trials must not keep growing their arena.
 //!
 //! Ignored by default so tier-1 wall-clock stays flat; CI runs it
 //! explicitly (release profile) as the large-n regression gate:
@@ -16,8 +19,11 @@
 
 use std::time::{Duration, Instant};
 
+use improved_le::algorithms::asynchronous::{afek_gafni, tradeoff};
 use improved_le::algorithms::sync::singular;
-use improved_le::model::{PortBackend, Topology};
+use improved_le::asynchronous::{AsyncArena, AsyncSimBuilder, AsyncWakeSchedule};
+use improved_le::bounds::formulas;
+use improved_le::model::{NodeIndex, PortBackend, Topology};
 use improved_le::sync::{SyncArena, SyncSimBuilder};
 
 const N: usize = 65536;
@@ -134,4 +140,87 @@ fn singular_elects_on_a_65536_ring_within_budget() {
         elapsed < BUDGET,
         "large-n trial took {elapsed:?}, budget {BUDGET:?}"
     );
+}
+
+#[test]
+#[ignore = "large-n smoke: run explicitly (CI) in release mode"]
+fn async_afek_gafni_recycles_at_n_65536_within_theorem_5_14() {
+    // ~2 s per trial on a 2-vCPU VM, at 636–641 k messages against the
+    // bound's 1.05 M.
+    let bound = formulas::thm514_message_upper_bound(N);
+    let mut arena = AsyncArena::new();
+    let resident: Vec<u64> = (0..3)
+        .map(|seed| {
+            let started = Instant::now();
+            let outcome = AsyncSimBuilder::new(N)
+                .seed(seed)
+                .backend(PortBackend::Auto)
+                .wake(AsyncWakeSchedule::simultaneous(N))
+                .build_in(&mut arena, afek_gafni::Node::new)
+                .expect("valid configuration")
+                .run_reusing(&mut arena)
+                .expect("no resolver faults");
+            let msgs = outcome.stats.total();
+            println!(
+                "afek_gafni n = {N} (seed {seed}): {msgs} messages, time {:.2}, {:?}, \
+                 {:.1} MB resident",
+                outcome.time,
+                started.elapsed(),
+                arena.resident_bytes() as f64 / 1e6,
+            );
+            outcome
+                .validate_implicit()
+                .expect("Afek–Gafni elects a unique leader");
+            assert!(
+                msgs as f64 <= bound,
+                "{msgs} messages exceed n·log2 n = {bound}"
+            );
+            arena.resident_bytes()
+        })
+        .collect();
+    assert!(
+        resident[2] * 10 <= resident[1] * 11,
+        "recycled trials grew the arena: {resident:?} B"
+    );
+}
+
+#[test]
+#[ignore = "large-n smoke: run explicitly (CI) in release mode"]
+fn async_tradeoff_k6_at_n_65536_within_theorem_5_1() {
+    // ~13 s per trial on a 2-vCPU VM, at time 5.9–6.9. The slack of 3 is
+    // the one `exp_adversary_stress` allows Algorithm 2 past n = 256.
+    const K: usize = 6;
+    let bound = formulas::thm51_time_upper_bound(K) + 3.0;
+    // The first trial runs on an empty arena, the second on its recycled
+    // state.
+    let mut arena = AsyncArena::new();
+    for seed in 0..2 {
+        let started = Instant::now();
+        let outcome = AsyncSimBuilder::new(N)
+            .seed(seed)
+            .backend(PortBackend::Auto)
+            .wake(AsyncWakeSchedule::single(NodeIndex(0)))
+            .build_in(&mut arena, |_, _| {
+                tradeoff::Node::new(tradeoff::Config::new(K))
+            })
+            .expect("valid configuration")
+            .run_reusing(&mut arena)
+            .expect("no resolver faults");
+        println!(
+            "tradeoff k = {K} n = {N} (seed {seed}): {} messages, time {:.2}, {:?}, \
+             {:.1} MB resident",
+            outcome.stats.total(),
+            outcome.time,
+            started.elapsed(),
+            arena.resident_bytes() as f64 / 1e6,
+        );
+        outcome
+            .validate_implicit()
+            .expect("Algorithm 2 elects a unique leader");
+        assert!(
+            outcome.time <= bound,
+            "time {} exceeds k + 8 + 3 = {bound}",
+            outcome.time
+        );
+    }
 }
