@@ -117,10 +117,14 @@ impl std::fmt::Display for Capability {
 /// per-node counts of messages sent and delivered so far.
 ///
 /// The engine updates it as the execution unfolds: a node's `sent` count
-/// grows when its message is dispatched (delay assigned), its `delivered`
-/// count when a message addressed to it is taken off the event queue. Both
-/// counts exclude the message currently being scheduled — the adversary
-/// sees the transcript *up to but not including* its own decision.
+/// grows once its message is scheduled (delay assigned, or its one wire
+/// attempt dropped), its `delivered` count when a message addressed to it
+/// is taken off the event queue. Both counts exclude the message currently
+/// being scheduled — the adversary sees the transcript *up to but not
+/// including* its own decision. Under the reliability protocol a payload
+/// counts from its dispatch instead, since it may first wait in its link's
+/// backlog, so all of its transmission attempts see it, the first
+/// included.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transcript {
     sent: Vec<u64>,
@@ -197,6 +201,8 @@ pub struct Observation<'a> {
     /// The message's algorithm-declared class.
     pub class: MessageClass,
     /// Per-node sent/delivered counts up to (excluding) this message.
+    /// Under the reliability protocol a payload counts from its dispatch,
+    /// so all of its attempts see it, the first included.
     pub transcript: &'a Transcript,
 }
 

@@ -58,8 +58,8 @@ fn node(u: u32) -> NodeIndex {
 enum EventKind<M> {
     /// The adversary wakes a node.
     Wake(u32),
-    /// A message is delivered (fault-free engine, or an active network
-    /// without the reliability protocol).
+    /// A message is delivered (any network without the reliability
+    /// protocol).
     Deliver {
         src: u32,
         dst: u32,
@@ -89,16 +89,6 @@ enum EventKind<M> {
     Crash(u32),
     /// A crashed node recovers (resuming its pre-crash state).
     Recover(u32),
-}
-
-/// How a wire transmission attempt fared against the faulty network.
-enum WireFate {
-    /// Admitted and survived: delivery is scheduled for this time.
-    At(f64),
-    /// Dropped on the tail of a full link queue (never occupied the link).
-    QueueDrop,
-    /// Destroyed in transit (after occupying the link).
-    Lost,
 }
 
 /// Reusable simulation state for repeated asynchronous trials: the
@@ -371,10 +361,10 @@ impl AsyncSimBuilder {
     ///
     /// Default: the `LE_LOSS`/`LE_LINK_RATE`/`LE_QUEUE_CAP`/`LE_CRASH`
     /// environment selection, and the transparent fault-free network when
-    /// all four are unset. The transparent default
-    /// ([`NetworkConfig::default`]) routes dispatch through the exact
-    /// fault-free code path, so executions reproduce pre-fault-layer runs
-    /// byte-identically.
+    /// all four are unset. Every network takes the same wire path; on the
+    /// transparent default ([`NetworkConfig::default`]) each fault step
+    /// is off, so executions reproduce pre-fault-layer runs
+    /// byte-identically and the fault counters stay zero.
     pub fn network(mut self, network: NetworkConfig) -> Self {
         self.network = Some(network);
         self
@@ -604,12 +594,13 @@ pub struct AsyncSim<N: AsyncNode> {
     /// Time of the last *effective* event — everything except a stale
     /// retransmission-timer pop. This is the reported time complexity:
     /// an uncancellable timer whose payload was already acknowledged
-    /// must not inflate it. Identical to `now` on the fault-free path.
+    /// must not inflate it. Identical to `now` without the reliability
+    /// protocol.
     busy_now: f64,
     wake_all_time: Option<f64>,
     last_scheduled_wake: f64,
-    /// Whether any fault/capacity feature is on; `false` routes dispatch
-    /// through the exact legacy code path (byte-identical executions).
+    /// Whether any fault/capacity feature is on; `false` keeps the fault
+    /// counters at zero and never consults [`Adversary::induces_loss`].
     net_active: bool,
     /// Per-message link service time (`1/rate`; 0 = infinite capacity).
     net_service: f64,
@@ -717,8 +708,7 @@ impl<N: AsyncNode> AsyncSim<N> {
         // network) is a fault-induced livelock, not a clean drain. This is
         // checked only here — MaxEvents above always wins when the cap
         // fires first, so the two halts are never conflated.
-        if self.net_active && (self.stats.faults.lost_payloads > 0 || self.crashed_count == self.n)
-        {
+        if self.stats.faults.lost_payloads > 0 || self.crashed_count == self.n {
             return Ok(AsyncHaltReason::FaultLivelock);
         }
         Ok(AsyncHaltReason::QueueDrained)
@@ -774,7 +764,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                 msg,
             } => {
                 let dst = node(dst);
-                if self.net_active && self.crashed[dst.0] {
+                if self.crashed[dst.0] {
                     // A crashed node swallows the message silently; with
                     // no reliability layer the payload is gone for good.
                     self.stats.faults.crash_drops += 1;
@@ -1062,11 +1052,11 @@ impl<N: AsyncNode> AsyncSim<N> {
         Ok(())
     }
 
-    /// Resolves the port and hands the message to the network: on the
-    /// fault-free path the adversary picks a delay and the delivery is
-    /// enqueued directly (respecting per-link FIFO order); on the faulty
-    /// path the message runs the capacity/loss/crash gauntlet, optionally
-    /// under the reliability protocol.
+    /// Resolves the port and hands the message to the network. Under the
+    /// reliability protocol the payload enters its link's stop-and-wait
+    /// queue; otherwise it takes one wire attempt ([`AsyncSim::transmit_raw`]),
+    /// and a dropped attempt is a permanently lost payload. Every network,
+    /// the transparent default included, takes this one path.
     fn dispatch(&mut self, src: NodeIndex, port: Port, msg: N::Message) -> Result<(), ModelError> {
         let dst = self
             .ports
@@ -1085,52 +1075,17 @@ impl<N: AsyncNode> AsyncSim<N> {
                 cls: Some(class.name()),
             });
         }
-        if !self.net_active {
-            // The pre-fault-layer dispatch path, verbatim: the transparent
-            // default network must reproduce executions byte-identically.
-            let obs = Observation {
-                src,
-                dst: dst.node,
-                now: self.now,
-                class,
-                transcript: &self.transcript,
-            };
-            let delay = self.adversary.delay(&obs, &mut self.delay_rng);
-            // Enforced in every build profile: a NaN here would survive any
-            // clamp, poison `deliver_at` and the FIFO floor, and break the
-            // event queue's ordering (which requires non-NaN times).
-            if !(delay > 0.0 && delay <= 1.0) {
-                return Err(ModelError::InvalidDelay {
-                    adversary: self.adversary.name(),
-                    delay: format!("{delay}"),
-                });
-            }
-            self.transcript.record_send(src);
-            let dir = link_dir(ix(src), ix(dst.node));
-            let floor = &mut link_entry(&mut self.fifo_front, link, 0.0)[dir];
-            let deliver_at = (self.now + delay).max(*floor);
-            *floor = deliver_at;
-            self.stats.record(self.now.floor() as usize + 1, src);
-            self.queue.push(
-                deliver_at,
-                EventKind::Deliver {
-                    src: ix(src),
-                    dst: ix(dst.node),
-                    dst_port: dst.port.0 as u32,
-                    msg,
-                },
-            );
-            return Ok(());
-        }
-
-        // Faulty path. The algorithm-facing accounting (transcript,
-        // MessageStats histogram) happens here, at payload level — wire
-        // retransmissions and acks below are protocol overhead, counted
-        // only in the fault counters.
-        self.transcript.record_send(src);
+        // The algorithm-facing histogram counts payloads; wire
+        // retransmissions and acks are protocol overhead, counted only in
+        // the fault counters (which stay zero on the transparent network).
         self.stats.record(self.now.floor() as usize + 1, src);
-        self.stats.faults.payloads += 1;
+        if self.net_active {
+            self.stats.faults.payloads += 1;
+        }
         if self.rel_cfg.is_some() {
+            // A payload counts from its dispatch, since it may wait in the
+            // backlog: every attempt's observation sees it.
+            self.transcript.record_send(src);
             let rel = self.rel.touch(ix(src), ix(dst.node), link);
             if self.rel[rel].inflight.is_some() {
                 // Stop-and-wait: one unacknowledged payload per link; the
@@ -1147,94 +1102,87 @@ impl<N: AsyncNode> AsyncSim<N> {
                 });
                 self.send_reliable_copy(rel)?;
             }
-        } else {
-            // Unreliable: one shot on the wire; a drop is a permanently
-            // lost payload.
-            match self.transmit_raw(src, dst.node, link, class)? {
-                WireFate::At(t) => {
-                    self.queue.push(
-                        t,
-                        EventKind::Deliver {
-                            src: ix(src),
-                            dst: ix(dst.node),
-                            dst_port: dst.port.0 as u32,
-                            msg,
-                        },
-                    );
-                }
-                WireFate::QueueDrop | WireFate::Lost => {
-                    self.stats.faults.lost_payloads += 1;
-                }
-            }
+            return Ok(());
+        }
+        let at = self.transmit_raw(src, dst.node, link, class)?;
+        self.transcript.record_send(src);
+        match at {
+            Some(t) => self.queue.push(
+                t,
+                EventKind::Deliver {
+                    src: ix(src),
+                    dst: ix(dst.node),
+                    dst_port: dst.port.0 as u32,
+                    msg,
+                },
+            ),
+            None => self.stats.faults.lost_payloads += 1,
         }
         Ok(())
     }
 
     /// One wire transmission attempt from `src` to `dst` over port-map
-    /// link `link` on the faulty network: link-queue admission, loss
-    /// (configured and adversarial), delay, the adaptive crash directive,
-    /// and the FIFO floor. The consultation order is fixed — admission,
-    /// loss coin, adversary loss, adversary delay, crash directive — so
-    /// recorded fault traces replay exactly.
+    /// link `link`: link-queue admission, loss (configured and
+    /// adversarial), the adversary's delay, the adaptive crash directive,
+    /// and the FIFO floor. Returns the delivery time, or `None` for an
+    /// attempt dropped on a full queue or in transit (counted and traced
+    /// here). The consultation order is fixed — admission, loss coin,
+    /// adversary loss, adversary delay, crash directive — so recorded
+    /// fault traces replay exactly. On the transparent network every fault
+    /// step is off, and the attempt is the adversary's delay held to the
+    /// link's FIFO floor.
     fn transmit_raw(
         &mut self,
         src: NodeIndex,
         dst: NodeIndex,
         link: u32,
         class: MessageClass,
-    ) -> Result<WireFate, ModelError> {
+    ) -> Result<Option<f64>, ModelError> {
         let dir = link_dir(ix(src), ix(dst));
         // Capacity model: the message occupies the link for the service
         // time; a backlog beyond the queue capacity is drop-tail.
-        let mut depart = self.now;
-        let mut queue_dropped = false;
+        let mut at = self.now;
+        let mut dropped = None;
         if self.net_service > 0.0 {
             let busy = &mut link_entry(&mut self.link_busy, link, 0.0)[dir];
             let backlog = ((*busy - self.now).max(0.0) / self.net_service).ceil();
             if self.net_queue_cap != usize::MAX && backlog >= self.net_queue_cap as f64 {
-                queue_dropped = true;
+                dropped = Some(FaultKind::Queue);
             } else {
-                depart = self.now.max(*busy) + self.net_service;
-                *busy = depart;
+                at = self.now.max(*busy) + self.net_service;
+                *busy = at;
             }
         }
-        let fate = if queue_dropped {
-            WireFate::QueueDrop
-        } else {
-            let obs = Observation {
-                src,
-                dst,
-                now: self.now,
-                class,
-                transcript: &self.transcript,
-            };
-            let mut lost = self.net_loss > 0.0 && coin(&mut self.fault_rng, self.net_loss);
-            if !lost {
-                lost = self.adversary.induces_loss(&obs, &mut self.adv_fault_rng);
-            }
+        let obs = Observation {
+            src,
+            dst,
+            now: self.now,
+            class,
+            transcript: &self.transcript,
+        };
+        if dropped.is_none() {
+            let lost = (self.net_loss > 0.0 && coin(&mut self.fault_rng, self.net_loss))
+                || (self.net_active && self.adversary.induces_loss(&obs, &mut self.adv_fault_rng));
             if lost {
-                WireFate::Lost
+                dropped = Some(FaultKind::Loss);
             } else {
                 let delay = self.adversary.delay(&obs, &mut self.delay_rng);
+                // Enforced in every build profile: a NaN here would survive
+                // any clamp, poison the delivery time and the FIFO floor,
+                // and break the event queue's ordering (which requires
+                // non-NaN times).
                 if !(delay > 0.0 && delay <= 1.0) {
                     return Err(ModelError::InvalidDelay {
                         adversary: self.adversary.name(),
                         delay: format!("{delay}"),
                     });
                 }
-                WireFate::At(depart + delay)
+                at += delay;
             }
-        };
+        }
         // Adaptive crash directive: consulted on every transmission
         // attempt while budget remains, after the loss/delay draws.
         if self.adaptive_crashes > 0 {
-            let obs = Observation {
-                src,
-                dst,
-                now: self.now,
-                class,
-                transcript: &self.transcript,
-            };
             if let Some(v) = self.adversary.crash_directive(&obs) {
                 if v.0 >= self.n {
                     return Err(ModelError::NodeOutOfRange { node: v, n: self.n });
@@ -1245,38 +1193,26 @@ impl<N: AsyncNode> AsyncSim<N> {
                 }
             }
         }
-        Ok(match fate {
-            WireFate::At(t) => {
-                let floor = &mut link_entry(&mut self.fifo_front, link, 0.0)[dir];
-                let at = t.max(*floor);
-                *floor = at;
-                WireFate::At(at)
-            }
-            WireFate::QueueDrop => {
+        if let Some(kind) = dropped {
+            if kind == FaultKind::Queue {
                 self.stats.faults.queue_drops += 1;
-                if self.tracer.enabled() {
-                    self.tracer.emit(TraceEvent::Fault {
-                        at: At::Time(self.now),
-                        kind: FaultKind::Queue,
-                        src: src.0 as u32,
-                        dst: dst.0 as u32,
-                    });
-                }
-                WireFate::QueueDrop
-            }
-            WireFate::Lost => {
+            } else {
                 self.stats.faults.loss_drops += 1;
-                if self.tracer.enabled() {
-                    self.tracer.emit(TraceEvent::Fault {
-                        at: At::Time(self.now),
-                        kind: FaultKind::Loss,
-                        src: src.0 as u32,
-                        dst: dst.0 as u32,
-                    });
-                }
-                WireFate::Lost
             }
-        })
+            if self.tracer.enabled() {
+                self.tracer.emit(TraceEvent::Fault {
+                    at: At::Time(self.now),
+                    kind,
+                    src: src.0 as u32,
+                    dst: dst.0 as u32,
+                });
+            }
+            return Ok(None);
+        }
+        let floor = &mut link_entry(&mut self.fifo_front, link, 0.0)[dir];
+        at = at.max(*floor);
+        *floor = at;
+        Ok(Some(at))
     }
 
     /// Transmits the current in-flight payload of reliable link `link`
@@ -1302,7 +1238,7 @@ impl<N: AsyncNode> AsyncSim<N> {
             }
         }
         let class = N::classify(&msg);
-        if let WireFate::At(t) = self.transmit_raw(src, dst, link_id, class)? {
+        if let Some(t) = self.transmit_raw(src, dst, link_id, class)? {
             self.queue.push(
                 t,
                 EventKind::DeliverData {
@@ -1350,7 +1286,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                 dst: ix(to),
             });
         }
-        if let WireFate::At(t) = self.transmit_raw(from, to, link_id, MessageClass::Ack)? {
+        if let Some(t) = self.transmit_raw(from, to, link_id, MessageClass::Ack)? {
             self.queue.push(t, EventKind::DeliverAck { link, data_seq });
         }
         Ok(())
@@ -1997,7 +1933,10 @@ mod tests {
 
         // An adversary that records what it observed; Flood never overrides
         // `classify`, so every message must arrive tagged with the default
-        // Probe class, and the transcript must exclude the current message.
+        // Probe class, and the transcript must exclude the current message:
+        // on the transparent network, and on an active one without the
+        // reliability protocol (a fast link with no queue bound and no
+        // loss, so nothing drops).
         struct Probe {
             first_transcript_total: std::rc::Rc<std::cell::Cell<u64>>,
             classes_ok: std::rc::Rc<std::cell::Cell<bool>>,
@@ -2022,25 +1961,31 @@ mod tests {
                 Capability::Adaptive
             }
         }
-        let first = std::rc::Rc::new(std::cell::Cell::new(u64::MAX));
-        let ok = std::rc::Rc::new(std::cell::Cell::new(true));
-        let outcome = AsyncSimBuilder::new(6)
-            .seed(3)
-            .adversary(Box::new(Probe {
-                first_transcript_total: first.clone(),
-                classes_ok: ok.clone(),
-            }))
-            .build(Flood::new)
-            .unwrap()
-            .run()
-            .unwrap();
-        outcome.validate_explicit().unwrap();
-        assert!(ok.get(), "default classify must tag everything Probe");
-        assert_eq!(
-            first.get(),
-            0,
-            "the very first observation must see an empty transcript"
-        );
+        for net in [
+            NetworkConfig::default(),
+            NetworkConfig::new().link_rate(1e6),
+        ] {
+            let first = std::rc::Rc::new(std::cell::Cell::new(u64::MAX));
+            let ok = std::rc::Rc::new(std::cell::Cell::new(true));
+            let outcome = AsyncSimBuilder::new(6)
+                .seed(3)
+                .adversary(Box::new(Probe {
+                    first_transcript_total: first.clone(),
+                    classes_ok: ok.clone(),
+                }))
+                .network(net.clone())
+                .build(Flood::new)
+                .unwrap()
+                .run()
+                .unwrap();
+            outcome.validate_explicit().unwrap();
+            assert!(ok.get(), "default classify must tag everything Probe");
+            assert_eq!(
+                first.get(),
+                0,
+                "the very first observation must see an empty transcript on {net:?}"
+            );
+        }
     }
 
     #[test]

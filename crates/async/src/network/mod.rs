@@ -11,10 +11,12 @@
 //! protocol (sequence numbers, delivery acks, timeout retransmission with
 //! exponential backoff and a retry budget) that algorithms never see.
 //!
-//! Everything is **off by default**: [`NetworkConfig::default`] (infinite
-//! rate, unbounded queues, zero loss, no reliability layer, empty fault
-//! plan) makes the engine take the exact legacy dispatch path, so all
-//! existing executions stay byte-identical. Configure faults through
+//! Everything is **off by default**: on [`NetworkConfig::default`]
+//! (infinite rate, unbounded queues, zero loss, no reliability layer,
+//! empty fault plan) a message takes the same wire path as on any other
+//! network, with every fault step off — no admission, no loss coin, no
+//! adversarial loss, no crash directive — so all existing executions stay
+//! byte-identical and the fault counters stay zero. Configure faults through
 //! [`AsyncSimBuilder::network`](crate::AsyncSimBuilder::network) or the
 //! `LE_LOSS` / `LE_LINK_RATE` / `LE_QUEUE_CAP` / `LE_CRASH` environment
 //! knobs (validated and latched once, like `LE_BACKEND` / `LE_THREADS`).
@@ -344,7 +346,8 @@ impl NetworkConfig {
     }
 
     /// Whether any feature deviates from the transparent default — when
-    /// `false`, the engine takes the legacy dispatch path untouched.
+    /// `false`, the engine keeps its fault counters at zero and never
+    /// consults [`Adversary::induces_loss`](crate::Adversary::induces_loss).
     pub fn is_active(&self) -> bool {
         self.link_rate.is_finite()
             || self.queue_cap != usize::MAX
