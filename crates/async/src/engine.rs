@@ -1025,6 +1025,11 @@ impl<N: AsyncNode> AsyncSim<N> {
             }
         }
         for (port, m) in outbox.drain(..) {
+            // An adaptive crash directive can fell `u` mid-burst; the rest
+            // of its outbox is never sent.
+            if self.crashed[u.0] {
+                break;
+            }
             self.dispatch(u, port, m)?;
         }
         self.outbox = outbox;
@@ -2284,6 +2289,47 @@ mod tests {
         assert_eq!(run(0).crashed_count(), 0);
         // With one, the adversary fells the current top sender once.
         assert_eq!(run(1).crashed_count(), 1);
+    }
+
+    #[test]
+    fn a_sender_felled_mid_burst_sends_nothing_more() {
+        // The directive fells the sender of the first attempt it sees:
+        // node 0, one message into its wake-up flood. The other four
+        // messages of that burst must never be sent, with or without the
+        // reliability protocol.
+        use crate::adversary::{Adversary, Capability, Observation};
+        struct CrashTheSender;
+        impl Adversary for CrashTheSender {
+            fn delay(&mut self, _obs: &Observation<'_>, _rng: &mut SmallRng) -> f64 {
+                0.5
+            }
+            fn name(&self) -> String {
+                "crash-the-sender".into()
+            }
+            fn capability(&self) -> Capability {
+                Capability::Adaptive
+            }
+            fn crash_directive(&mut self, obs: &Observation<'_>) -> Option<NodeIndex> {
+                Some(obs.src)
+            }
+        }
+        let faults = FaultPlan::new().adaptive_crashes(1);
+        for net in [
+            NetworkConfig::new().faults(faults.clone()),
+            NetworkConfig::new()
+                .reliable(Reliability::default())
+                .faults(faults.clone()),
+        ] {
+            let mut sim = AsyncSimBuilder::new(6)
+                .seed(1)
+                .adversary(Box::new(CrashTheSender))
+                .network(net.clone())
+                .build(Flood::new)
+                .unwrap();
+            assert!(sim.step().unwrap(), "node 0's wake-up");
+            assert_eq!(sim.transcript().sent(NodeIndex(0)), 1, "{net:?}");
+            assert_eq!(sim.stats().total(), 1, "{net:?}");
+        }
     }
 
     #[test]
