@@ -1059,9 +1059,9 @@ impl<N: AsyncNode> AsyncSim<N> {
 
     /// Resolves the port and hands the message to the network. Under the
     /// reliability protocol the payload enters its link's stop-and-wait
-    /// queue; otherwise it takes one wire attempt ([`AsyncSim::transmit_raw`]),
-    /// and a dropped attempt is a permanently lost payload. Every network,
-    /// the transparent default included, takes this one path.
+    /// queue; otherwise it takes one wire attempt
+    /// ([`AsyncSim::transmit_raw`]), and a dropped attempt is a
+    /// permanently lost payload.
     fn dispatch(&mut self, src: NodeIndex, port: Port, msg: N::Message) -> Result<(), ModelError> {
         let dst = self
             .ports
