@@ -4,7 +4,7 @@ use std::any::Any;
 
 use clique_model::ids::{Id, IdAssignment, IdSpace};
 use clique_model::metrics::MessageStats;
-use clique_model::ports::{Port, PortBackend, PortMap, PortResolver, RandomResolver};
+use clique_model::ports::{Port, PortBackend, PortMap, PortResolver};
 use clique_model::prof::{self, Phase};
 use clique_model::rng::{coin, derive_seed, rng_from_seed, sample_distinct};
 use clique_model::trace::{At, FaultKind, TraceEvent, TraceSink, Tracer, ALL_CLASSES};
@@ -296,12 +296,20 @@ impl AsyncSimBuilder {
         self
     }
 
-    /// Sets the port resolution strategy (default: [`RandomResolver`]).
+    /// Sets the port resolution strategy.
     ///
     /// In the asynchronous model the adversary commits to the port mapping
-    /// *obliviously* (Section 5); the default resolver draws from an RNG
+    /// *obliviously* (Section 5); the default rule draws from an RNG
     /// stream independent of all algorithm coins, which is distributionally
     /// equivalent.
+    ///
+    /// Without a resolver, a fresh port resolves by that rule, a uniform
+    /// unconnected peer and a uniform free port at it, which
+    /// [`PortMap::resolve_uniform`] fixes at the positions it drew. An
+    /// explicit resolver takes [`PortMap::resolve`]'s generic path, which
+    /// reads its choices' positions back to validate them; passing
+    /// [`RandomResolver`](clique_model::ports::RandomResolver), the trait
+    /// form of the default rule, gives the same execution at that cost.
     pub fn resolver(mut self, resolver: Box<dyn PortResolver>) -> Self {
         self.resolver = Some(resolver);
         self
@@ -521,7 +529,7 @@ impl AsyncSimBuilder {
             nodes,
             node_rngs,
             ports,
-            resolver: self.resolver.unwrap_or_else(|| Box::new(RandomResolver)),
+            resolver: self.resolver,
             resolver_rng: rng_from_seed(derive_seed(self.seed, STREAM_RESOLVER)),
             adversary: self
                 .adversary
@@ -570,7 +578,9 @@ pub struct AsyncSim<N: AsyncNode> {
     nodes: Vec<N>,
     node_rngs: Vec<SmallRng>,
     ports: PortMap,
-    resolver: Box<dyn PortResolver>,
+    /// The builder's explicit resolver; `None` resolves by the default
+    /// rule in place ([`PortMap::resolve_uniform`]).
+    resolver: Option<Box<dyn PortResolver>>,
     resolver_rng: SmallRng,
     adversary: Box<dyn Adversary>,
     delay_rng: SmallRng,
@@ -1063,9 +1073,11 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// ([`AsyncSim::transmit_raw`]), and a dropped attempt is a
     /// permanently lost payload.
     fn dispatch(&mut self, src: NodeIndex, port: Port, msg: N::Message) -> Result<(), ModelError> {
-        let dst = self
-            .ports
-            .resolve(src, port, self.resolver.as_mut(), &mut self.resolver_rng)?;
+        let rng = &mut self.resolver_rng;
+        let dst = match self.resolver.as_deref_mut() {
+            None => self.ports.resolve_uniform(src, port, rng)?,
+            Some(resolver) => self.ports.resolve(src, port, resolver, rng)?,
+        };
         let link = self
             .ports
             .link_id(src, port)

@@ -17,7 +17,7 @@
 //! only the connected prefixes, so only pages under prefixes that ever
 //! held a link become resident. Every operation is O(1) with no hashing.
 
-use super::{Endpoint, Port, PortBackend, PortStore};
+use super::{Endpoint, LinkAt, Port, PortBackend, PortState, PortStore};
 use crate::error::ModelError;
 use crate::NodeIndex;
 
@@ -106,23 +106,28 @@ impl DenseStore {
         self.peer_pos[u * self.n + v] as usize
     }
 
-    /// Swaps peer `v` and port `p` into the connected prefix of `u`'s
-    /// partitioned permutations (two O(1) partial-Fisher–Yates steps).
-    fn promote(&mut self, u: usize, v: usize, p: usize) {
+    /// Swaps peer `v`, at position `k`, and port `p`, at position `kp`,
+    /// into the connected prefix of `u`'s partitioned permutations (two
+    /// O(1) partial-Fisher–Yates steps). The entries at `k` and `kp` are
+    /// known, so only the boundary entries they trade places with are
+    /// read.
+    fn promote(&mut self, u: usize, v: usize, k: usize, p: usize, kp: usize) {
         let d = self.degree[u] as usize;
         let row = self.row(u);
 
-        let k = self.peer_pos(u, v);
         debug_assert!(k >= d, "promoting an already-connected peer");
+        debug_assert_eq!(k, self.peer_pos(u, v));
         let w = self.peer_perm[row + d] as usize;
-        self.peer_perm.swap(row + d, row + k);
+        self.peer_perm[row + k] = w as u16;
+        self.peer_perm[row + d] = v as u16;
         self.peer_pos[u * self.n + v] = d as u16;
         self.peer_pos[u * self.n + w] = k as u16;
 
-        let kp = self.port_pos[row + p] as usize;
         debug_assert!(kp >= d, "promoting an already-assigned port");
+        debug_assert_eq!(kp, self.port_pos[row + p] as usize);
         let q = self.port_perm[row + d] as usize;
-        self.port_perm.swap(row + d, row + kp);
+        self.port_perm[row + kp] = q as u16;
+        self.port_perm[row + d] = p as u16;
         self.port_pos[row + p] = d as u16;
         self.port_pos[row + q] = kp as u16;
     }
@@ -216,13 +221,19 @@ impl PortStore for DenseStore {
     }
 
     #[inline]
-    fn peer(&self, u: NodeIndex, p: Port) -> Option<Endpoint> {
+    fn port_state(&self, u: NodeIndex, p: Port) -> PortState {
         let k = self.port_pos[self.row(u.0) + p.0] as usize;
-        (k < self.degree[u.0] as usize).then(|| {
-            let node = self.peer_at_pos(u, k);
-            let port = self.port_at_pos(node, self.peer_pos(node.0, u.0));
-            Endpoint { node, port }
-        })
+        if k >= self.degree[u.0] as usize {
+            return PortState::Free(k);
+        }
+        let node = self.peer_at_pos(u, k);
+        let port = self.port_at_pos(node, self.peer_pos(node.0, u.0));
+        PortState::Linked(Endpoint { node, port })
+    }
+
+    #[inline]
+    fn peer_position(&self, u: NodeIndex, v: NodeIndex) -> usize {
+        self.peer_pos(u.0, v.0)
     }
 
     #[inline]
@@ -248,15 +259,16 @@ impl PortStore for DenseStore {
         (k < self.degree[u.0] as usize).then(|| self.link[row + k])
     }
 
-    fn insert_link(&mut self, u: NodeIndex, pu: Port, v: NodeIndex, pv: Port) {
+    fn insert_link(&mut self, u: NodeIndex, pu: Port, v: NodeIndex, pv: Port, at: LinkAt) {
         if self.degree[u.0] == 0 {
             self.dirty.push(u.0 as u32);
         }
         if self.degree[v.0] == 0 {
             self.dirty.push(v.0 as u32);
         }
-        self.promote(u.0, v.0, pu.0);
-        self.promote(v.0, u.0, pv.0);
+        self.promote(u.0, v.0, at.u_peer, pu.0, at.u_port);
+        let v_peer = self.peer_pos(v.0, u.0);
+        self.promote(v.0, u.0, v_peer, pv.0, at.v_port);
         // Both promotes filled their row's boundary position.
         for w in [u.0, v.0] {
             let at = self.row(w) + self.degree[w] as usize;

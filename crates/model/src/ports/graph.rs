@@ -25,7 +25,7 @@
 //! Draw-schedule identity across backends on general graphs therefore
 //! holds *by construction* — pinned by `tests/portmap_equivalence.rs`.
 
-use super::{Endpoint, Port, PortBackend, PortStore};
+use super::{Endpoint, LinkAt, Port, PortBackend, PortState, PortStore};
 use crate::error::ModelError;
 use crate::topology::Topology;
 use crate::NodeIndex;
@@ -131,26 +131,29 @@ impl GraphStore {
         self.topo.neighbor_index(NodeIndex(u), NodeIndex(v))
     }
 
-    /// Swaps peer `v` and port `p` into the connected prefix of `u`'s
-    /// partitioned permutations (two O(1) swaps plus the O(log deg)
-    /// CSR home lookups).
-    fn promote(&mut self, u: usize, v: usize, p: usize) {
+    /// Swaps peer `v`, whose CSR home is `iv`, at position `k`, and port
+    /// `p`, at position `kp`, into the connected prefix of `u`'s
+    /// partitioned permutations (two O(1) swaps plus an O(log deg) CSR
+    /// home lookup for the displaced peer). The entries at `k` and `kp`
+    /// are known, so only the boundary entries are read.
+    fn promote(&mut self, u: usize, v: usize, iv: usize, k: usize, p: usize, kp: usize) {
         let d = self.degree[u] as usize;
         let base = self.base(u);
 
-        let iv = self.idx(u, v).expect("promoting a non-neighbor");
-        let k = self.peer_pos[base + iv] as usize;
         debug_assert!(k >= d, "promoting an already-connected peer");
+        debug_assert_eq!(k, self.peer_pos[base + iv] as usize);
         let w = self.peer_perm[base + d] as usize;
         let iw = self.idx(u, w).expect("permutation holds a non-neighbor");
-        self.peer_perm.swap(base + d, base + k);
+        self.peer_perm[base + k] = w as u32;
+        self.peer_perm[base + d] = v as u32;
         self.peer_pos[base + iv] = d as u32;
         self.peer_pos[base + iw] = k as u32;
 
-        let kp = self.port_pos[base + p] as usize;
         debug_assert!(kp >= d, "promoting an already-assigned port");
+        debug_assert_eq!(kp, self.port_pos[base + p] as usize);
         let q = self.port_perm[base + d] as usize;
-        self.port_perm.swap(base + d, base + kp);
+        self.port_perm[base + kp] = q as u32;
+        self.port_perm[base + d] = p as u32;
         self.port_pos[base + p] = d as u32;
         self.port_pos[base + q] = kp as u32;
     }
@@ -191,16 +194,21 @@ impl PortStore for GraphStore {
     }
 
     #[inline]
-    fn peer(&self, u: NodeIndex, p: Port) -> Option<Endpoint> {
-        let enc = self.forward[self.base(u.0) + p.0];
-        if enc == EMPTY_U64 {
-            None
-        } else {
-            Some(Endpoint {
+    fn port_state(&self, u: NodeIndex, p: Port) -> PortState {
+        let slot = self.base(u.0) + p.0;
+        match self.forward[slot] {
+            EMPTY_U64 => PortState::Free(self.port_pos[slot] as usize),
+            enc => PortState::Linked(Endpoint {
                 node: NodeIndex((enc >> 32) as usize),
                 port: Port((enc & 0xFFFF_FFFF) as usize),
-            })
+            }),
         }
+    }
+
+    #[inline]
+    fn peer_position(&self, u: NodeIndex, v: NodeIndex) -> usize {
+        let iv = self.idx(u.0, v.0).expect("a position of a non-neighbor");
+        self.peer_pos[self.base(u.0) + iv] as usize
     }
 
     #[inline]
@@ -226,7 +234,7 @@ impl PortStore for GraphStore {
         Port(self.port_perm[self.base(u.0) + k] as usize)
     }
 
-    fn insert_link(&mut self, u: NodeIndex, pu: Port, v: NodeIndex, pv: Port) {
+    fn insert_link(&mut self, u: NodeIndex, pu: Port, v: NodeIndex, pv: Port, at: LinkAt) {
         if self.degree[u.0] == 0 {
             self.dirty.push(u.0 as u32);
         }
@@ -234,6 +242,7 @@ impl PortStore for GraphStore {
             self.dirty.push(v.0 as u32);
         }
         let (bu, bv) = (self.base(u.0), self.base(v.0));
+        // `v`'s CSR home in `u`'s row, and `u`'s in `v`'s.
         let iu = self.idx(u.0, v.0).expect("linking a non-edge");
         let iv = self.idx(v.0, u.0).expect("linking a non-edge");
         self.forward[bu + pu.0] = ((v.0 as u64) << 32) | pv.0 as u64;
@@ -242,8 +251,9 @@ impl PortStore for GraphStore {
         self.link[bv + pv.0] = self.links as u32;
         self.port_of[bu + iu] = pu.0 as u32;
         self.port_of[bv + iv] = pv.0 as u32;
-        self.promote(u.0, v.0, pu.0);
-        self.promote(v.0, u.0, pv.0);
+        self.promote(u.0, v.0, iu, at.u_peer, pu.0, at.u_port);
+        let v_peer = self.peer_pos[bv + iv] as usize;
+        self.promote(v.0, u.0, iv, v_peer, pv.0, at.v_port);
         self.degree[u.0] += 1;
         self.degree[v.0] += 1;
         self.links += 1;
@@ -316,7 +326,8 @@ impl PortStore for GraphStore {
             let ports = self.topo.degree(NodeIndex(u));
             let mut assigned = 0usize;
             for i in 0..ports {
-                let Some(Endpoint { node: v, port: j }) = self.peer(NodeIndex(u), Port(i)) else {
+                let state = self.port_state(NodeIndex(u), Port(i));
+                let Some(Endpoint { node: v, port: j }) = state.linked() else {
                     if self.link[base + i] != 0 {
                         return fail(u, i, "link id on an unassigned port");
                     }
@@ -330,7 +341,7 @@ impl PortStore for GraphStore {
                 if !self.topo.has_edge(NodeIndex(u), v) {
                     return fail(u, i, "link outside the topology");
                 }
-                let back = self.peer(v, j);
+                let back = self.port_state(v, j).linked();
                 if back
                     != Some(Endpoint {
                         node: NodeIndex(u),

@@ -22,6 +22,16 @@
 //!   deterministic algorithms the model explicitly allows choosing the
 //!   mapping of unused ports adaptively.
 //!
+//! Both engines resolve by [`RandomResolver`]'s rule unless given a
+//! resolver, and they apply it without the trait:
+//! [`PortMap::resolve_uniform`] draws the two positions the rule draws and
+//! fixes the link at them. [`PortMap::resolve`], the generic path, must
+//! validate whatever a resolver returns, so it reads the chosen peer's and
+//! port's positions back before fixing the link at them. Either way a new
+//! link is fixed at positions its caller already holds; the store looks up
+//! only the far end's position of the sender. Both paths consume the same
+//! draws and fix the same links, with the same ids.
+//!
 //! # Storage backends
 //!
 //! The *representation* of the partial mapping is pluggable
@@ -163,8 +173,12 @@ trait PortStore {
     fn degree(&self, u: NodeIndex) -> usize;
     /// Whether `u` and `v` are connected by a fixed link.
     fn connected(&self, u: NodeIndex, v: NodeIndex) -> bool;
-    /// The endpoint reached from `u`'s port `p`, if assigned.
-    fn peer(&self, u: NodeIndex, p: Port) -> Option<Endpoint>;
+    /// What `u`'s port `p` holds: the far end of its link, or the port's
+    /// position while it is free.
+    fn port_state(&self, u: NodeIndex, p: Port) -> PortState;
+    /// The position of `v` in `u`'s partitioned peer permutation, for a
+    /// topology neighbor `v ≠ u`.
+    fn peer_position(&self, u: NodeIndex, v: NodeIndex) -> usize;
     /// The port of `u` connecting to `v`, if such a link is fixed.
     fn port_to(&self, u: NodeIndex, v: NodeIndex) -> Option<Port>;
     /// The id of the link behind `u`'s port `p`, if assigned.
@@ -173,8 +187,10 @@ trait PortStore {
     fn peer_at_pos(&self, u: NodeIndex, k: usize) -> NodeIndex;
     /// The port at position `k` of `u`'s partitioned port permutation.
     fn port_at_pos(&self, u: NodeIndex, k: usize) -> Port;
-    /// Fixes the (pre-validated) link `(u, pu) ↔ (v, pv)`.
-    fn insert_link(&mut self, u: NodeIndex, pu: Port, v: NodeIndex, pv: Port);
+    /// Fixes the (pre-validated) link `(u, pu) ↔ (v, pv)` at the
+    /// positions its caller read or drew. The one position no caller
+    /// holds, `u`'s in `v`'s peer permutation, the store looks up itself.
+    fn insert_link(&mut self, u: NodeIndex, pu: Port, v: NodeIndex, pv: Port, at: LinkAt);
     /// Returns the store to its pristine state in O(touched state),
     /// amortized on sparse (which clears its tables).
     fn reset(&mut self);
@@ -187,6 +203,49 @@ trait PortStore {
     fn counters(&self) -> crate::trace::BackendCounters {
         crate::trace::BackendCounters::default()
     }
+
+    /// The default rule's one draw, written once for [`RandomResolver`],
+    /// [`uniform_free_port`] and [`PortMap::resolve_uniform`]: a uniform
+    /// position past `u`'s connected prefix. Free ports and unconnected
+    /// peers are equinumerous, so the position indexes either permutation.
+    #[inline]
+    fn uniform_pos(&self, u: NodeIndex, rng: &mut SmallRng) -> usize {
+        let (degree, ports) = (self.degree(u), self.ports_of(u));
+        assert!(degree < ports, "node {u} has no free ports left");
+        degree + rng.gen_range(0..ports - degree)
+    }
+}
+
+/// What one port holds, as its store reads it.
+#[derive(Debug, Clone, Copy)]
+enum PortState {
+    /// The port is assigned: the far end of its link.
+    Linked(Endpoint),
+    /// The port is free, at this position of its node's port permutation.
+    Free(usize),
+}
+
+impl PortState {
+    /// The far end of the port's link, if it is assigned.
+    #[inline]
+    fn linked(self) -> Option<Endpoint> {
+        match self {
+            PortState::Linked(e) => Some(e),
+            PortState::Free(_) => None,
+        }
+    }
+}
+
+/// Where a new link `(u, pu) ↔ (v, pv)` enters the partitioned
+/// permutations: the three positions its caller already read or drew.
+#[derive(Debug, Clone, Copy)]
+struct LinkAt {
+    /// `v`'s position in `u`'s peer permutation.
+    u_peer: usize,
+    /// `pu`'s position in `u`'s port permutation.
+    u_port: usize,
+    /// `pv`'s position in `v`'s port permutation.
+    v_port: usize,
 }
 
 /// Shared `validate` helper: the dirty list must hold exactly the nodes
@@ -498,6 +557,11 @@ impl<'a> PortView<'a> {
 ///
 /// Implementations must return a peer `v ≠ u` that is not already connected
 /// to `u`; [`PortMap::resolve`] validates this and errors otherwise.
+///
+/// The engines need no resolver for the default uniform rule: without one
+/// they call [`PortMap::resolve_uniform`], which skips the validation
+/// reads. A resolver passed to an engine, [`RandomResolver`] included,
+/// takes the generic path.
 pub trait PortResolver {
     /// Chooses the destination node for the first message sent by `src` over
     /// `src_port`.
@@ -528,15 +592,20 @@ pub trait PortResolver {
 /// Picks a uniformly random unassigned port of `node` in O(1): one draw
 /// into the node's free-port permutation.
 pub fn uniform_free_port(view: &PortView<'_>, node: NodeIndex, rng: &mut SmallRng) -> Port {
-    let free = view.unconnected_count(node);
-    assert!(free > 0, "node {node} has no free ports left");
-    view.free_port(node, rng.gen_range(0..free))
+    let map = view.map;
+    map.port_at_pos(node, map.uniform_pos(node, rng))
 }
 
 /// Resolver drawing each fresh port's destination uniformly among the nodes
 /// not yet connected to the sender — one O(1) indexed draw into the
 /// sender's unconnected-peers permutation (partial Fisher–Yates), never
-/// rejection sampling.
+/// rejection sampling — and the peer's port by [`uniform_free_port`].
+///
+/// This is the trait form of the engines' default rule, which
+/// [`PortMap::resolve_uniform`] applies in place: the same two draws from
+/// the same RNG, so the same mapping. Passed explicitly, it takes
+/// [`PortMap::resolve`]'s generic path, which reads the chosen peer's and
+/// port's positions back to validate them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RandomResolver;
 
@@ -548,9 +617,8 @@ impl PortResolver for RandomResolver {
         _src_port: Port,
         rng: &mut SmallRng,
     ) -> NodeIndex {
-        let free = view.unconnected_count(src);
-        debug_assert!(free > 0, "{src} is already connected to everyone");
-        view.unconnected_peer(src, rng.gen_range(0..free))
+        let map = view.map;
+        map.peer_at_pos(src, map.uniform_pos(src, rng))
     }
 }
 
@@ -858,7 +926,7 @@ impl PortMap {
         if u.0 >= self.n() || p.0 >= self.ports_of(u) {
             return None;
         }
-        with_store!(self, s => s.peer(u, p))
+        with_store!(self, s => s.port_state(u, p)).linked()
     }
 
     /// The port of `u` that connects to `v`, if such a link is fixed
@@ -901,6 +969,31 @@ impl PortMap {
         with_store!(self, s => s.port_at_pos(u, k))
     }
 
+    /// The default rule's draw at `u` (see [`PortStore::uniform_pos`]).
+    #[inline]
+    fn uniform_pos(&self, u: NodeIndex, rng: &mut SmallRng) -> usize {
+        with_store!(self, s => s.uniform_pos(u, rng))
+    }
+
+    /// The range checks both resolution paths share, then what `u`'s
+    /// `port` holds.
+    #[inline]
+    fn checked_port_state(&self, u: NodeIndex, port: Port) -> Result<PortState, ModelError> {
+        let n = self.n();
+        if u.0 >= n {
+            return Err(ModelError::NodeOutOfRange { node: u, n });
+        }
+        let ports_per_node = self.ports_of(u);
+        if port.0 >= ports_per_node {
+            return Err(ModelError::PortOutOfRange {
+                node: u,
+                port,
+                ports_per_node,
+            });
+        }
+        Ok(with_store!(self, s => s.port_state(u, port)))
+    }
+
     /// Read-only view for resolvers and tests.
     pub fn view(&self) -> PortView<'_> {
         PortView { map: self }
@@ -909,6 +1002,12 @@ impl PortMap {
     /// Resolves `(u, port)`: returns the existing destination if the port is
     /// already mapped, otherwise asks `resolver` where it leads and fixes
     /// both directions.
+    ///
+    /// This is the generic path, for any resolver. Validating the choices
+    /// reads the chosen peer's position in `u`'s peer permutation and the
+    /// chosen port's in the peer's port permutation; the link is then fixed
+    /// at those positions, so none is read twice. The engines' default rule
+    /// skips the validation: see [`PortMap::resolve_uniform`].
     ///
     /// # Errors
     ///
@@ -923,67 +1022,84 @@ impl PortMap {
         resolver: &mut dyn PortResolver,
         rng: &mut SmallRng,
     ) -> Result<Endpoint, ModelError> {
-        let n = self.n();
-        if u.0 >= n {
-            return Err(ModelError::NodeOutOfRange { node: u, n });
-        }
-        if port.0 >= self.ports_of(u) {
-            return Err(ModelError::PortOutOfRange {
-                node: u,
-                port,
-                ports_per_node: self.ports_of(u),
-            });
-        }
-        // Ranges are checked above, so the store is asked directly.
-        if let Some(dest) = with_store!(self, s => s.peer(u, port)) {
-            return Ok(dest);
-        }
+        let u_port = match self.checked_port_state(u, port)? {
+            PortState::Linked(dest) => return Ok(dest),
+            PortState::Free(k) => k,
+        };
+        let invalid = |reason| ModelError::InvalidResolution {
+            node: u,
+            port,
+            reason,
+        };
         let v = resolver.choose_peer(self.view(), u, port, rng);
-        if v.0 >= n {
-            return Err(ModelError::InvalidResolution {
-                node: u,
-                port,
-                reason: "resolver chose an out-of-range peer",
-            });
+        if v.0 >= self.n() {
+            return Err(invalid("resolver chose an out-of-range peer"));
         }
         if v == u {
-            return Err(ModelError::InvalidResolution {
-                node: u,
-                port,
-                reason: "resolver chose the sender itself",
-            });
+            return Err(invalid("resolver chose the sender itself"));
         }
         if !self.topo_adjacent(u, v) {
-            return Err(ModelError::InvalidResolution {
-                node: u,
-                port,
-                reason: "resolver chose a peer outside the topology",
-            });
+            return Err(invalid("resolver chose a peer outside the topology"));
         }
-        if with_store!(self, s => s.connected(u, v)) {
-            return Err(ModelError::InvalidResolution {
-                node: u,
-                port,
-                reason: "resolver chose an already-connected peer",
-            });
+        let u_peer = with_store!(self, s => s.peer_position(u, v));
+        if u_peer < self.degree(u) {
+            return Err(invalid("resolver chose an already-connected peer"));
         }
         let j = resolver.choose_peer_port(self.view(), u, port, v, rng);
         if j.0 >= self.ports_of(v) {
-            return Err(ModelError::InvalidResolution {
-                node: u,
-                port,
-                reason: "resolver chose an out-of-range peer port",
-            });
+            return Err(invalid("resolver chose an out-of-range peer port"));
         }
-        if with_store!(self, s => s.peer(v, j)).is_some() {
-            return Err(ModelError::InvalidResolution {
-                node: u,
-                port,
-                reason: "resolver chose a taken peer port",
-            });
-        }
-        with_store_mut!(self, s => s.insert_link(u, port, v, j));
+        let PortState::Free(v_port) = with_store!(self, s => s.port_state(v, j)) else {
+            return Err(invalid("resolver chose a taken peer port"));
+        };
+        let at = LinkAt {
+            u_peer,
+            u_port,
+            v_port,
+        };
+        with_store_mut!(self, s => s.insert_link(u, port, v, j, at));
         Ok(Endpoint { node: v, port: j })
+    }
+
+    /// Resolves `(u, port)` by the engines' default rule, the rule
+    /// [`RandomResolver`] states as a trait: a uniformly random unconnected
+    /// peer, and a uniformly random free port at it.
+    ///
+    /// The range checks and an assigned port's answer are
+    /// [`PortMap::resolve`]'s, and a fresh port consumes the same two
+    /// `rng` draws in the same order, so both paths fix the same link with
+    /// the same id. The draws are positions past the connected prefixes,
+    /// and the link is fixed at the positions drawn: a draw lands on an
+    /// unconnected peer and a free port by construction, so nothing is
+    /// read back to validate it.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::NodeOutOfRange`] / [`ModelError::PortOutOfRange`] on
+    /// invalid coordinates.
+    pub fn resolve_uniform(
+        &mut self,
+        u: NodeIndex,
+        port: Port,
+        rng: &mut SmallRng,
+    ) -> Result<Endpoint, ModelError> {
+        let u_port = match self.checked_port_state(u, port)? {
+            PortState::Linked(dest) => return Ok(dest),
+            PortState::Free(k) => k,
+        };
+        Ok(with_store_mut!(self, s => {
+            let u_peer = s.uniform_pos(u, rng);
+            let v = s.peer_at_pos(u, u_peer);
+            let v_port = s.uniform_pos(v, rng);
+            let j = s.port_at_pos(v, v_port);
+            let at = LinkAt {
+                u_peer,
+                u_port,
+                v_port,
+            };
+            s.insert_link(u, port, v, j, at);
+            Endpoint { node: v, port: j }
+        }))
     }
 
     /// Fixes a link explicitly (used by tests and by adversaries that
@@ -1014,35 +1130,31 @@ impl PortMap {
                 });
             }
         }
+        let invalid = |reason| ModelError::InvalidResolution {
+            node: u,
+            port: pu,
+            reason,
+        };
         if u == v {
-            return Err(ModelError::InvalidResolution {
-                node: u,
-                port: pu,
-                reason: "cannot connect a node to itself",
-            });
+            return Err(invalid("cannot connect a node to itself"));
         }
         if !self.topo_adjacent(u, v) {
-            return Err(ModelError::InvalidResolution {
-                node: u,
-                port: pu,
-                reason: "cannot connect nodes outside the topology",
-            });
+            return Err(invalid("cannot connect nodes outside the topology"));
         }
-        if self.connected(u, v) {
-            return Err(ModelError::InvalidResolution {
-                node: u,
-                port: pu,
-                reason: "nodes already connected",
-            });
+        let u_peer = with_store!(self, s => s.peer_position(u, v));
+        if u_peer < self.degree(u) {
+            return Err(invalid("nodes already connected"));
         }
-        if self.peer(u, pu).is_some() || self.peer(v, pv).is_some() {
-            return Err(ModelError::InvalidResolution {
-                node: u,
-                port: pu,
-                reason: "endpoint port already taken",
-            });
-        }
-        with_store_mut!(self, s => s.insert_link(u, pu, v, pv));
+        let states = with_store!(self, s => (s.port_state(u, pu), s.port_state(v, pv)));
+        let (PortState::Free(u_port), PortState::Free(v_port)) = states else {
+            return Err(invalid("endpoint port already taken"));
+        };
+        let at = LinkAt {
+            u_peer,
+            u_port,
+            v_port,
+        };
+        with_store_mut!(self, s => s.insert_link(u, pu, v, pv, at));
         Ok(())
     }
 

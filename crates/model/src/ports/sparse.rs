@@ -62,7 +62,7 @@ use std::cell::Cell;
 
 use super::perm::{mix64, KeyedPerm};
 use super::table::OpenTable;
-use super::{Endpoint, Port, PortStore};
+use super::{Endpoint, LinkAt, Port, PortState, PortStore};
 use crate::error::ModelError;
 use crate::NodeIndex;
 
@@ -241,11 +241,10 @@ impl SparsePerm {
         }
     }
 
-    /// Swaps value `x` into position `d` of `u`'s permutation: one
-    /// partial-Fisher–Yates step, as the dense backend's, through the
-    /// override tables.
-    fn promote(&mut self, u: usize, x: usize, d: usize) {
-        let k = self.pos_of(u, x) as usize;
+    /// Swaps value `x`, at position `k`, into position `d` of `u`'s
+    /// permutation: one partial-Fisher–Yates step, as the dense backend's,
+    /// through the override tables.
+    fn promote(&mut self, u: usize, x: usize, k: usize, d: usize) {
         debug_assert!(k >= d, "promoting a value already in the prefix");
         let y = self.at(u, d);
         let (base_d, base_k) = (self.base_at(u, d), self.base_at(u, k));
@@ -376,14 +375,22 @@ impl PortStore for SparseStore {
     }
 
     #[inline]
-    fn peer(&self, u: NodeIndex, p: Port) -> Option<Endpoint> {
+    fn port_state(&self, u: NodeIndex, p: Port) -> PortState {
         let near = key(u.0, p.0);
-        let [a, b] = self.ends[self.fwd.get(near)? as usize];
+        let Some(id) = self.fwd.get(near) else {
+            return PortState::Free(self.ports.pos_of(u.0, p.0) as usize);
+        };
+        let [a, b] = self.ends[id as usize];
         let (v, j) = unkey(if a == near { b } else { a });
-        Some(Endpoint {
+        PortState::Linked(Endpoint {
             node: NodeIndex(v),
             port: Port(j),
         })
+    }
+
+    #[inline]
+    fn peer_position(&self, u: NodeIndex, v: NodeIndex) -> usize {
+        self.pos_of_peer(u.0, v.0)
     }
 
     #[inline]
@@ -411,18 +418,23 @@ impl PortStore for SparseStore {
         Port(self.ports.at(u.0, k) as usize)
     }
 
-    fn insert_link(&mut self, u: NodeIndex, pu: Port, v: NodeIndex, pv: Port) {
+    fn insert_link(&mut self, u: NodeIndex, pu: Port, v: NodeIndex, pv: Port, at: LinkAt) {
         let (u, pu, v, pv) = (u.0, pu.0, v.0, pv.0);
         let id = self.links as u32;
         self.ends.push([key(u, pu), key(v, pv)]);
-        for (a, pa, b) in [(u, pu, v), (v, pv, u)] {
+        let ends = [
+            (u, pu, v, Some(at.u_peer), at.u_port),
+            (v, pv, u, None, at.v_port),
+        ];
+        for (a, pa, b, peer_at, port_at) in ends {
             let d = self.degree[a] as usize;
             if d == 0 {
                 self.dirty.push(a as u32);
             }
             self.fwd.insert(key(a, pa), id);
-            self.peers.promote(a, b - usize::from(b > a), d);
-            self.ports.promote(a, pa, d);
+            let peer_at = peer_at.unwrap_or_else(|| self.pos_of_peer(a, b));
+            self.peers.promote(a, b - usize::from(b > a), peer_at, d);
+            self.ports.promote(a, pa, port_at, d);
             self.degree[a] += 1;
         }
         self.links += 1;

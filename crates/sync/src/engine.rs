@@ -4,7 +4,7 @@ use std::any::Any;
 
 use clique_model::ids::{Id, IdAssignment, IdSpace};
 use clique_model::metrics::MessageStats;
-use clique_model::ports::{PortBackend, PortMap, PortResolver, RandomResolver};
+use clique_model::ports::{PortBackend, PortMap, PortResolver};
 use clique_model::prof::{self, Phase};
 use clique_model::rng::{derive_seed, rng_from_seed};
 use clique_model::trace::{At, TraceEvent, TraceSink, Tracer, ALL_CLASSES};
@@ -254,7 +254,15 @@ impl SyncSimBuilder {
         self
     }
 
-    /// Sets the port resolution strategy (default: [`RandomResolver`]).
+    /// Sets the port resolution strategy.
+    ///
+    /// Without one, a fresh port resolves by the default rule, a uniform
+    /// unconnected peer and a uniform free port at it, which
+    /// [`PortMap::resolve_uniform`] fixes at the positions it drew. An
+    /// explicit resolver takes [`PortMap::resolve`]'s generic path, which
+    /// reads its choices' positions back to validate them; passing
+    /// [`RandomResolver`](clique_model::ports::RandomResolver), the trait
+    /// form of the default rule, gives the same execution at that cost.
     pub fn resolver(mut self, resolver: Box<dyn PortResolver>) -> Self {
         self.resolver = Some(resolver);
         self
@@ -266,7 +274,7 @@ impl SyncSimBuilder {
     /// [`PortBackend`]).
     ///
     /// RNG-free resolvers resolve identically on both backends; under
-    /// [`RandomResolver`] the backends draw different, identically
+    /// the default uniform rule the backends draw different, identically
     /// distributed mappings per seed.
     pub fn backend(mut self, backend: PortBackend) -> Self {
         self.backend = Some(backend);
@@ -419,7 +427,7 @@ impl SyncSimBuilder {
             nodes,
             node_rngs,
             ports,
-            resolver: self.resolver.unwrap_or_else(|| Box::new(RandomResolver)),
+            resolver: self.resolver,
             resolver_rng: rng_from_seed(derive_seed(self.seed, STREAM_RESOLVER)),
             wake_plan,
             wake_cursor: 0,
@@ -457,7 +465,9 @@ pub struct SyncSim<N: SyncNode> {
     nodes: Vec<N>,
     node_rngs: Vec<SmallRng>,
     ports: PortMap,
-    resolver: Box<dyn PortResolver>,
+    /// The builder's explicit resolver; `None` resolves by the default
+    /// rule in place ([`PortMap::resolve_uniform`]).
+    resolver: Option<Box<dyn PortResolver>>,
     resolver_rng: SmallRng,
     /// Adversarial wake-ups, sorted by round, consumed by `wake_cursor`.
     wake_plan: Vec<(usize, Vec<NodeIndex>)>,
@@ -772,12 +782,11 @@ impl<N: SyncNode> SyncSim<N> {
             self.nodes[u].send_phase(&mut ctx);
         }
         for (port, msg) in outbox.drain(..) {
-            let dst = self.ports.resolve(
-                NodeIndex(u),
-                port,
-                self.resolver.as_mut(),
-                &mut self.resolver_rng,
-            )?;
+            let (src, rng) = (NodeIndex(u), &mut self.resolver_rng);
+            let dst = match self.resolver.as_deref_mut() {
+                None => self.ports.resolve_uniform(src, port, rng)?,
+                Some(resolver) => self.ports.resolve(src, port, resolver, rng)?,
+            };
             self.stats.record(round, NodeIndex(u));
             self.last_activity_round = round;
             if self.tracer.enabled() {

@@ -433,6 +433,139 @@ fn topology_outcomes_are_backend_invariant() {
     }
 }
 
+/// The default path is `RandomResolver`'s rule fixed in place: one seeded
+/// `(node, port)` sequence, with repeated ports and a reset partway
+/// through, goes through `resolve(&mut RandomResolver, ..)` on one map and
+/// `resolve_uniform` on its twin. Every store must give the same endpoints
+/// and link ids, consume the same draws, and leave the twins equal.
+#[test]
+fn resolve_uniform_matches_random_resolver_on_every_store() {
+    use improved_le::model::rng::{sample_distinct, splitmix64};
+    use improved_le::model::topology::Topology;
+    let maps = [
+        (
+            "dense n = 64",
+            PortMap::with_backend(64, PortBackend::Dense),
+        ),
+        (
+            "dense n = 1024",
+            PortMap::with_backend(1024, PortBackend::Dense),
+        ),
+        (
+            "sparse n = 1031",
+            PortMap::with_backend(1031, PortBackend::Sparse),
+        ),
+        (
+            "graph ring(256)",
+            PortMap::for_topology(&Topology::ring(256).unwrap(), PortBackend::Auto),
+        ),
+        (
+            "graph regular:4",
+            PortMap::for_topology(
+                &Topology::random_regular(256, 4, 5).unwrap(),
+                PortBackend::Auto,
+            ),
+        ),
+    ];
+    for (name, map) in maps {
+        let mut generic = map.unwrap();
+        let mut uniform = generic.clone();
+        let n = generic.n();
+        // Ports come from each node's first eight, so a node's ports repeat
+        // and some are fixed from their far end first.
+        let schedule: Vec<(NodeIndex, Port)> = (0..4 * n as u64)
+            .map(|s| {
+                let h = splitmix64(s ^ 0x5eed);
+                let u = NodeIndex((h % n as u64) as usize);
+                let ports = generic.ports_of(u).min(8) as u64;
+                (u, Port(((h >> 32) % ports) as usize))
+            })
+            .collect();
+        let (mut rng_g, mut rng_u) = (rng_from_seed(7), rng_from_seed(7));
+        for (step, &(u, p)) in schedule.iter().enumerate() {
+            if step == schedule.len() / 3 {
+                assert_eq!(generic, uniform, "{name}: maps diverged before the reset");
+                generic.reset();
+                uniform.reset();
+            }
+            let fresh = generic.peer(u, p).is_none();
+            let a = generic
+                .resolve(u, p, &mut RandomResolver, &mut rng_g)
+                .unwrap();
+            let b = uniform.resolve_uniform(u, p, &mut rng_u).unwrap();
+            assert_eq!(a, b, "{name}: step {step} ({u}:{p}, fresh: {fresh})");
+            assert_eq!(
+                generic.link_id(u, p),
+                uniform.link_id(u, p),
+                "{name}: step {step} ({u}:{p})"
+            );
+        }
+        assert!(generic.link_count() > n / 2, "{name}: too few links fixed");
+        generic.validate().unwrap();
+        uniform.validate().unwrap();
+        assert_eq!(generic, uniform, "{name}: the maps differ");
+        // Both paths consumed the same number of draws.
+        assert_eq!(
+            sample_distinct(&mut rng_g, 1 << 30, 4),
+            sample_distinct(&mut rng_u, 1 << 30, 4),
+            "{name}: the resolver streams drifted apart"
+        );
+    }
+}
+
+/// The engines resolve by the default rule when no resolver is set, and
+/// through the generic path when one is. An explicit `RandomResolver` must
+/// give the same execution: Algorithm 2 on the asynchronous engine and Las
+/// Vegas on the synchronous one, outcome and trace alike.
+#[test]
+fn default_resolution_matches_an_explicit_random_resolver_in_both_engines() {
+    use improved_le::algorithms::asynchronous::tradeoff;
+    use improved_le::asynchronous::{AsyncSimBuilder, AsyncWakeSchedule};
+    use improved_le::model::trace::SharedSink;
+    for (n, seed) in [(64, 3), (256, 8)] {
+        let run_async = |explicit: bool| {
+            let sink = SharedSink::new();
+            let mut builder = AsyncSimBuilder::new(n)
+                .seed(seed)
+                .backend(PortBackend::Dense)
+                .wake(AsyncWakeSchedule::single(NodeIndex(0)))
+                .trace(Box::new(sink.clone()));
+            if explicit {
+                builder = builder.resolver(Box::new(RandomResolver));
+            }
+            let outcome = builder
+                .build(|_, _| tradeoff::Node::new(tradeoff::Config::new(2)))
+                .unwrap()
+                .run()
+                .unwrap();
+            (format!("{outcome:?}"), sink.take())
+        };
+        let (outcome, events) = run_async(false);
+        assert!(events.len() > n, "n = {n}: the async trace is nearly empty");
+        assert_eq!((outcome, events), run_async(true), "Algorithm 2 at n = {n}");
+
+        let run_sync = |explicit: bool| {
+            let sink = SharedSink::new();
+            let mut builder = SyncSimBuilder::new(n)
+                .seed(seed)
+                .backend(PortBackend::Dense)
+                .trace(Box::new(sink.clone()));
+            if explicit {
+                builder = builder.resolver(Box::new(RandomResolver));
+            }
+            let outcome = builder
+                .build(|id, _| las_vegas::Node::new(id, las_vegas::Config::default()))
+                .unwrap()
+                .run()
+                .unwrap();
+            (format!("{outcome:?}"), sink.take())
+        };
+        let (outcome, events) = run_sync(false);
+        assert!(events.len() > n, "n = {n}: the sync trace is nearly empty");
+        assert_eq!((outcome, events), run_sync(true), "Las Vegas at n = {n}");
+    }
+}
+
 /// The legacy `PortMap`: per-node `HashMap` forward/peer tables, exactly
 /// as shipped before the flat rewrite. Kept here (and only here) as the
 /// reference model for the endpoint-level differential test.
