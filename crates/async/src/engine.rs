@@ -825,11 +825,22 @@ impl<N: AsyncNode> AsyncSim<N> {
                 data_seq,
                 msg,
             } => {
-                let l = &mut self.rel[link];
+                let l = &self.rel[link];
                 let (src, dst) = (l.src, node(l.dst));
+                let fresh = data_seq > l.delivered_hi;
+                // A live receiver (re-)acknowledges every copy: a duplicate
+                // means the previous ack was lost or late. Crashed
+                // receivers neither deliver nor acknowledge; the sender's
+                // retransmission timer keeps trying.
+                if !self.crashed[dst.0] {
+                    self.send_ack(link, data_seq)?;
+                }
+                // Checked after the ack, whose crash directive can fell the
+                // receiver. The ack has left, as the message under
+                // transmission does when a burst is cut, but a felled node
+                // takes nothing, and its copy stays undelivered for a
+                // retransmission after recovery.
                 if self.crashed[dst.0] {
-                    // Crashed receivers neither deliver nor acknowledge;
-                    // the sender's retransmission timer keeps trying.
                     self.stats.faults.crash_drops += 1;
                     if self.tracer.enabled() {
                         self.tracer.emit(TraceEvent::Fault {
@@ -839,44 +850,36 @@ impl<N: AsyncNode> AsyncSim<N> {
                             dst: ix(dst),
                         });
                     }
+                } else if !fresh {
+                    self.stats.faults.duplicates += 1;
                 } else {
-                    let fresh = data_seq > l.delivered_hi;
-                    if fresh {
-                        l.delivered_hi = data_seq;
-                    } else {
-                        self.stats.faults.duplicates += 1;
+                    self.rel[link].delivered_hi = data_seq;
+                    self.stats.faults.goodput += 1;
+                    self.transcript.record_delivery(dst);
+                    if self.tracer.enabled() {
+                        self.tracer.emit(TraceEvent::Deliver {
+                            at: At::Time(self.now),
+                            src,
+                            dst: ix(dst),
+                            cls: Some(N::classify(&msg).name()),
+                        });
                     }
-                    // Always (re-)acknowledge: a duplicate means the
-                    // previous ack was lost or late.
-                    self.send_ack(link, data_seq)?;
-                    if fresh {
-                        self.stats.faults.goodput += 1;
-                        self.transcript.record_delivery(dst);
-                        if self.tracer.enabled() {
-                            self.tracer.emit(TraceEvent::Deliver {
-                                at: At::Time(self.now),
-                                src,
-                                dst: ix(dst),
-                                cls: Some(N::classify(&msg).name()),
-                            });
-                        }
-                        if self.nodes[dst.0].is_terminated() {
-                            self.messages_to_terminated += 1;
+                    if self.nodes[dst.0].is_terminated() {
+                        self.messages_to_terminated += 1;
+                    } else {
+                        let wake = if self.awake[dst.0] {
+                            None
                         } else {
-                            let wake = if self.awake[dst.0] {
-                                None
-                            } else {
-                                Some(WakeCause::Message)
-                            };
-                            self.activate(
-                                dst,
-                                wake,
-                                Some(Received {
-                                    port: Port(dst_port as usize),
-                                    msg,
-                                }),
-                            )?;
-                        }
+                            Some(WakeCause::Message)
+                        };
+                        self.activate(
+                            dst,
+                            wake,
+                            Some(Received {
+                                port: Port(dst_port as usize),
+                                msg,
+                            }),
+                        )?;
                     }
                 }
             }
@@ -2342,6 +2345,52 @@ mod tests {
             assert_eq!(sim.transcript().sent(NodeIndex(0)), 1, "{net:?}");
             assert_eq!(sim.stats().total(), 1, "{net:?}");
         }
+    }
+
+    #[test]
+    fn a_receiver_felled_by_its_own_ack_takes_no_copy() {
+        // The directive fells the sender of the first ack it sees: the
+        // first receiver of node 0's flood, as it acknowledges the copy.
+        // A felled node neither wakes nor receives, so that copy must
+        // stay undelivered, and so must every later one.
+        use crate::adversary::{Adversary, Capability, MessageClass, Observation};
+        use std::cell::Cell;
+        use std::rc::Rc;
+        struct CrashTheFirstAcker(Rc<Cell<Option<NodeIndex>>>);
+        impl Adversary for CrashTheFirstAcker {
+            fn delay(&mut self, _obs: &Observation<'_>, _rng: &mut SmallRng) -> f64 {
+                0.5
+            }
+            fn name(&self) -> String {
+                "crash-the-first-acker".into()
+            }
+            fn capability(&self) -> Capability {
+                Capability::Adaptive
+            }
+            fn crash_directive(&mut self, obs: &Observation<'_>) -> Option<NodeIndex> {
+                if obs.class != MessageClass::Ack || self.0.get().is_some() {
+                    return None;
+                }
+                self.0.set(Some(obs.src));
+                Some(obs.src)
+            }
+        }
+        let felled = Rc::new(Cell::new(None));
+        let mut sim = AsyncSimBuilder::new(6)
+            .seed(1)
+            .adversary(Box::new(CrashTheFirstAcker(Rc::clone(&felled))))
+            .network(
+                NetworkConfig::new()
+                    .reliable(Reliability::default())
+                    .faults(FaultPlan::new().adaptive_crashes(1)),
+            )
+            .build(Flood::new)
+            .unwrap();
+        while sim.step().unwrap() {}
+        let v = felled.get().expect("the flood's copies are acknowledged");
+        assert!(!sim.is_awake(v), "{v} woke after its own ack felled it");
+        assert_eq!(sim.transcript().delivered(v), 0, "{v} took a copy");
+        assert!(sim.stats().faults.crash_drops > 0);
     }
 
     #[test]
