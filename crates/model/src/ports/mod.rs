@@ -29,8 +29,8 @@
 //! validate whatever a resolver returns, so it reads the chosen peer's and
 //! port's positions back before fixing the link at them. Either way a new
 //! link is fixed at positions its caller already holds; the store looks up
-//! only the far end's position of the sender. Both paths consume the same
-//! draws and fix the same links, with the same ids.
+//! only the sender's position in the peer's row. Both paths consume the
+//! same draws and fix the same links, with the same ids.
 //!
 //! # Storage backends
 //!
@@ -147,13 +147,13 @@ impl std::fmt::Display for Endpoint {
 
 /// The uniform storage interface both backends implement.
 ///
-/// [`PortMap`] validates every mutation (bounds, bijectivity, resolver
-/// sanity) and the range of every read before it reaches the store, so
-/// implementations only maintain the representation: the partitioned
-/// peer/port permutations whose first `degree(u)` positions are the
-/// connected prefix, plus the link tables the backend keeps beside them
-/// (dense a position-indexed link-id table, sparse a forward table and
-/// a link-indexed endpoint table).
+/// [`PortMap`] validates every mutation it did not draw itself (bounds,
+/// bijectivity, resolver sanity) and the range of every read before it
+/// reaches the store, so implementations only maintain the
+/// representation: the partitioned peer/port permutations whose first
+/// `degree(u)` positions are the connected prefix, plus the link tables
+/// the backend keeps beside them (dense a position-indexed link-id table,
+/// sparse a forward table and a link-indexed endpoint table).
 ///
 /// Every store numbers its links in creation order: the `i`-th
 /// `insert_link` since construction or the last `reset` fixes link `i`,
