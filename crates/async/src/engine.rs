@@ -1,14 +1,13 @@
 //! The asynchronous event-driven engine.
 
-use std::any::Any;
-
-use clique_model::ids::{Id, IdAssignment, IdSpace};
+use clique_model::ids::{Id, IdAssignment};
 use clique_model::metrics::MessageStats;
 use clique_model::ports::{Port, PortBackend, PortMap, PortResolver};
 use clique_model::prof::{self, Phase};
-use clique_model::rng::{coin, derive_seed, rng_from_seed, sample_distinct};
-use clique_model::trace::{At, FaultKind, TraceEvent, TraceSink, Tracer, ALL_CLASSES};
-use clique_model::{Decision, ModelError, NodeIndex, Topology, WakeCause};
+use clique_model::rng::{coin, sample_distinct};
+use clique_model::sim::{stream, ArenaCore, Core, Settings};
+use clique_model::trace::{At, FaultKind, TraceEvent, TraceSink};
+use clique_model::{ModelError, NodeIndex, Topology, WakeCause};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -22,14 +21,12 @@ use crate::outcome::{AsyncHaltReason, AsyncOutcome};
 use crate::queue::EventQueue;
 use crate::wakeup::AsyncWakeSchedule;
 
-/// Seed stream tags (mirroring the synchronous engine), so every consumer of
-/// randomness gets an independent deterministic stream.
-const STREAM_RESOLVER: u64 = u64::MAX;
-const STREAM_IDS: u64 = u64::MAX - 1;
+/// The engine's own seed stream tags, below the shared ones
+/// ([`clique_model::sim::STREAM_IDS`]), so every consumer of randomness
+/// gets an independent deterministic stream.
 const STREAM_DELAYS: u64 = u64::MAX - 2;
 const STREAM_FAULTS: u64 = u64::MAX - 3;
 const STREAM_ADV_FAULTS: u64 = u64::MAX - 4;
-const STREAM_NODE_BASE: u64 = 0;
 
 /// Bytes held by a link-indexed table (its capacity counts).
 fn link_table_bytes(table: &Vec<[f64; 2]>) -> u64 {
@@ -121,22 +118,20 @@ enum EventKind<M> {
 /// [`clique_sync::SyncArena`]: ../clique_sync/struct.SyncArena.html
 #[derive(Default)]
 pub struct AsyncArena {
-    ports: Option<PortMap>,
+    /// The port map and the typed [`AsyncBuffers`].
+    core: ArenaCore,
     /// Per-link FIFO floors, indexed by link id.
     fifo_front: Vec<[f64; 2]>,
     /// Per-link busy horizons of the capacity model (empty until a trial
     /// with a finite link rate runs).
     link_busy: Vec<[f64; 2]>,
     /// Resident-byte estimate of the typed reliability-protocol state
-    /// inside `buffers`, captured at stash time (the type-erased box
+    /// stashed in `core`, captured at stash time (the type-erased box
     /// cannot be measured from here).
     rel_bytes: u64,
-    /// Bytes held by the event queue and the outbox inside `buffers`,
+    /// Bytes held by the event queue and the outbox stashed in `core`,
     /// captured at stash time like `rel_bytes`.
     queue_bytes: u64,
-    // `+ Send` keeps the whole arena `Send`, so sweep worker threads can
-    // own recycled arenas (message types are `Send` by trait bound).
-    buffers: Option<Box<dyn Any + Send>>,
 }
 
 impl AsyncArena {
@@ -152,22 +147,6 @@ impl AsyncArena {
         *self = AsyncArena::default();
     }
 
-    /// Takes a map for a trial on `topo` and `backend`: the recycled one
-    /// (reset in O(touched-state)) when both the topology fingerprint and
-    /// the resolved backend match, a fresh one otherwise.
-    fn take_ports(&mut self, topo: &Topology, backend: PortBackend) -> Result<PortMap, ModelError> {
-        let backend = backend.resolve_for(topo.n(), topo.m());
-        match self.ports.take() {
-            Some(mut map)
-                if map.topology_fingerprint() == topo.fingerprint() && map.backend() == backend =>
-            {
-                map.reset();
-                Ok(map)
-            }
-            _ => PortMap::for_topology(topo, backend),
-        }
-    }
-
     /// Backend-reported estimate of the bytes resident in the recycled
     /// engine tables: the port map, the FIFO floors, the event queue and
     /// the outbox, and — when a faulty network has run — the per-link
@@ -176,10 +155,7 @@ impl AsyncArena {
     /// harness records this per cell so dense-vs-sparse footprints appear
     /// in every experiment CSV.
     pub fn resident_bytes(&self) -> u64 {
-        self.ports.as_ref().map_or(0, PortMap::resident_bytes)
-            + self.link_bytes()
-            + self.rel_bytes
-            + self.queue_bytes
+        self.core.resident_bytes() + self.link_bytes() + self.rel_bytes + self.queue_bytes
     }
 
     /// Bytes held by the per-link FIFO floors and busy horizons: 16 per
@@ -192,16 +168,11 @@ impl AsyncArena {
 impl std::fmt::Debug for AsyncArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AsyncArena")
-            .field("ports", &self.ports.as_ref().map(|p| p.n()))
-            .field(
-                "ports_bytes",
-                &self.ports.as_ref().map_or(0, PortMap::resident_bytes),
-            )
+            .field("core", &self.core)
             .field("fifo_bytes", &link_table_bytes(&self.fifo_front))
             .field("link_busy_bytes", &link_table_bytes(&self.link_busy))
             .field("rel_bytes", &self.rel_bytes)
             .field("queue_bytes", &self.queue_bytes)
-            .field("has_buffers", &self.buffers.is_some())
             .finish()
     }
 }
@@ -232,27 +203,20 @@ impl<M> Default for AsyncBuffers<M> {
 /// (randomly assigned), a single adversarial wake-up of node 0 at time 0,
 /// uniform random *oblivious* port resolution, an oblivious adversary
 /// drawing uniform random delays over `(0, 1]`, and an event cap of
-/// `64·n² + 4096`.
+/// `64·n² + 4096`. The settings both engines share are documented on
+/// [`Settings`].
 pub struct AsyncSimBuilder {
-    n: usize,
-    seed: u64,
-    ids: Option<IdAssignment>,
+    core: Settings,
     wake: Option<AsyncWakeSchedule>,
-    resolver: Option<Box<dyn PortResolver>>,
     adversary: Option<Box<dyn Adversary>>,
-    backend: Option<PortBackend>,
-    topology: Option<Topology>,
     max_events: Option<u64>,
     network: Option<NetworkConfig>,
-    trace: Option<Box<dyn TraceSink>>,
 }
 
 impl std::fmt::Debug for AsyncSimBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AsyncSimBuilder")
-            .field("n", &self.n)
-            .field("seed", &self.seed)
-            .field("ids", &self.ids.as_ref().map(|a| a.len()))
+            .field("core", &self.core)
             .field("wake", &self.wake)
             .field("max_events", &self.max_events)
             .finish_non_exhaustive()
@@ -263,31 +227,29 @@ impl AsyncSimBuilder {
     /// Starts configuring a simulation of an `n`-node asynchronous clique.
     pub fn new(n: usize) -> Self {
         AsyncSimBuilder {
-            n,
-            seed: 0,
-            ids: None,
+            core: Settings::new(n),
             wake: None,
-            resolver: None,
             adversary: None,
-            backend: None,
-            topology: None,
             max_events: None,
             network: None,
-            trace: None,
         }
     }
 
-    /// Sets the master seed; the whole execution is a deterministic function
-    /// of it and the other settings.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+    /// Applies one of the shared settings.
+    fn with(mut self, set: impl FnOnce(&mut Settings)) -> Self {
+        set(&mut self.core);
         self
     }
 
-    /// Uses an explicit ID assignment instead of sampling one.
-    pub fn ids(mut self, ids: IdAssignment) -> Self {
-        self.ids = Some(ids);
-        self
+    /// Sets the master seed ([`Settings::seed`]).
+    pub fn seed(self, seed: u64) -> Self {
+        self.with(|s| s.seed = seed)
+    }
+
+    /// Uses an explicit ID assignment instead of sampling one
+    /// ([`Settings::ids`]).
+    pub fn ids(self, ids: IdAssignment) -> Self {
+        self.with(|s| s.ids = Some(ids))
     }
 
     /// Sets the adversarial wake-up schedule (default: node 0 at time 0).
@@ -296,23 +258,9 @@ impl AsyncSimBuilder {
         self
     }
 
-    /// Sets the port resolution strategy.
-    ///
-    /// In the asynchronous model the adversary commits to the port mapping
-    /// *obliviously* (Section 5); the default rule draws from an RNG
-    /// stream independent of all algorithm coins, which is distributionally
-    /// equivalent.
-    ///
-    /// Without a resolver, a fresh port resolves by that rule, a uniform
-    /// unconnected peer and a uniform free port at it, which
-    /// [`PortMap::resolve_uniform`] fixes at the positions it drew. An
-    /// explicit resolver takes [`PortMap::resolve`]'s generic path, which
-    /// reads its choices' positions back to validate them; passing
-    /// [`RandomResolver`](clique_model::ports::RandomResolver), the trait
-    /// form of the default rule, gives the same execution at that cost.
-    pub fn resolver(mut self, resolver: Box<dyn PortResolver>) -> Self {
-        self.resolver = Some(resolver);
-        self
+    /// Sets the port resolution strategy ([`Settings::resolver`]).
+    pub fn resolver(self, resolver: Box<dyn PortResolver>) -> Self {
+        self.with(|s| s.resolver = Some(resolver))
     }
 
     /// Sets an *oblivious* message delay strategy (default:
@@ -337,23 +285,14 @@ impl AsyncSimBuilder {
         self
     }
 
-    /// Pins the port-map storage backend (default: the `LE_BACKEND`
-    /// environment selection, `auto` when unset; see [`PortBackend`]).
-    /// The engine's per-link state is indexed by the map's link ids on
-    /// every backend, so it holds one entry per link used, and a
-    /// sparse-backend trial holds no `Θ(n²)` state at all.
-    pub fn backend(mut self, backend: PortBackend) -> Self {
-        self.backend = Some(backend);
-        self
+    /// Pins the port-map storage backend ([`Settings::backend`]).
+    pub fn backend(self, backend: PortBackend) -> Self {
+        self.with(|s| s.backend = Some(backend))
     }
 
-    /// Pins the communication graph (default: the `LE_TOPOLOGY`
-    /// environment selection, which is the clique when unset). The
-    /// topology's node count must equal the builder's `n`; ports become
-    /// degree-indexed (`0..deg(v)` per node) on any non-clique graph.
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = Some(topology);
-        self
+    /// Pins the communication graph ([`Settings::topology`]).
+    pub fn topology(self, topology: Topology) -> Self {
+        self.with(|s| s.topology = Some(topology))
     }
 
     /// Sets the event cap guarding against non-terminating algorithms
@@ -378,13 +317,10 @@ impl AsyncSimBuilder {
         self
     }
 
-    /// Streams every trace event class into an explicit sink, overriding
-    /// the `LE_TRACE` environment selection. The tracer observes without
-    /// influencing: it draws no randomness and touches no schedule, so the
-    /// execution is bit-identical to an untraced one.
-    pub fn trace(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
+    /// Streams every trace event class into an explicit sink
+    /// ([`Settings::trace`]).
+    pub fn trace(self, sink: Box<dyn TraceSink>) -> Self {
+        self.with(|s| s.trace = Some(sink))
     }
 
     /// Instantiates the simulation, creating one node per network position
@@ -392,8 +328,7 @@ impl AsyncSimBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError`] if `n < 2` or the default ID universe cannot
-    /// cover `n` nodes.
+    /// As for [`AsyncSimBuilder::build_in`].
     pub fn build<N, F>(self, factory: F) -> Result<AsyncSim<N>, ModelError>
     where
         N: AsyncNode,
@@ -412,13 +347,13 @@ impl AsyncSimBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError`] if `n < 2`, the default ID universe cannot
-    /// cover `n` nodes, or the wake schedule or a scheduled crash fault
-    /// names a node outside the network ([`ModelError::NodeOutOfRange`]).
+    /// The shared settings' errors ([`Settings::build`]), and
+    /// [`ModelError::NodeOutOfRange`] if the wake schedule or a scheduled
+    /// crash fault names a node outside the network.
     pub fn build_in<N, F>(
         self,
         arena: &mut AsyncArena,
-        mut factory: F,
+        factory: F,
     ) -> Result<AsyncSim<N>, ModelError>
     where
         N: AsyncNode,
@@ -426,10 +361,7 @@ impl AsyncSimBuilder {
         F: FnMut(Id, usize) -> N,
     {
         let _build = prof::span(Phase::Build);
-        let n = self.n;
-        if n < 2 {
-            return Err(ModelError::NetworkTooSmall { n });
-        }
+        let (n, seed) = (self.core.n, self.core.seed);
         let wake = self
             .wake
             .unwrap_or_else(|| AsyncWakeSchedule::single(NodeIndex(0)));
@@ -439,36 +371,9 @@ impl AsyncSimBuilder {
             .unwrap_or_default();
         let woken = wake.entries().iter().map(|&(_, u)| u);
         let crashed = net.fault_plan().scheduled().iter().map(|cf| cf.node);
-        if let Some(node) = woken.chain(crashed).find(|u| u.0 >= n) {
-            return Err(ModelError::NodeOutOfRange { node, n });
-        }
-        let ids = match self.ids {
-            Some(ids) => ids,
-            None => {
-                let mut id_rng = rng_from_seed(derive_seed(self.seed, STREAM_IDS));
-                IdSpace::quasilinear(n).assign(n, &mut id_rng)?
-            }
-        };
-        if ids.len() != n {
-            return Err(ModelError::NodeOutOfRange {
-                node: NodeIndex(ids.len()),
-                n,
-            });
-        }
-        let topo = match self.topology {
-            Some(t) => t,
-            None => Topology::from_env(n),
-        };
-        if topo.n() != n {
-            return Err(ModelError::InvalidTopology {
-                reason: "topology node count does not match the builder's n",
-            });
-        }
-        let backend = self
-            .backend
-            .unwrap_or_else(PortBackend::from_env)
-            .resolve_for(n, topo.m());
-        let ports = arena.take_ports(&topo, backend)?;
+        let core = self
+            .core
+            .build(&mut arena.core, woken.chain(crashed), factory)?;
         // Both per-link tables start empty and grow with the links the
         // trial uses; the busy horizons only when the capacity model is on.
         let mut fifo_front = std::mem::take(&mut arena.fifo_front);
@@ -477,18 +382,10 @@ impl AsyncSimBuilder {
         link_busy.clear();
         let net_active = net.is_active();
         let net_service = net.service();
-        let mut bufs: AsyncBuffers<N::Message> = arena
-            .buffers
-            .take()
-            .and_then(|b| b.downcast::<AsyncBuffers<N::Message>>().ok())
-            .map_or_else(AsyncBuffers::default, |b| *b);
+        let mut bufs: AsyncBuffers<N::Message> = arena.core.take_buffers();
         bufs.queue.clear();
         bufs.outbox.clear();
         bufs.rel.reset();
-        let nodes: Vec<N> = ids.as_slice().iter().map(|&id| factory(id, n)).collect();
-        let node_rngs: Vec<SmallRng> = (0..n)
-            .map(|u| rng_from_seed(derive_seed(self.seed, STREAM_NODE_BASE + u as u64)))
-            .collect();
 
         let mut queue = bufs.queue;
         let mut last_scheduled_wake = 0.0f64;
@@ -497,7 +394,7 @@ impl AsyncSimBuilder {
             last_scheduled_wake = last_scheduled_wake.max(t);
         }
 
-        let mut fault_rng = rng_from_seed(derive_seed(self.seed, STREAM_FAULTS));
+        let mut fault_rng = stream(seed, STREAM_FAULTS);
         if net_active {
             for cf in net.fault_plan().scheduled() {
                 queue.push(cf.at, EventKind::Crash(ix(cf.node)));
@@ -519,35 +416,20 @@ impl AsyncSimBuilder {
             }
         }
 
-        let tracer = match self.trace {
-            Some(sink) => Tracer::with_sink(sink, ALL_CLASSES),
-            None => Tracer::from_env(),
-        };
         Ok(AsyncSim {
-            n,
-            ids,
-            nodes,
-            node_rngs,
-            ports,
-            resolver: self.resolver,
-            resolver_rng: rng_from_seed(derive_seed(self.seed, STREAM_RESOLVER)),
+            core,
             adversary: self
                 .adversary
                 .unwrap_or_else(|| Box::new(Oblivious::new(UniformDelay::full()))),
-            delay_rng: rng_from_seed(derive_seed(self.seed, STREAM_DELAYS)),
+            delay_rng: stream(seed, STREAM_DELAYS),
             transcript: Transcript::new(n),
             queue,
             fifo_front,
             max_events: self
                 .max_events
                 .unwrap_or(64 * (n as u64) * (n as u64) + 4096),
-            awake: vec![false; n],
             awake_count: 0,
-            stats: MessageStats::new(n),
-            tracer,
             outbox: bufs.outbox,
-            last_decisions: vec![Decision::Undecided; n],
-            messages_to_terminated: 0,
             now: 0.0,
             busy_now: 0.0,
             wake_all_time: None,
@@ -559,7 +441,7 @@ impl AsyncSimBuilder {
             rel_cfg: net.reliability(),
             adaptive_crashes: net.fault_plan().adaptive(),
             fault_rng,
-            adv_fault_rng: rng_from_seed(derive_seed(self.seed, STREAM_ADV_FAULTS)),
+            adv_fault_rng: stream(seed, STREAM_ADV_FAULTS),
             link_busy,
             rel: bufs.rel,
             crashed: vec![false; n],
@@ -573,15 +455,9 @@ impl AsyncSimBuilder {
 /// Drive it with [`AsyncSim::run`] (to quiescence) or
 /// [`AsyncSim::step`] (event by event).
 pub struct AsyncSim<N: AsyncNode> {
-    n: usize,
-    ids: IdAssignment,
-    nodes: Vec<N>,
-    node_rngs: Vec<SmallRng>,
-    ports: PortMap,
-    /// The builder's explicit resolver; `None` resolves by the default
-    /// rule in place ([`PortMap::resolve_uniform`]).
-    resolver: Option<Box<dyn PortResolver>>,
-    resolver_rng: SmallRng,
+    /// The state both engines share: IDs, nodes, ports, resolver, tracer,
+    /// message counts, the awake set and decisions.
+    core: Core<N>,
     adversary: Box<dyn Adversary>,
     delay_rng: SmallRng,
     /// Per-node sent/delivered counts, maintained for adaptive adversaries.
@@ -591,15 +467,9 @@ pub struct AsyncSim<N: AsyncNode> {
     /// already scheduled, enforcing FIFO order.
     fifo_front: Vec<[f64; 2]>,
     max_events: u64,
-    awake: Vec<bool>,
     /// Nodes woken so far (the `true` entries of `awake`).
     awake_count: usize,
-    stats: MessageStats,
-    /// Structured event tracing (disabled path: one `bool` load per site).
-    tracer: Tracer,
     outbox: Vec<(Port, N::Message)>,
-    last_decisions: Vec<Decision>,
-    messages_to_terminated: u64,
     now: f64,
     /// Time of the last *effective* event — everything except a stale
     /// retransmission-timer pop. This is the reported time complexity:
@@ -645,9 +515,9 @@ pub struct AsyncSim<N: AsyncNode> {
 impl<N: AsyncNode> std::fmt::Debug for AsyncSim<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AsyncSim")
-            .field("n", &self.n)
+            .field("n", &self.core.n)
             .field("now", &self.now)
-            .field("messages", &self.stats.total())
+            .field("messages", &self.core.stats.total())
             .field("queued", &self.queue.len())
             .finish_non_exhaustive()
     }
@@ -661,28 +531,28 @@ impl<N: AsyncNode> AsyncSim<N> {
 
     /// The ID assignment in use.
     pub fn ids(&self) -> &IdAssignment {
-        &self.ids
+        &self.core.ids
     }
 
     /// Message statistics so far.
     pub fn stats(&self) -> &MessageStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Immutable access to a node's algorithm state (for tests and
     /// experiment probes).
     pub fn node(&self, u: NodeIndex) -> &N {
-        &self.nodes[u.0]
+        &self.core.nodes[u.0]
     }
 
     /// Whether `u` has woken up.
     pub fn is_awake(&self, u: NodeIndex) -> bool {
-        self.awake[u.0]
+        self.core.awake[u.0]
     }
 
     /// The partial port mapping fixed so far.
     pub fn ports(&self) -> &PortMap {
-        &self.ports
+        &self.core.ports
     }
 
     /// The running per-node sent/delivered transcript (what an adaptive
@@ -696,7 +566,10 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// # Errors
     ///
     /// As for [`AsyncSim::step`].
-    pub fn run(mut self) -> Result<AsyncOutcome, ModelError> {
+    pub fn run(mut self) -> Result<AsyncOutcome, ModelError>
+    where
+        N::Message: 'static,
+    {
         let halt = self.drive()?;
         Ok(self.into_outcome(halt))
     }
@@ -718,7 +591,7 @@ impl<N: AsyncNode> AsyncSim<N> {
         // network) is a fault-induced livelock, not a clean drain. This is
         // checked only here — MaxEvents above always wins when the cap
         // fires first, so the two halts are never conflated.
-        if self.stats.faults.lost_payloads > 0 || self.crashed_count == self.n {
+        if self.core.stats.faults.lost_payloads > 0 || self.crashed_count == self.core.n {
             return Ok(AsyncHaltReason::FaultLivelock);
         }
         Ok(AsyncHaltReason::QueueDrained)
@@ -763,7 +636,10 @@ impl<N: AsyncNode> AsyncSim<N> {
         match ev.kind {
             EventKind::Wake(u) => {
                 let u = node(u);
-                if !self.crashed[u.0] && !self.awake[u.0] && !self.nodes[u.0].is_terminated() {
+                if !self.crashed[u.0]
+                    && !self.core.awake[u.0]
+                    && !self.core.nodes[u.0].is_terminated()
+                {
                     self.activate(u, Some(WakeCause::Adversary), None)?;
                 }
             }
@@ -777,10 +653,10 @@ impl<N: AsyncNode> AsyncSim<N> {
                 if self.crashed[dst.0] {
                     // A crashed node swallows the message silently; with
                     // no reliability layer the payload is gone for good.
-                    self.stats.faults.crash_drops += 1;
-                    self.stats.faults.lost_payloads += 1;
-                    if self.tracer.enabled() {
-                        self.tracer.emit(TraceEvent::Fault {
+                    self.core.stats.faults.crash_drops += 1;
+                    self.core.stats.faults.lost_payloads += 1;
+                    if self.core.tracer.enabled() {
+                        self.core.tracer.emit(TraceEvent::Fault {
                             at: At::Time(self.now),
                             kind: FaultKind::CrashDrop,
                             src,
@@ -789,21 +665,21 @@ impl<N: AsyncNode> AsyncSim<N> {
                     }
                 } else {
                     if self.net_active {
-                        self.stats.faults.goodput += 1;
+                        self.core.stats.faults.goodput += 1;
                     }
                     self.transcript.record_delivery(dst);
-                    if self.tracer.enabled() {
-                        self.tracer.emit(TraceEvent::Deliver {
+                    if self.core.tracer.enabled() {
+                        self.core.tracer.emit(TraceEvent::Deliver {
                             at: At::Time(self.now),
                             src,
                             dst: ix(dst),
                             cls: Some(N::classify(&msg).name()),
                         });
                     }
-                    if self.nodes[dst.0].is_terminated() {
-                        self.messages_to_terminated += 1;
+                    if self.core.nodes[dst.0].is_terminated() {
+                        self.core.messages_to_terminated += 1;
                     } else {
-                        let wake = if self.awake[dst.0] {
+                        let wake = if self.core.awake[dst.0] {
                             None
                         } else {
                             Some(WakeCause::Message)
@@ -841,9 +717,9 @@ impl<N: AsyncNode> AsyncSim<N> {
                 // takes nothing, and its copy stays undelivered for a
                 // retransmission after recovery.
                 if self.crashed[dst.0] {
-                    self.stats.faults.crash_drops += 1;
-                    if self.tracer.enabled() {
-                        self.tracer.emit(TraceEvent::Fault {
+                    self.core.stats.faults.crash_drops += 1;
+                    if self.core.tracer.enabled() {
+                        self.core.tracer.emit(TraceEvent::Fault {
                             at: At::Time(self.now),
                             kind: FaultKind::CrashDrop,
                             src,
@@ -851,23 +727,23 @@ impl<N: AsyncNode> AsyncSim<N> {
                         });
                     }
                 } else if !fresh {
-                    self.stats.faults.duplicates += 1;
+                    self.core.stats.faults.duplicates += 1;
                 } else {
                     self.rel[link].delivered_hi = data_seq;
-                    self.stats.faults.goodput += 1;
+                    self.core.stats.faults.goodput += 1;
                     self.transcript.record_delivery(dst);
-                    if self.tracer.enabled() {
-                        self.tracer.emit(TraceEvent::Deliver {
+                    if self.core.tracer.enabled() {
+                        self.core.tracer.emit(TraceEvent::Deliver {
                             at: At::Time(self.now),
                             src,
                             dst: ix(dst),
                             cls: Some(N::classify(&msg).name()),
                         });
                     }
-                    if self.nodes[dst.0].is_terminated() {
-                        self.messages_to_terminated += 1;
+                    if self.core.nodes[dst.0].is_terminated() {
+                        self.core.messages_to_terminated += 1;
                     } else {
-                        let wake = if self.awake[dst.0] {
+                        let wake = if self.core.awake[dst.0] {
                             None
                         } else {
                             Some(WakeCause::Message)
@@ -886,7 +762,7 @@ impl<N: AsyncNode> AsyncSim<N> {
             EventKind::DeliverAck { link, data_seq } => {
                 let l = &self.rel[link];
                 if self.crashed[l.src as usize] {
-                    self.stats.faults.crash_drops += 1;
+                    self.core.stats.faults.crash_drops += 1;
                 } else if l.inflight.as_ref().is_some_and(|o| o.seq == data_seq) {
                     self.begin_next_payload(link)?;
                 }
@@ -913,10 +789,10 @@ impl<N: AsyncNode> AsyncSim<N> {
                     if attempt > budget {
                         // Retry budget exhausted: abandon the payload and
                         // move on to the backlog.
-                        self.stats.faults.abandoned += 1;
-                        self.stats.faults.lost_payloads += 1;
-                        if self.tracer.enabled() {
-                            self.tracer.emit(TraceEvent::Fault {
+                        self.core.stats.faults.abandoned += 1;
+                        self.core.stats.faults.lost_payloads += 1;
+                        if self.core.tracer.enabled() {
+                            self.core.tracer.emit(TraceEvent::Fault {
                                 at: At::Time(self.now),
                                 kind: FaultKind::Abandon,
                                 src,
@@ -948,8 +824,8 @@ impl<N: AsyncNode> AsyncSim<N> {
         if !self.crashed[v.0] {
             self.crashed[v.0] = true;
             self.crashed_count += 1;
-            if self.tracer.enabled() {
-                self.tracer.emit(TraceEvent::Fault {
+            if self.core.tracer.enabled() {
+                self.core.tracer.emit(TraceEvent::Fault {
                     at: At::Time(self.now),
                     kind: FaultKind::Crash,
                     src: v.0 as u32,
@@ -970,8 +846,8 @@ impl<N: AsyncNode> AsyncSim<N> {
         }
         self.crashed[v.0] = false;
         self.crashed_count -= 1;
-        if self.tracer.enabled() {
-            self.tracer.emit(TraceEvent::Fault {
+        if self.core.tracer.enabled() {
+            self.core.tracer.emit(TraceEvent::Fault {
                 at: At::Time(self.now),
                 kind: FaultKind::Recover,
                 src: v.0 as u32,
@@ -1003,9 +879,9 @@ impl<N: AsyncNode> AsyncSim<N> {
         wake: Option<WakeCause>,
         msg: Option<Received<N::Message>>,
     ) -> Result<(), ModelError> {
-        if self.tracer.enabled() {
+        if self.core.tracer.enabled() {
             if let Some(cause) = wake {
-                self.tracer.emit(TraceEvent::Wake {
+                self.core.tracer.emit(TraceEvent::Wake {
                     at: At::Time(self.now),
                     node: u.0 as u32,
                     cause,
@@ -1016,25 +892,25 @@ impl<N: AsyncNode> AsyncSim<N> {
         outbox.clear();
         {
             let mut ctx = AsyncContext {
-                id: self.ids.id_of(u),
-                n: self.n,
-                ports: self.ports.ports_of(u),
+                id: self.core.ids.id_of(u),
+                n: self.core.n,
+                ports: self.core.ports.ports_of(u),
                 time: self.now,
-                rng: &mut self.node_rngs[u.0],
+                rng: &mut self.core.node_rngs[u.0],
                 outbox: &mut outbox,
             };
             if let Some(cause) = wake {
-                if !self.awake[u.0] {
-                    self.awake[u.0] = true;
+                if !self.core.awake[u.0] {
+                    self.core.awake[u.0] = true;
                     self.awake_count += 1;
                 }
-                self.nodes[u.0].on_wake(&mut ctx, cause);
-                if self.awake_count == self.n && self.wake_all_time.is_none() {
+                self.core.nodes[u.0].on_wake(&mut ctx, cause);
+                if self.awake_count == self.core.n && self.wake_all_time.is_none() {
                     self.wake_all_time = Some(self.now);
                 }
             }
             if let Some(m) = msg {
-                self.nodes[u.0].on_message(&mut ctx, m);
+                self.core.nodes[u.0].on_message(&mut ctx, m);
             }
         }
         for (port, m) in outbox.drain(..) {
@@ -1047,26 +923,8 @@ impl<N: AsyncNode> AsyncSim<N> {
         }
         self.outbox = outbox;
 
-        // Track decision changes (and reject a revoked one).
-        let d = self.nodes[u.0].decision();
-        let from = self.last_decisions[u.0];
-        if d != from {
-            if from.is_decided() {
-                return Err(ModelError::DecisionRevoked {
-                    node: u,
-                    from,
-                    to: d,
-                });
-            }
-            self.last_decisions[u.0] = d;
-            if self.tracer.enabled() {
-                self.tracer.emit(TraceEvent::Decide {
-                    at: At::Time(self.now),
-                    node: u.0 as u32,
-                    leader: d == Decision::Leader,
-                });
-            }
-        }
+        let d = self.core.nodes[u.0].decision();
+        self.core.decide(u, d, At::Time(self.now))?;
         Ok(())
     }
 
@@ -1076,18 +934,15 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// ([`AsyncSim::transmit_raw`]), and a dropped attempt is a
     /// permanently lost payload.
     fn dispatch(&mut self, src: NodeIndex, port: Port, msg: N::Message) -> Result<(), ModelError> {
-        let rng = &mut self.resolver_rng;
-        let dst = match self.resolver.as_deref_mut() {
-            None => self.ports.resolve_uniform(src, port, rng)?,
-            Some(resolver) => self.ports.resolve(src, port, resolver, rng)?,
-        };
+        let dst = self.core.resolve(src, port)?;
         let link = self
+            .core
             .ports
             .link_id(src, port)
             .expect("a resolved port has a link");
         let class = N::classify(&msg);
-        if self.tracer.enabled() {
-            self.tracer.emit(TraceEvent::Send {
+        if self.core.tracer.enabled() {
+            self.core.tracer.emit(TraceEvent::Send {
                 at: At::Time(self.now),
                 src: src.0 as u32,
                 port: port.0 as u32,
@@ -1098,9 +953,9 @@ impl<N: AsyncNode> AsyncSim<N> {
         // The algorithm-facing histogram counts payloads; wire
         // retransmissions and acks are protocol overhead, counted only in
         // the fault counters (which stay zero on the transparent network).
-        self.stats.record(self.now.floor() as usize + 1, src);
+        self.core.stats.record(self.now.floor() as usize + 1, src);
         if self.net_active {
-            self.stats.faults.payloads += 1;
+            self.core.stats.faults.payloads += 1;
         }
         if self.rel_cfg.is_some() {
             // A payload counts from its dispatch, since it may wait in the
@@ -1136,7 +991,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                     msg,
                 },
             ),
-            None => self.stats.faults.lost_payloads += 1,
+            None => self.core.stats.faults.lost_payloads += 1,
         }
         Ok(())
     }
@@ -1204,8 +1059,11 @@ impl<N: AsyncNode> AsyncSim<N> {
         // attempt while budget remains, after the loss/delay draws.
         if self.adaptive_crashes > 0 {
             if let Some(v) = self.adversary.crash_directive(&obs) {
-                if v.0 >= self.n {
-                    return Err(ModelError::NodeOutOfRange { node: v, n: self.n });
+                if v.0 >= self.core.n {
+                    return Err(ModelError::NodeOutOfRange {
+                        node: v,
+                        n: self.core.n,
+                    });
                 }
                 if !self.crashed[v.0] {
                     self.crash_now(v);
@@ -1215,12 +1073,12 @@ impl<N: AsyncNode> AsyncSim<N> {
         }
         if let Some(kind) = dropped {
             if kind == FaultKind::Queue {
-                self.stats.faults.queue_drops += 1;
+                self.core.stats.faults.queue_drops += 1;
             } else {
-                self.stats.faults.loss_drops += 1;
+                self.core.stats.faults.loss_drops += 1;
             }
-            if self.tracer.enabled() {
-                self.tracer.emit(TraceEvent::Fault {
+            if self.core.tracer.enabled() {
+                self.core.tracer.emit(TraceEvent::Fault {
                     at: At::Time(self.now),
                     kind,
                     src: src.0 as u32,
@@ -1247,9 +1105,9 @@ impl<N: AsyncNode> AsyncSim<N> {
             .expect("send_reliable_copy requires an in-flight payload");
         let (data_seq, attempts, dst_port, msg) = (o.seq, o.attempts, o.dst_port, o.msg.clone());
         if attempts > 0 {
-            self.stats.faults.retransmits += 1;
-            if self.tracer.enabled() {
-                self.tracer.emit(TraceEvent::Fault {
+            self.core.stats.faults.retransmits += 1;
+            if self.core.tracer.enabled() {
+                self.core.tracer.emit(TraceEvent::Fault {
                     at: At::Time(self.now),
                     kind: FaultKind::Retransmit,
                     src: ix(src),
@@ -1297,9 +1155,9 @@ impl<N: AsyncNode> AsyncSim<N> {
     fn send_ack(&mut self, link: u32, data_seq: u32) -> Result<(), ModelError> {
         let l = &self.rel[link];
         let (from, to, link_id) = (node(l.dst), node(l.src), l.link);
-        self.stats.faults.acks += 1;
-        if self.tracer.enabled() {
-            self.tracer.emit(TraceEvent::Fault {
+        self.core.stats.faults.acks += 1;
+        if self.core.tracer.enabled() {
+            self.core.tracer.emit(TraceEvent::Fault {
                 at: At::Time(self.now),
                 kind: FaultKind::Ack,
                 src: ix(from),
@@ -1330,56 +1188,18 @@ impl<N: AsyncNode> AsyncSim<N> {
         Ok(())
     }
 
-    /// Emits the end-of-run trace events — the topology metadata record,
-    /// the backend counter snapshot, and the halt record — and finishes the
-    /// tracer (flushing a boxed sink or
-    /// submitting the buffered env-trace block to the collector).
-    fn finish_trace(&mut self, halt: AsyncHaltReason) {
-        if self.tracer.enabled() {
-            let (generator, topo_n, m, maxdeg) = self.ports.topology_summary();
-            self.tracer.emit(TraceEvent::Topology {
-                generator,
-                n: topo_n as u32,
-                m,
-                maxdeg: maxdeg as u32,
-            });
-            self.tracer.emit(TraceEvent::Backend {
-                backend: self.ports.backend().name(),
-                counters: self.ports.backend_counters(),
-            });
-            self.tracer.emit(TraceEvent::Halt {
-                at: At::Time(self.busy_now),
-                msgs: self.stats.total(),
-                reason: match halt {
-                    AsyncHaltReason::QueueDrained => "drained",
-                    AsyncHaltReason::MaxEvents => "max_events",
-                    AsyncHaltReason::FaultLivelock => "livelock",
-                },
-            });
-        }
-        self.tracer.finish();
+    /// Consumes the simulation into its measurable [`AsyncOutcome`]:
+    /// [`AsyncSim::into_outcome_reusing`] on a fresh arena.
+    pub fn into_outcome(self, halt: AsyncHaltReason) -> AsyncOutcome
+    where
+        N::Message: 'static,
+    {
+        self.into_outcome_reusing(halt, &mut AsyncArena::new())
     }
 
-    /// Consumes the simulation into its measurable [`AsyncOutcome`].
-    pub fn into_outcome(mut self, halt: AsyncHaltReason) -> AsyncOutcome {
-        self.finish_trace(halt);
-        AsyncOutcome {
-            n: self.n,
-            time: self.busy_now,
-            last_adversarial_wake: self.last_scheduled_wake,
-            wake_all_time: self.wake_all_time,
-            stats: self.stats,
-            decisions: self.last_decisions,
-            awake: self.awake,
-            ids: self.ids,
-            messages_to_terminated: self.messages_to_terminated,
-            crashed: self.crashed,
-            halt,
-        }
-    }
-
-    /// [`AsyncSim::into_outcome`], stashing the recyclable state into
-    /// `arena` on the way out.
+    /// Closes the trace and consumes the simulation into its measurable
+    /// [`AsyncOutcome`], stashing the recyclable state into `arena` on the
+    /// way out.
     pub fn into_outcome_reusing(
         mut self,
         halt: AsyncHaltReason,
@@ -1389,20 +1209,19 @@ impl<N: AsyncNode> AsyncSim<N> {
         N::Message: 'static,
     {
         let _reset = prof::span(Phase::Reset);
-        self.finish_trace(halt);
+        let reason = match halt {
+            AsyncHaltReason::QueueDrained => "drained",
+            AsyncHaltReason::MaxEvents => "max_events",
+            AsyncHaltReason::FaultLivelock => "livelock",
+        };
+        self.core.finish_trace(At::Time(self.busy_now), reason);
         let AsyncSim {
-            n,
-            ids,
-            ports,
+            core,
             mut queue,
             fifo_front,
             link_busy,
             rel,
             mut outbox,
-            stats,
-            last_decisions,
-            awake,
-            messages_to_terminated,
             busy_now,
             wake_all_time,
             last_scheduled_wake,
@@ -1411,23 +1230,24 @@ impl<N: AsyncNode> AsyncSim<N> {
         } = self;
         queue.clear();
         outbox.clear();
-        arena.ports = Some(ports);
         arena.fifo_front = fifo_front;
         arena.link_busy = link_busy;
         arena.rel_bytes = rel.resident_bytes();
         arena.queue_bytes = queue.resident_bytes()
             + (outbox.capacity() * std::mem::size_of::<(Port, N::Message)>()) as u64;
-        arena.buffers = Some(Box::new(AsyncBuffers { queue, outbox, rel }));
+        arena
+            .core
+            .stash(core.ports, AsyncBuffers { queue, outbox, rel });
         AsyncOutcome {
-            n,
+            n: core.n,
             time: busy_now,
             last_adversarial_wake: last_scheduled_wake,
             wake_all_time,
-            stats,
-            decisions: last_decisions,
-            awake,
-            ids,
-            messages_to_terminated,
+            stats: core.stats,
+            decisions: core.decisions,
+            awake: core.awake,
+            ids: core.ids,
+            messages_to_terminated: core.messages_to_terminated,
             crashed,
             halt,
         }
@@ -1439,6 +1259,7 @@ mod tests {
     use super::*;
     use crate::adversary::delay::{BimodalDelay, ConstDelay};
     use crate::node::Received;
+    use clique_model::Decision;
 
     #[test]
     fn events_stay_48_bytes() {
@@ -2485,7 +2306,7 @@ mod tests {
             .unwrap()
             .run_reusing(&mut arena)
             .unwrap();
-        let map = arena.ports.as_ref().map_or(0, PortMap::resident_bytes);
+        let map = arena.core.resident_bytes();
         let floors = arena.link_bytes();
         assert_eq!(arena.rel_bytes, 0);
         // 48 KiB: six times the ring's spine of 2048 `u32` links, so only
@@ -2515,7 +2336,7 @@ mod tests {
                     .unwrap()
                     .run_reusing(&mut arena)
                     .unwrap();
-                let links = arena.ports.as_ref().map(PortMap::link_count);
+                let links = arena.core.ports().map(PortMap::link_count);
                 assert_eq!(links, Some(12 * 11 / 2), "the flood fixes every link");
                 assert_eq!(Some(arena.fifo_front.len()), links);
                 let busy = if rate.is_some() { links } else { Some(0) };

@@ -68,12 +68,7 @@ impl AsyncOutcome {
 
     /// The unique leader, if exactly one exists.
     pub fn unique_leader(&self) -> Option<NodeIndex> {
-        let ls = self.leaders();
-        if ls.len() == 1 {
-            Some(ls[0])
-        } else {
-            None
-        }
+        election::unique_leader(&self.decisions)
     }
 
     /// Time complexity counted from the last spontaneous (adversarial)
@@ -106,7 +101,7 @@ impl AsyncOutcome {
 
     /// Number of nodes that woke up.
     pub fn awake_count(&self) -> usize {
-        self.awake.iter().filter(|&&a| a).count()
+        election::awake_count(&self.awake)
     }
 
     /// Validates *implicit* leader election.

@@ -86,6 +86,19 @@ pub fn leaders(decisions: &[Decision]) -> Vec<NodeIndex> {
         .collect()
 }
 
+/// The unique leader, if exactly one node's decision is `Leader`.
+pub fn unique_leader(decisions: &[Decision]) -> Option<NodeIndex> {
+    match leaders(decisions)[..] {
+        [leader] => Some(leader),
+        _ => None,
+    }
+}
+
+/// Number of nodes that woke up.
+pub fn awake_count(awake: &[bool]) -> usize {
+    awake.iter().filter(|&&a| a).count()
+}
+
 /// Validates *implicit* leader election over a finished execution: every
 /// node woke up and decided, exactly one elected itself, and no message was
 /// dropped at a terminated node.
@@ -159,6 +172,15 @@ mod tests {
         let d = vec![Decision::non_leader(), Decision::Leader];
         validate_implicit(&d, &[true, true], 0).unwrap();
         assert_eq!(leaders(&d), vec![NodeIndex(1)]);
+    }
+
+    #[test]
+    fn unique_leader_needs_exactly_one() {
+        let one = [Decision::non_leader(), Decision::Leader];
+        assert_eq!(unique_leader(&one), Some(NodeIndex(1)));
+        assert_eq!(unique_leader(&[Decision::Leader, Decision::Leader]), None);
+        assert_eq!(unique_leader(&[Decision::Undecided]), None);
+        assert_eq!(awake_count(&[true, false, true]), 2);
     }
 
     #[test]

@@ -31,6 +31,9 @@
 //!   draw from,
 //! * [`prof`] — the `LE_PROF`/`LE_TIMING` phase profiler (span timers
 //!   folded into per-cell timing columns by the sweep runner),
+//! * [`sim`] — the engine core: the settings, build steps, arena slot,
+//!   port resolution, decision tracking and trace summary that both
+//!   engines run on, written once,
 //! * [`error`] — shared error types.
 //!
 //! # Example
@@ -71,6 +74,7 @@ pub mod metrics;
 pub mod ports;
 pub mod prof;
 pub mod rng;
+pub mod sim;
 pub mod topology;
 pub mod trace;
 

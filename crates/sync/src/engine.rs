@@ -1,25 +1,16 @@
 //! The synchronous round engine.
 
-use std::any::Any;
-
-use clique_model::ids::{Id, IdAssignment, IdSpace};
+use clique_model::ids::{Id, IdAssignment};
 use clique_model::metrics::MessageStats;
-use clique_model::ports::{PortBackend, PortMap, PortResolver};
+use clique_model::ports::{Port, PortBackend, PortMap, PortResolver};
 use clique_model::prof::{self, Phase};
-use clique_model::rng::{derive_seed, rng_from_seed};
-use clique_model::trace::{At, TraceEvent, TraceSink, Tracer, ALL_CLASSES};
-use clique_model::{Decision, ModelError, NodeIndex, Topology};
-use rand::rngs::SmallRng;
+use clique_model::sim::{ArenaCore, Core, Settings};
+use clique_model::trace::{At, TraceEvent, TraceSink};
+use clique_model::{ModelError, NodeIndex, Topology};
 
 use crate::node::{Context, Received, SyncNode, WakeCause};
 use crate::outcome::{HaltReason, Outcome};
 use crate::wakeup::WakeSchedule;
-
-/// Seed stream tags, so every consumer of randomness gets an independent
-/// deterministic stream derived from the master seed.
-const STREAM_RESOLVER: u64 = u64::MAX;
-const STREAM_IDS: u64 = u64::MAX - 1;
-const STREAM_NODE_BASE: u64 = 0;
 
 /// Reusable simulation state for repeated trials: the `Θ(n²)` [`PortMap`],
 /// the per-node arena inboxes, the flattened wake plan, the outbox, and
@@ -65,12 +56,10 @@ const STREAM_NODE_BASE: u64 = 0;
 /// ```
 #[derive(Default)]
 pub struct SyncArena {
-    ports: Option<PortMap>,
+    /// The port map and the typed [`SyncBuffers`].
+    core: ArenaCore,
     wake_plan: Vec<(usize, Vec<NodeIndex>)>,
     work: Worklists,
-    // `+ Send` keeps the whole arena `Send`, so sweep worker threads can
-    // own recycled arenas (message types are `Send` by trait bound).
-    buffers: Option<Box<dyn Any + Send>>,
 }
 
 impl SyncArena {
@@ -85,37 +74,20 @@ impl SyncArena {
         *self = SyncArena::default();
     }
 
-    /// Takes a map for a trial on `topo` and `backend`: the recycled one
-    /// (reset in O(touched-state)) when both the topology fingerprint and
-    /// the resolved backend match, a fresh one otherwise.
-    fn take_ports(&mut self, topo: &Topology, backend: PortBackend) -> Result<PortMap, ModelError> {
-        let backend = backend.resolve_for(topo.n(), topo.m());
-        match self.ports.take() {
-            Some(mut map)
-                if map.topology_fingerprint() == topo.fingerprint() && map.backend() == backend =>
-            {
-                map.reset();
-                Ok(map)
-            }
-            _ => PortMap::for_topology(topo, backend),
-        }
-    }
-
     /// Backend-reported estimate of the bytes resident in the recycled
     /// engine tables (currently the port map — the only state whose size
     /// depends on the storage backend). The sweep harness records this per
     /// cell so dense-vs-sparse footprints appear in every experiment CSV.
     pub fn resident_bytes(&self) -> u64 {
-        self.ports.as_ref().map_or(0, PortMap::resident_bytes)
+        self.core.resident_bytes()
     }
 }
 
 impl std::fmt::Debug for SyncArena {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SyncArena")
-            .field("ports", &self.ports.as_ref().map(|p| p.n()))
-            .field("has_buffers", &self.buffers.is_some())
-            .finish()
+            .field("core", &self.core)
+            .finish_non_exhaustive()
     }
 }
 
@@ -124,7 +96,7 @@ impl std::fmt::Debug for SyncArena {
 struct SyncBuffers<M> {
     pending: Vec<Vec<Received<M>>>,
     inbox: Vec<Received<M>>,
-    outbox: Vec<(clique_model::ports::Port, M)>,
+    outbox: Vec<(Port, M)>,
 }
 
 impl<M> Default for SyncBuffers<M> {
@@ -195,57 +167,39 @@ fn merge_ascending<'a>(mut a: &'a [usize], mut b: &'a [usize], out: &mut Vec<usi
 /// Obtained from [`SyncSimBuilder::new`]. All settings have defaults:
 /// master seed 0, quasilinear ID universe (randomly assigned), simultaneous
 /// wake-up, uniform random port resolution, and a round cap of `4n + 64`.
+/// The settings both engines share are documented on [`Settings`].
+#[derive(Debug)]
 pub struct SyncSimBuilder {
-    n: usize,
-    seed: u64,
-    ids: Option<IdAssignment>,
+    core: Settings,
     wake: Option<WakeSchedule>,
-    resolver: Option<Box<dyn PortResolver>>,
-    backend: Option<PortBackend>,
-    topology: Option<Topology>,
     max_rounds: Option<usize>,
-    trace: Option<Box<dyn TraceSink>>,
-}
-
-impl std::fmt::Debug for SyncSimBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SyncSimBuilder")
-            .field("n", &self.n)
-            .field("seed", &self.seed)
-            .field("ids", &self.ids.as_ref().map(|a| a.len()))
-            .field("wake", &self.wake)
-            .field("max_rounds", &self.max_rounds)
-            .finish_non_exhaustive()
-    }
 }
 
 impl SyncSimBuilder {
     /// Starts configuring a simulation of an `n`-node clique.
     pub fn new(n: usize) -> Self {
         SyncSimBuilder {
-            n,
-            seed: 0,
-            ids: None,
+            core: Settings::new(n),
             wake: None,
-            resolver: None,
-            backend: None,
-            topology: None,
             max_rounds: None,
-            trace: None,
         }
     }
 
-    /// Sets the master seed; everything (IDs, port mapping, node coins) is a
-    /// deterministic function of it and the other settings.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+    /// Applies one of the shared settings.
+    fn with(mut self, set: impl FnOnce(&mut Settings)) -> Self {
+        set(&mut self.core);
         self
     }
 
-    /// Uses an explicit ID assignment instead of sampling one.
-    pub fn ids(mut self, ids: IdAssignment) -> Self {
-        self.ids = Some(ids);
-        self
+    /// Sets the master seed ([`Settings::seed`]).
+    pub fn seed(self, seed: u64) -> Self {
+        self.with(|s| s.seed = seed)
+    }
+
+    /// Uses an explicit ID assignment instead of sampling one
+    /// ([`Settings::ids`]).
+    pub fn ids(self, ids: IdAssignment) -> Self {
+        self.with(|s| s.ids = Some(ids))
     }
 
     /// Sets the wake-up schedule (default: simultaneous).
@@ -254,43 +208,19 @@ impl SyncSimBuilder {
         self
     }
 
-    /// Sets the port resolution strategy.
-    ///
-    /// Without one, a fresh port resolves by the default rule, a uniform
-    /// unconnected peer and a uniform free port at it, which
-    /// [`PortMap::resolve_uniform`] fixes at the positions it drew. An
-    /// explicit resolver takes [`PortMap::resolve`]'s generic path, which
-    /// reads its choices' positions back to validate them; passing
-    /// [`RandomResolver`](clique_model::ports::RandomResolver), the trait
-    /// form of the default rule, gives the same execution at that cost.
-    pub fn resolver(mut self, resolver: Box<dyn PortResolver>) -> Self {
-        self.resolver = Some(resolver);
-        self
+    /// Sets the port resolution strategy ([`Settings::resolver`]).
+    pub fn resolver(self, resolver: Box<dyn PortResolver>) -> Self {
+        self.with(|s| s.resolver = Some(resolver))
     }
 
-    /// Pins the port-map storage backend (default: the `LE_BACKEND`
-    /// environment selection, which is `auto` when unset — dense tables
-    /// while they fit the budget, sparse touched-state tables beyond; see
-    /// [`PortBackend`]).
-    ///
-    /// RNG-free resolvers resolve identically on both backends; under
-    /// the default uniform rule the backends draw different, identically
-    /// distributed mappings per seed.
-    pub fn backend(mut self, backend: PortBackend) -> Self {
-        self.backend = Some(backend);
-        self
+    /// Pins the port-map storage backend ([`Settings::backend`]).
+    pub fn backend(self, backend: PortBackend) -> Self {
+        self.with(|s| s.backend = Some(backend))
     }
 
-    /// Pins the communication graph (default: the `LE_TOPOLOGY`
-    /// environment selection, which is the clique when unset). The
-    /// topology's node count must equal the builder's `n`.
-    ///
-    /// On the clique the port map keeps its dense or sparse tables; on
-    /// any other topology ports are degree-indexed (`0..deg(v)` per
-    /// node) and served by the graph store.
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = Some(topology);
-        self
+    /// Pins the communication graph ([`Settings::topology`]).
+    pub fn topology(self, topology: Topology) -> Self {
+        self.with(|s| s.topology = Some(topology))
     }
 
     /// Sets the round cap guarding against non-terminating algorithms
@@ -300,13 +230,10 @@ impl SyncSimBuilder {
         self
     }
 
-    /// Streams every trace event class into an explicit sink, overriding
-    /// the `LE_TRACE` environment selection. The tracer observes without
-    /// influencing: it draws no randomness and touches no schedule, so the
-    /// execution is bit-identical to an untraced one.
-    pub fn trace(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
+    /// Streams every trace event class into an explicit sink
+    /// ([`Settings::trace`]).
+    pub fn trace(self, sink: Box<dyn TraceSink>) -> Self {
+        self.with(|s| s.trace = Some(sink))
     }
 
     /// Instantiates the simulation, creating one node per network position
@@ -314,8 +241,7 @@ impl SyncSimBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError`] if `n < 2` or the default ID universe cannot
-    /// cover `n` nodes.
+    /// As for [`SyncSimBuilder::build_in`].
     pub fn build<N, F>(self, factory: F) -> Result<SyncSim<N>, ModelError>
     where
         N: SyncNode,
@@ -334,56 +260,24 @@ impl SyncSimBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError`] if `n < 2`, the default ID universe cannot
-    /// cover `n` nodes, or the wake schedule names a node outside the
-    /// network ([`ModelError::NodeOutOfRange`]).
-    pub fn build_in<N, F>(
-        self,
-        arena: &mut SyncArena,
-        mut factory: F,
-    ) -> Result<SyncSim<N>, ModelError>
+    /// The shared settings' errors ([`Settings::build`]), and
+    /// [`ModelError::NodeOutOfRange`] if the wake schedule names a node
+    /// outside the network.
+    pub fn build_in<N, F>(self, arena: &mut SyncArena, factory: F) -> Result<SyncSim<N>, ModelError>
     where
         N: SyncNode,
         N::Message: 'static,
         F: FnMut(Id, usize) -> N,
     {
         let _build = prof::span(Phase::Build);
-        let n = self.n;
-        if n < 2 {
-            return Err(ModelError::NetworkTooSmall { n });
-        }
-        let stages = self.wake.iter().flat_map(|w| w.stages());
-        if let Some(&node) = stages.flat_map(|(_, v)| v).find(|v| v.0 >= n) {
-            return Err(ModelError::NodeOutOfRange { node, n });
-        }
-        let ids = match self.ids {
-            Some(ids) => ids,
-            None => {
-                let mut id_rng = rng_from_seed(derive_seed(self.seed, STREAM_IDS));
-                IdSpace::quasilinear(n).assign(n, &mut id_rng)?
-            }
-        };
-        if ids.len() != n {
-            return Err(ModelError::NodeOutOfRange {
-                node: NodeIndex(ids.len()),
-                n,
-            });
-        }
-        let topo = match self.topology {
-            Some(t) => t,
-            None => Topology::from_env(n),
-        };
-        if topo.n() != n {
-            return Err(ModelError::InvalidTopology {
-                reason: "topology node count does not match the builder's n",
-            });
-        }
-        let ports = arena.take_ports(&topo, self.backend.unwrap_or_else(PortBackend::from_env))?;
-        let mut bufs: SyncBuffers<N::Message> = arena
-            .buffers
-            .take()
-            .and_then(|b| b.downcast::<SyncBuffers<N::Message>>().ok())
-            .map_or_else(SyncBuffers::default, |b| *b);
+        let named = self
+            .wake
+            .iter()
+            .flat_map(|w| w.stages())
+            .flat_map(|(_, v)| v);
+        let core = self.core.build(&mut arena.core, named.copied(), factory)?;
+        let n = core.n;
+        let mut bufs: SyncBuffers<N::Message> = arena.core.take_buffers();
         for pending in &mut bufs.pending {
             pending.clear();
         }
@@ -393,10 +287,6 @@ impl SyncSimBuilder {
         bufs.inbox.clear();
         bufs.outbox.clear();
         bufs.outbox.reserve(n - 1);
-        let nodes: Vec<N> = ids.as_slice().iter().map(|&id| factory(id, n)).collect();
-        let node_rngs: Vec<SmallRng> = (0..n)
-            .map(|u| rng_from_seed(derive_seed(self.seed, STREAM_NODE_BASE + u as u64)))
-            .collect();
         // Flatten the wake schedule into a cursor-driven plan so the round
         // loop never performs a map lookup; the plan's buffers (outer and
         // inner) are recycled through the arena.
@@ -416,32 +306,17 @@ impl SyncSimBuilder {
         wake_plan.truncate(stages);
         let mut work = std::mem::take(&mut arena.work);
         work.reset(n);
-        let tracer = match self.trace {
-            Some(sink) => Tracer::with_sink(sink, ALL_CLASSES),
-            None => Tracer::from_env(),
-        };
         Ok(SyncSim {
-            n,
+            core,
             round: 0,
-            ids,
-            nodes,
-            node_rngs,
-            ports,
-            resolver: self.resolver,
-            resolver_rng: rng_from_seed(derive_seed(self.seed, STREAM_RESOLVER)),
             wake_plan,
             wake_cursor: 0,
             max_rounds: self.max_rounds.unwrap_or(4 * n + 64),
-            awake: vec![false; n],
             live: 0,
             work,
-            stats: MessageStats::new(n),
-            tracer,
             pending: bufs.pending,
             inbox: bufs.inbox,
             outbox: bufs.outbox,
-            last_decisions: vec![Decision::Undecided; n],
-            messages_to_terminated: 0,
             last_activity_round: 0,
         })
     }
@@ -459,28 +334,18 @@ pub struct NullObserver;
 /// (round by round, e.g. for lower-bound experiments that truncate
 /// executions).
 pub struct SyncSim<N: SyncNode> {
-    n: usize,
+    /// The state both engines share: IDs, nodes, ports, resolver, tracer,
+    /// message counts, the awake set and decisions.
+    core: Core<N>,
     round: usize,
-    ids: IdAssignment,
-    nodes: Vec<N>,
-    node_rngs: Vec<SmallRng>,
-    ports: PortMap,
-    /// The builder's explicit resolver; `None` resolves by the default
-    /// rule in place ([`PortMap::resolve_uniform`]).
-    resolver: Option<Box<dyn PortResolver>>,
-    resolver_rng: SmallRng,
     /// Adversarial wake-ups, sorted by round, consumed by `wake_cursor`.
     wake_plan: Vec<(usize, Vec<NodeIndex>)>,
     wake_cursor: usize,
     max_rounds: usize,
-    awake: Vec<bool>,
     /// Awake, unterminated nodes; the run is quiescent once this is zero
     /// and no wake-ups remain.
     live: usize,
     work: Worklists,
-    stats: MessageStats,
-    /// Structured event tracing (disabled path: one `bool` load per site).
-    tracer: Tracer,
     /// Per-node arena inboxes, filled during the send phase. Allocated once
     /// at build; each buffer is recycled (cleared, never dropped) every
     /// round via a swap with `inbox`.
@@ -488,18 +353,16 @@ pub struct SyncSim<N: SyncNode> {
     /// The double buffer a node's pending inbox is swapped into while the
     /// receive phase borrows it alongside the node's mutable state.
     inbox: Vec<Received<N::Message>>,
-    outbox: Vec<(clique_model::ports::Port, N::Message)>,
-    last_decisions: Vec<Decision>,
-    messages_to_terminated: u64,
+    outbox: Vec<(Port, N::Message)>,
     last_activity_round: usize,
 }
 
 impl<N: SyncNode> std::fmt::Debug for SyncSim<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SyncSim")
-            .field("n", &self.n)
+            .field("n", &self.core.n)
             .field("round", &self.round)
-            .field("messages", &self.stats.total())
+            .field("messages", &self.core.stats.total())
             .finish_non_exhaustive()
     }
 }
@@ -512,28 +375,28 @@ impl<N: SyncNode> SyncSim<N> {
 
     /// The ID assignment in use.
     pub fn ids(&self) -> &IdAssignment {
-        &self.ids
+        &self.core.ids
     }
 
     /// Message statistics so far.
     pub fn stats(&self) -> &MessageStats {
-        &self.stats
+        &self.core.stats
     }
 
     /// Immutable access to a node's algorithm state (for tests and
     /// experiment probes).
     pub fn node(&self, u: NodeIndex) -> &N {
-        &self.nodes[u.0]
+        &self.core.nodes[u.0]
     }
 
     /// Whether `u` has woken up.
     pub fn is_awake(&self, u: NodeIndex) -> bool {
-        self.awake[u.0]
+        self.core.awake[u.0]
     }
 
     /// The partial port mapping fixed so far.
     pub fn ports(&self) -> &PortMap {
-        &self.ports
+        &self.core.ports
     }
 
     /// Runs to quiescence (or the round cap). Its events go to the
@@ -542,7 +405,10 @@ impl<N: SyncNode> SyncSim<N> {
     /// # Errors
     ///
     /// As for [`SyncSim::step`].
-    pub fn run(mut self) -> Result<Outcome, ModelError> {
+    pub fn run(mut self) -> Result<Outcome, ModelError>
+    where
+        N::Message: 'static,
+    {
         let halt = self.drive()?;
         Ok(self.into_outcome(halt))
     }
@@ -599,6 +465,7 @@ impl<N: SyncNode> SyncSim<N> {
     pub fn step(&mut self, _: &mut NullObserver) -> Result<bool, ModelError> {
         self.round += 1;
         let round = self.round;
+        let core = &mut self.core;
 
         // Phase 1: adversarial wake-ups scheduled for this round. The plan
         // is sorted and rounds advance one at a time, so a single cursor
@@ -610,25 +477,25 @@ impl<N: SyncNode> SyncSim<N> {
         {
             let (_, woken) = &self.wake_plan[self.wake_cursor];
             for &u in woken {
-                if !self.awake[u.0] {
-                    self.awake[u.0] = true;
+                if !core.awake[u.0] {
+                    core.awake[u.0] = true;
                     self.live += 1;
                     self.work.woken.push(u.0);
                     self.work.polled_in[u.0] = round;
                     let mut outbox = std::mem::take(&mut self.outbox);
                     let mut ctx = Context {
-                        id: self.ids.id_of(u),
-                        n: self.n,
-                        ports: self.ports.ports_of(u),
+                        id: core.ids.id_of(u),
+                        n: core.n,
+                        ports: core.ports.ports_of(u),
                         round,
-                        rng: &mut self.node_rngs[u.0],
+                        rng: &mut core.node_rngs[u.0],
                         outbox: &mut outbox,
                         sends_allowed: false,
                     };
-                    self.nodes[u.0].on_wake(&mut ctx, WakeCause::Adversary);
+                    core.nodes[u.0].on_wake(&mut ctx, WakeCause::Adversary);
                     self.outbox = outbox;
-                    if self.tracer.enabled() {
-                        self.tracer.emit(TraceEvent::Wake {
+                    if core.tracer.enabled() {
+                        core.tracer.emit(TraceEvent::Wake {
                             at: At::Round(round as u32),
                             node: u.0 as u32,
                             cause: WakeCause::Adversary,
@@ -650,6 +517,7 @@ impl<N: SyncNode> SyncSim<N> {
         for i in 0..self.work.poll.len() {
             self.send_from(self.work.poll[i], round)?;
         }
+        let core = &mut self.core;
 
         // Every node whose hooks may run this round: the senders plus the
         // other mail recipients, ascending.
@@ -670,35 +538,35 @@ impl<N: SyncNode> SyncSim<N> {
         // its receive phase, even one that turned idle in this round's
         // send phase: `is_idle` is consulted only at the end of a round.
         for &v in &self.work.active {
-            if self.nodes[v].is_terminated() {
+            if core.nodes[v].is_terminated() {
                 // A node that terminated during this round's send phase may
                 // still have mail queued from earlier senders; swallow it
                 // (legacy behavior: the taken buffer was dropped).
-                self.messages_to_terminated += self.pending[v].len() as u64;
+                core.messages_to_terminated += self.pending[v].len() as u64;
                 self.pending[v].clear();
                 continue;
             }
             // Polled nodes are awake, so an asleep one is here for its mail.
-            let woke_by_message = !self.awake[v];
+            let woke_by_message = !core.awake[v];
             debug_assert!(!woke_by_message || !self.pending[v].is_empty());
             std::mem::swap(&mut self.pending[v], &mut self.inbox);
             let mut outbox = std::mem::take(&mut self.outbox);
             {
                 let mut ctx = Context {
-                    id: self.ids.id_of(NodeIndex(v)),
-                    n: self.n,
-                    ports: self.ports.ports_of(NodeIndex(v)),
+                    id: core.ids.id_of(NodeIndex(v)),
+                    n: core.n,
+                    ports: core.ports.ports_of(NodeIndex(v)),
                     round,
-                    rng: &mut self.node_rngs[v],
+                    rng: &mut core.node_rngs[v],
                     outbox: &mut outbox,
                     sends_allowed: false,
                 };
                 if woke_by_message {
-                    self.awake[v] = true;
+                    core.awake[v] = true;
                     self.live += 1;
-                    self.nodes[v].on_wake(&mut ctx, WakeCause::Message);
-                    if self.tracer.enabled() {
-                        self.tracer.emit(TraceEvent::Wake {
+                    core.nodes[v].on_wake(&mut ctx, WakeCause::Message);
+                    if core.tracer.enabled() {
+                        core.tracer.emit(TraceEvent::Wake {
                             at: At::Round(round as u32),
                             node: v as u32,
                             cause: WakeCause::Message,
@@ -706,7 +574,7 @@ impl<N: SyncNode> SyncSim<N> {
                     }
                     self.last_activity_round = round;
                 }
-                self.nodes[v].receive_phase(&mut ctx, &self.inbox);
+                core.nodes[v].receive_phase(&mut ctx, &self.inbox);
             }
             self.outbox = outbox;
             self.inbox.clear();
@@ -718,27 +586,11 @@ impl<N: SyncNode> SyncSim<N> {
         // (rejecting a revoked one), retire terminated nodes, and queue
         // next round's poll list. Every active node is awake by now.
         for &u in &self.work.active {
-            let node = &self.nodes[u];
-            let d = node.decision();
-            let from = self.last_decisions[u];
-            if d != from {
-                if from.is_decided() {
-                    return Err(ModelError::DecisionRevoked {
-                        node: NodeIndex(u),
-                        from,
-                        to: d,
-                    });
-                }
-                self.last_decisions[u] = d;
-                if self.tracer.enabled() {
-                    self.tracer.emit(TraceEvent::Decide {
-                        at: At::Round(round as u32),
-                        node: u as u32,
-                        leader: d == Decision::Leader,
-                    });
-                }
+            let d = core.nodes[u].decision();
+            if core.decide(NodeIndex(u), d, At::Round(round as u32))? {
                 self.last_activity_round = round;
             }
+            let node = &core.nodes[u];
             if node.is_terminated() {
                 self.live -= 1;
             } else if !node.is_idle() {
@@ -747,10 +599,10 @@ impl<N: SyncNode> SyncSim<N> {
             }
         }
 
-        if self.tracer.enabled() {
-            self.tracer.emit(TraceEvent::Round {
+        if core.tracer.enabled() {
+            core.tracer.emit(TraceEvent::Round {
                 round: round as u32,
-                msgs: self.stats.total(),
+                msgs: core.stats.total(),
             });
         }
 
@@ -764,34 +616,31 @@ impl<N: SyncNode> SyncSim<N> {
     /// terminated. A recipient off the poll list goes on the mail list
     /// with its first message of the round.
     fn send_from(&mut self, u: usize, round: usize) -> Result<(), ModelError> {
-        if self.nodes[u].is_terminated() {
+        let core = &mut self.core;
+        if core.nodes[u].is_terminated() {
             return Ok(());
         }
         let mut outbox = std::mem::take(&mut self.outbox);
         outbox.clear();
         {
             let mut ctx = Context {
-                id: self.ids.id_of(NodeIndex(u)),
-                n: self.n,
-                ports: self.ports.ports_of(NodeIndex(u)),
+                id: core.ids.id_of(NodeIndex(u)),
+                n: core.n,
+                ports: core.ports.ports_of(NodeIndex(u)),
                 round,
-                rng: &mut self.node_rngs[u],
+                rng: &mut core.node_rngs[u],
                 outbox: &mut outbox,
                 sends_allowed: true,
             };
-            self.nodes[u].send_phase(&mut ctx);
+            core.nodes[u].send_phase(&mut ctx);
         }
         for (port, msg) in outbox.drain(..) {
-            let (src, rng) = (NodeIndex(u), &mut self.resolver_rng);
-            let dst = match self.resolver.as_deref_mut() {
-                None => self.ports.resolve_uniform(src, port, rng)?,
-                Some(resolver) => self.ports.resolve(src, port, resolver, rng)?,
-            };
-            self.stats.record(round, NodeIndex(u));
+            let dst = core.resolve(NodeIndex(u), port)?;
+            core.stats.record(round, NodeIndex(u));
             self.last_activity_round = round;
-            if self.tracer.enabled() {
+            if core.tracer.enabled() {
                 let at = At::Round(round as u32);
-                self.tracer.emit(TraceEvent::Send {
+                core.tracer.emit(TraceEvent::Send {
                     at,
                     src: u as u32,
                     port: port.0 as u32,
@@ -800,8 +649,8 @@ impl<N: SyncNode> SyncSim<N> {
                 });
                 // Synchronous delivery lands in the same round; mail to
                 // a terminated node is swallowed, not delivered.
-                if !self.nodes[dst.node.0].is_terminated() {
-                    self.tracer.emit(TraceEvent::Deliver {
+                if !core.nodes[dst.node.0].is_terminated() {
+                    core.tracer.emit(TraceEvent::Deliver {
                         at,
                         src: u as u32,
                         dst: dst.node.0 as u32,
@@ -809,8 +658,8 @@ impl<N: SyncNode> SyncSim<N> {
                     });
                 }
             }
-            if self.nodes[dst.node.0].is_terminated() {
-                self.messages_to_terminated += 1;
+            if core.nodes[dst.node.0].is_terminated() {
+                core.messages_to_terminated += 1;
             } else {
                 let pending = &mut self.pending[dst.node.0];
                 if pending.is_empty() && self.work.polled_in[dst.node.0] != round {
@@ -826,71 +675,35 @@ impl<N: SyncNode> SyncSim<N> {
         Ok(())
     }
 
-    /// Emits the end-of-run trace events — the topology metadata record,
-    /// the backend counter snapshot, and the halt record — and finishes the
-    /// tracer (flushing a boxed sink or
-    /// submitting the buffered env-trace block to the collector).
-    fn finish_trace(&mut self, halt: HaltReason) {
-        if self.tracer.enabled() {
-            let (generator, topo_n, m, maxdeg) = self.ports.topology_summary();
-            self.tracer.emit(TraceEvent::Topology {
-                generator,
-                n: topo_n as u32,
-                m,
-                maxdeg: maxdeg as u32,
-            });
-            self.tracer.emit(TraceEvent::Backend {
-                backend: self.ports.backend().name(),
-                counters: self.ports.backend_counters(),
-            });
-            self.tracer.emit(TraceEvent::Halt {
-                at: At::Round(self.round as u32),
-                msgs: self.stats.total(),
-                reason: match halt {
-                    HaltReason::Quiescent => "quiescent",
-                    HaltReason::MaxRounds => "max_rounds",
-                },
-            });
-        }
-        self.tracer.finish();
+    /// Consumes the simulation into its measurable [`Outcome`]:
+    /// [`SyncSim::into_outcome_reusing`] on a fresh arena.
+    pub fn into_outcome(self, halt: HaltReason) -> Outcome
+    where
+        N::Message: 'static,
+    {
+        self.into_outcome_reusing(halt, &mut SyncArena::new())
     }
 
-    /// Consumes the simulation into its measurable [`Outcome`].
-    pub fn into_outcome(mut self, halt: HaltReason) -> Outcome {
-        self.finish_trace(halt);
-        Outcome {
-            n: self.n,
-            rounds: self.last_activity_round,
-            stats: self.stats,
-            decisions: self.last_decisions,
-            awake: self.awake,
-            ids: self.ids,
-            messages_to_terminated: self.messages_to_terminated,
-            halt,
-        }
-    }
-
-    /// [`SyncSim::into_outcome`], stashing the recyclable state into
-    /// `arena` on the way out.
+    /// Closes the trace and consumes the simulation into its measurable
+    /// [`Outcome`], stashing the recyclable state into `arena` on the way
+    /// out.
     pub fn into_outcome_reusing(mut self, halt: HaltReason, arena: &mut SyncArena) -> Outcome
     where
         N::Message: 'static,
     {
         let _reset = prof::span(Phase::Reset);
-        self.finish_trace(halt);
+        let reason = match halt {
+            HaltReason::Quiescent => "quiescent",
+            HaltReason::MaxRounds => "max_rounds",
+        };
+        self.core.finish_trace(At::Round(self.round as u32), reason);
         let SyncSim {
-            n,
-            ids,
-            ports,
+            core,
             wake_plan,
             work,
             mut pending,
             mut inbox,
             mut outbox,
-            stats,
-            last_decisions,
-            awake,
-            messages_to_terminated,
             last_activity_round,
             ..
         } = self;
@@ -899,22 +712,22 @@ impl<N: SyncNode> SyncSim<N> {
         }
         inbox.clear();
         outbox.clear();
-        arena.ports = Some(ports);
         arena.wake_plan = wake_plan;
         arena.work = work;
-        arena.buffers = Some(Box::new(SyncBuffers {
+        let bufs = SyncBuffers {
             pending,
             inbox,
             outbox,
-        }));
+        };
+        arena.core.stash(core.ports, bufs);
         Outcome {
-            n,
+            n: core.n,
             rounds: last_activity_round,
-            stats,
-            decisions: last_decisions,
-            awake,
-            ids,
-            messages_to_terminated,
+            stats: core.stats,
+            decisions: core.decisions,
+            awake: core.awake,
+            ids: core.ids,
+            messages_to_terminated: core.messages_to_terminated,
             halt,
         }
     }
@@ -926,6 +739,7 @@ mod tests {
     use crate::node::Received;
     use clique_model::ports::Port;
     use clique_model::trace::SharedSink;
+    use clique_model::Decision;
 
     #[test]
     fn arena_is_send() {

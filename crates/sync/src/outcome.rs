@@ -48,12 +48,7 @@ impl Outcome {
 
     /// The unique leader, if exactly one exists.
     pub fn unique_leader(&self) -> Option<NodeIndex> {
-        let ls = self.leaders();
-        if ls.len() == 1 {
-            Some(ls[0])
-        } else {
-            None
-        }
+        election::unique_leader(&self.decisions)
     }
 
     /// Whether every node woke up during the execution (the wake-up problem
@@ -64,7 +59,7 @@ impl Outcome {
 
     /// Number of nodes that woke up.
     pub fn awake_count(&self) -> usize {
-        self.awake.iter().filter(|&&a| a).count()
+        election::awake_count(&self.awake)
     }
 
     /// Validates *implicit* leader election: every node woke up and decided,
