@@ -636,10 +636,7 @@ impl<N: AsyncNode> AsyncSim<N> {
         match ev.kind {
             EventKind::Wake(u) => {
                 let u = node(u);
-                if !self.crashed[u.0]
-                    && !self.core.awake[u.0]
-                    && !self.core.nodes[u.0].is_terminated()
-                {
+                if !self.core.awake[u.0] && !self.core.nodes[u.0].is_terminated() {
                     self.activate(u, Some(WakeCause::Adversary), None)?;
                 }
             }
@@ -664,35 +661,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                         });
                     }
                 } else {
-                    if self.net_active {
-                        self.core.stats.faults.goodput += 1;
-                    }
-                    self.transcript.record_delivery(dst);
-                    if self.core.tracer.enabled() {
-                        self.core.tracer.emit(TraceEvent::Deliver {
-                            at: At::Time(self.now),
-                            src,
-                            dst: ix(dst),
-                            cls: Some(N::classify(&msg).name()),
-                        });
-                    }
-                    if self.core.nodes[dst.0].is_terminated() {
-                        self.core.messages_to_terminated += 1;
-                    } else {
-                        let wake = if self.core.awake[dst.0] {
-                            None
-                        } else {
-                            Some(WakeCause::Message)
-                        };
-                        self.activate(
-                            dst,
-                            wake,
-                            Some(Received {
-                                port: Port(dst_port as usize),
-                                msg,
-                            }),
-                        )?;
-                    }
+                    self.hand_over(src, dst, dst_port, msg)?;
                 }
             }
             EventKind::DeliverData {
@@ -730,33 +699,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                     self.core.stats.faults.duplicates += 1;
                 } else {
                     self.rel[link].delivered_hi = data_seq;
-                    self.core.stats.faults.goodput += 1;
-                    self.transcript.record_delivery(dst);
-                    if self.core.tracer.enabled() {
-                        self.core.tracer.emit(TraceEvent::Deliver {
-                            at: At::Time(self.now),
-                            src,
-                            dst: ix(dst),
-                            cls: Some(N::classify(&msg).name()),
-                        });
-                    }
-                    if self.core.nodes[dst.0].is_terminated() {
-                        self.core.messages_to_terminated += 1;
-                    } else {
-                        let wake = if self.core.awake[dst.0] {
-                            None
-                        } else {
-                            Some(WakeCause::Message)
-                        };
-                        self.activate(
-                            dst,
-                            wake,
-                            Some(Received {
-                                port: Port(dst_port as usize),
-                                msg,
-                            }),
-                        )?;
-                    }
+                    self.hand_over(src, dst, dst_port, msg)?;
                 }
             }
             EventKind::DeliverAck { link, data_seq } => {
@@ -872,13 +815,52 @@ impl<N: AsyncNode> AsyncSim<N> {
         }
     }
 
-    /// Runs a node's hooks and dispatches whatever it sent.
+    /// Hands a message that arrived from `src` on port `dst_port` to its
+    /// receiver `dst`, which has not crashed: counts it as goodput on an
+    /// active network, records and traces the delivery, then counts it
+    /// against a terminated `dst` or activates `dst` with it.
+    #[inline]
+    fn hand_over(
+        &mut self,
+        src: u32,
+        dst: NodeIndex,
+        dst_port: u32,
+        msg: N::Message,
+    ) -> Result<(), ModelError> {
+        if self.net_active {
+            self.core.stats.faults.goodput += 1;
+        }
+        self.transcript.record_delivery(dst);
+        if self.core.tracer.enabled() {
+            self.core.tracer.emit(TraceEvent::Deliver {
+                at: At::Time(self.now),
+                src,
+                dst: ix(dst),
+                cls: Some(N::classify(&msg).name()),
+            });
+        }
+        if self.core.nodes[dst.0].is_terminated() {
+            self.core.messages_to_terminated += 1;
+            return Ok(());
+        }
+        let wake = (!self.core.awake[dst.0]).then_some(WakeCause::Message);
+        let port = Port(dst_port as usize);
+        self.activate(dst, wake, Some(Received { port, msg }))
+    }
+
+    /// Runs a node's hooks and dispatches whatever it sent. This is the
+    /// one gate of the crash contract: a crashed node is refused here, so
+    /// it neither wakes nor receives, and a node felled mid-burst sends
+    /// nothing more.
     fn activate(
         &mut self,
         u: NodeIndex,
         wake: Option<WakeCause>,
         msg: Option<Received<N::Message>>,
     ) -> Result<(), ModelError> {
+        if self.crashed[u.0] {
+            return Ok(());
+        }
         if self.core.tracer.enabled() {
             if let Some(cause) = wake {
                 self.core.tracer.emit(TraceEvent::Wake {
