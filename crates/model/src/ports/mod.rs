@@ -513,44 +513,6 @@ impl<'a> PortView<'a> {
     pub fn unconnected_count(&self, u: NodeIndex) -> usize {
         self.map.ports_of(u) - self.map.degree(u)
     }
-
-    /// The `k`-th node not yet connected to `u`, for `k` in
-    /// `0..unconnected_count(u)`.
-    ///
-    /// The enumeration order is an implementation-defined (and
-    /// backend-defined) permutation that changes as links are fixed; a
-    /// uniform index gives a uniform unconnected peer, which is all
-    /// [`RandomResolver`] needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= unconnected_count(u)`.
-    pub fn unconnected_peer(&self, u: NodeIndex, k: usize) -> NodeIndex {
-        assert!(
-            k < self.unconnected_count(u),
-            "unconnected-peer index {k} out of range for {u}"
-        );
-        self.map.peer_at_pos(u, self.map.degree(u) + k)
-    }
-
-    /// The `k`-th unassigned port of `u`, for `k` in
-    /// `0..unconnected_count(u)` (free ports and unconnected peers are
-    /// equinumerous).
-    ///
-    /// Like [`PortView::unconnected_peer`], the order is an
-    /// implementation-defined permutation; a uniform index gives a uniform
-    /// free port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= unconnected_count(u)`.
-    pub fn free_port(&self, u: NodeIndex, k: usize) -> Port {
-        assert!(
-            k < self.unconnected_count(u),
-            "free-port index {k} out of range for {u}"
-        );
-        self.map.port_at_pos(u, self.map.degree(u) + k)
-    }
 }
 
 /// Strategy deciding where an unused port leads when it is first used.
@@ -1500,15 +1462,58 @@ mod tests {
             let peers: Vec<NodeIndex> = view.peers_of(NodeIndex(0)).collect();
             assert_eq!(peers.len(), 2);
             assert!(peers.contains(&NodeIndex(4)) && peers.contains(&NodeIndex(6)));
-            for k in 0..view.unconnected_count(NodeIndex(0)) {
-                let v = view.unconnected_peer(NodeIndex(0), k);
+            for k in map.degree(NodeIndex(0))..map.ports_of(NodeIndex(0)) {
+                let v = map.peer_at_pos(NodeIndex(0), k);
                 assert!(!view.is_connected(NodeIndex(0), v) && v != NodeIndex(0));
-            }
-            for k in 0..view.unconnected_count(NodeIndex(0)) {
-                let p = view.free_port(NodeIndex(0), k);
+                let p = map.port_at_pos(NodeIndex(0), k);
                 assert!(!view.is_port_assigned(NodeIndex(0), p));
             }
             map.validate().unwrap();
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Past the connected prefix, each node's peer permutation holds
+        /// exactly its unconnected neighbors and its port permutation
+        /// exactly its free ports: the invariant the default rule's
+        /// uniformity rests on, on the dense, sparse and graph stores.
+        #[test]
+        fn unconnected_enumeration_is_exact_complement(
+            n in 2usize..24,
+            seed in 0u64..1000,
+            ops in proptest::collection::vec((0usize..24, 0usize..23), 1..60),
+        ) {
+            let ring = Topology::ring(n).ok();
+            let graph = ring.map(|t| PortMap::for_topology(&t, PortBackend::Auto).unwrap());
+            let clique = [PortMap::new(n).unwrap(), sparse_map(n)];
+            for mut map in clique.into_iter().chain(graph) {
+                let mut rng = rng_from_seed(seed);
+                for &(u, p) in &ops {
+                    let u = NodeIndex(u % n);
+                    let p = Port(p % map.ports_of(u));
+                    map.resolve(u, p, &mut RandomResolver, &mut rng).unwrap();
+                }
+                for u in (0..n).map(NodeIndex) {
+                    let past = map.degree(u)..map.ports_of(u);
+                    let mut peers: Vec<usize> =
+                        past.clone().map(|k| map.peer_at_pos(u, k).0).collect();
+                    peers.sort_unstable();
+                    let unconnected: Vec<usize> = (0..n)
+                        .map(NodeIndex)
+                        .filter(|&v| map.topo_adjacent(u, v) && !map.connected(u, v))
+                        .map(|v| v.0)
+                        .collect();
+                    assert_eq!(peers, unconnected);
+                    let mut ports: Vec<usize> = past.map(|k| map.port_at_pos(u, k).0).collect();
+                    ports.sort_unstable();
+                    let free: Vec<usize> = (0..map.ports_of(u))
+                        .filter(|&p| map.peer(u, Port(p)).is_none())
+                        .collect();
+                    assert_eq!(ports, free);
+                }
+            }
         }
     }
 

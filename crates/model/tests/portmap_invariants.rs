@@ -193,45 +193,6 @@ proptest! {
         }
     }
 
-    /// The unconnected-peers permutation exposed to resolvers always
-    /// enumerates exactly the complement of the connected peers.
-    #[test]
-    fn unconnected_enumeration_is_exact_complement(
-        n in 2usize..24,
-        seed in 0u64..1000,
-        ops in prop::collection::vec((0usize..24, 0usize..23), 1..60),
-    ) {
-        for backend in BACKENDS {
-        let mut map = PortMap::with_backend(n, backend).unwrap();
-        let mut resolver = RandomResolver;
-        let mut rng = rng_from_seed(seed);
-        for &(u, p) in &ops {
-            map.resolve(NodeIndex(u % n), Port(p % (n - 1)), &mut resolver, &mut rng)
-                .unwrap();
-        }
-        let view = map.view();
-        for u in (0..n).map(NodeIndex) {
-            let mut listed: Vec<usize> = (0..view.unconnected_count(u))
-                .map(|k| view.unconnected_peer(u, k).0)
-                .collect();
-            listed.sort_unstable();
-            let complement: Vec<usize> = (0..n)
-                .filter(|&v| v != u.0 && !map.connected(u, NodeIndex(v)))
-                .collect();
-            prop_assert_eq!(listed, complement);
-
-            let mut free: Vec<usize> = (0..view.unconnected_count(u))
-                .map(|k| view.free_port(u, k).0)
-                .collect();
-            free.sort_unstable();
-            let unassigned: Vec<usize> = (0..n - 1)
-                .filter(|&p| map.peer(u, Port(p)).is_none())
-                .collect();
-            prop_assert_eq!(free, unassigned);
-        }
-        }
-    }
-
     /// Topology × backend draw-schedule identity: on a non-clique
     /// topology every backend serves the same CSR graph tables, so any
     /// resolution sequence under `RandomResolver` must produce identical
