@@ -17,6 +17,22 @@
 //! * the *asynchronous time complexity* is the total time from the first
 //!   wake-up until the last message is received.
 //!
+//! # What the two engines share
+//!
+//! The synchronous and asynchronous engines simulate one model and differ
+//! only in timing, so everything else lives once in
+//! [`clique_model::sim`]: the settings `seed`, `ids`, `resolver`,
+//! `backend`, `topology` and `trace`
+//! ([`Settings`](clique_model::sim::Settings)); the build steps (the size
+//! and ID checks, the topology, the port map recycled from the arena, the
+//! node and resolver streams, the tracer); port resolution; decision
+//! tracking, which rejects a revoked decision; and the end-of-run trace
+//! summary. This crate adds the timing: wake-ups in continuous time
+//! ([`AsyncSimBuilder::wake`]), the event queue and its cap
+//! ([`AsyncSimBuilder::max_events`]), the adversary
+//! ([`AsyncSimBuilder::adversary`]), and the faulty network with its
+//! fault schedule ([`AsyncSimBuilder::network`]).
+//!
 //! # Example
 //!
 //! An echo protocol: the adversary wakes one node, which pings a port; the

@@ -277,7 +277,9 @@ pub struct Core<N> {
     pub stats: MessageStats,
     /// Which nodes have woken up.
     pub awake: Vec<bool>,
-    /// Each node's decision as [`Core::decide`] last recorded it.
+    /// Each node's decision as [`Core::decide`] last recorded it. The
+    /// engines write it only through `decide`, which keeps decisions
+    /// irrevocable.
     pub decisions: Vec<Decision>,
     /// Messages swallowed because their destination had terminated.
     pub messages_to_terminated: u64,

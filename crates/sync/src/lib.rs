@@ -32,6 +32,20 @@
 //! ascending order, so every inbox and every trace event is ordered as if
 //! all `n` nodes had been scanned.
 //!
+//! # What the two engines share
+//!
+//! The synchronous and asynchronous engines simulate one model and differ
+//! only in timing, so everything else lives once in
+//! [`clique_model::sim`]: the settings `seed`, `ids`, `resolver`,
+//! `backend`, `topology` and `trace`
+//! ([`Settings`](clique_model::sim::Settings)); the build steps (the size
+//! and ID checks, the topology, the port map recycled from the arena, the
+//! node and resolver streams, the tracer); port resolution; decision
+//! tracking, which rejects a revoked decision; and the end-of-run trace
+//! summary. This crate adds the rounds: the wake plan
+//! ([`SyncSimBuilder::wake`]), the worklists, the send and receive
+//! phases, and the round cap ([`SyncSimBuilder::max_rounds`]).
+//!
 //! # Example
 //!
 //! A one-round protocol where every node broadcasts its ID and elects the
