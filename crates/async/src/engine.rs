@@ -2110,6 +2110,26 @@ mod tests {
     }
 
     #[test]
+    fn a_crashed_node_refuses_its_adversarial_wake() {
+        // Node 3 crashes at time 0, before any message can reach it, and
+        // the adversary wakes it at 0.5. The `Wake` arm has no crash test
+        // of its own: `activate` must refuse the node.
+        let wake = AsyncWakeSchedule::staged(vec![(0.0, NodeIndex(0)), (0.5, NodeIndex(3))]);
+        let outcome = AsyncSimBuilder::new(4)
+            .seed(2)
+            .wake(wake)
+            .network(NetworkConfig::new().faults(FaultPlan::new().crash(NodeIndex(3), 0.0)))
+            .build(Flood::new)
+            .unwrap()
+            .run()
+            .unwrap();
+        assert!(outcome.crashed[3]);
+        assert!(!outcome.awake[3], "a crashed node woke");
+        assert_eq!(outcome.decisions[3], Decision::Undecided);
+        assert_eq!(outcome.awake_count(), 3);
+    }
+
+    #[test]
     fn a_sender_felled_mid_burst_sends_nothing_more() {
         // The directive fells the sender of the first attempt it sees:
         // node 0, one message into its wake-up flood. The other four
