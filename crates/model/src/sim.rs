@@ -42,7 +42,7 @@ use crate::{Decision, ModelError, NodeIndex, Topology};
 pub const STREAM_RESOLVER: u64 = u64::MAX;
 /// Seed stream of the default ID assignment.
 pub const STREAM_IDS: u64 = u64::MAX - 1;
-/// Seed stream of node `u`'s coins is `STREAM_NODE_BASE + u`.
+/// Node `u`'s coins draw from seed stream `STREAM_NODE_BASE + u`.
 pub const STREAM_NODE_BASE: u64 = 0;
 
 /// The deterministic random stream `tag` of master seed `seed`.
