@@ -162,8 +162,9 @@ pub fn trial_seed(label: &str, seed_index: u64) -> u64 {
 ///
 /// Trial closures receive `&mut Arenas` and build through
 /// `build_in`/`run_reusing`, which keeps repeated trials O(touched-state)
-/// (see `BENCH_trial_recycling.json`). Each worker owns its own pair, so
-/// workers never contend and recycling stays single-threaded.
+/// (perfbench reports the recycled build and reset as `sweep.build_ms` and
+/// `sweep.reset_ms`). Each worker owns its own pair, so workers never
+/// contend and recycling stays single-threaded.
 #[derive(Debug, Default)]
 pub struct Arenas {
     /// The synchronous-engine arena.
