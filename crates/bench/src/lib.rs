@@ -480,12 +480,36 @@ pub struct Task<R> {
     _result: PhantomData<fn() -> R>,
 }
 
-const CKPT_VERSION: &str = "le-sweep-ckpt v2";
+const CKPT_VERSION: &str = "le-sweep-ckpt v3";
+
+/// The knobs whose values change a sweep's rows or its trace. A checkpoint
+/// records their raw values, and only a run under the same values resumes
+/// it, so restored rows never precede rows from another store, topology or
+/// network. `LE_THREADS` is left out because the bytes do not depend on it,
+/// `LE_ABORT_AFTER_UNITS` because the resuming run drops it, and
+/// `LE_RESULTS_DIR` because it locates the checkpoint. The sweep mode and
+/// the column list cover `LE_QUICK`, `LE_PROF` and `LE_TIMING`.
+const ROW_KNOBS: [&str; 7] = [
+    "LE_BACKEND",
+    "LE_TOPOLOGY",
+    "LE_TRACE",
+    "LE_LOSS",
+    "LE_LINK_RATE",
+    "LE_QUEUE_CAP",
+    "LE_CRASH",
+];
+
+/// [`ROW_KNOBS`] with the raw value `value` reads for each, on one line
+/// (`Debug` escapes the values, and keeps unset apart from empty).
+fn knob_record(value: impl Fn(&str) -> Option<std::ffi::OsString>) -> String {
+    ROW_KNOBS
+        .map(|knob| format!("{knob}={:?}", value(knob)))
+        .join(" ")
+}
 
 struct Checkpoint {
     mode: String,
-    backend: String,
-    trace: String,
+    knobs: String,
     columns: String,
     units: u64,
     rows: u64,
@@ -506,8 +530,7 @@ impl Checkpoint {
         }
         Some(Checkpoint {
             mode: (*fields.get("mode")?).to_string(),
-            backend: (*fields.get("backend")?).to_string(),
-            trace: (*fields.get("trace")?).to_string(),
+            knobs: (*fields.get("knobs")?).to_string(),
             columns: (*fields.get("columns")?).to_string(),
             units: fields.get("units")?.parse().ok()?,
             rows: fields.get("rows")?.parse().ok()?,
@@ -522,21 +545,6 @@ fn sweep_mode() -> &'static str {
         "quick"
     } else {
         "full"
-    }
-}
-
-fn backend_mode() -> String {
-    std::env::var("LE_BACKEND").unwrap_or_else(|_| "auto".to_string())
-}
-
-/// The latched `LE_TRACE` selection as a checkpoint-compatibility token:
-/// an interrupted traced sweep must not be resumed by an untraced one
-/// (or vice versa, or with a different class mask) — the merged trace
-/// file would be missing the restored units' blocks.
-fn trace_mode() -> String {
-    match trace::env_spec() {
-        Some(spec) => format!("mask={:#04x}", spec.mask),
-        None => "off".to_string(),
     }
 }
 
@@ -601,6 +609,8 @@ fn trace_mode() -> String {
 pub struct SweepRunner {
     exp: String,
     columns_joined: String,
+    /// This process's [`knob_record`], which its checkpoints carry.
+    knobs: String,
     csv: Option<CsvWriter>,
     csv_path: PathBuf,
     ckpt_path: PathBuf,
@@ -680,6 +690,7 @@ impl SweepRunner {
         let mut runner = SweepRunner {
             exp: exp.to_string(),
             columns_joined,
+            knobs: knob_record(|knob| std::env::var_os(knob)),
             csv: None,
             csv_path,
             ckpt_path,
@@ -727,8 +738,7 @@ impl SweepRunner {
             return false;
         };
         if ckpt.mode != sweep_mode()
-            || ckpt.backend != backend_mode()
-            || ckpt.trace != trace_mode()
+            || ckpt.knobs != self.knobs
             || ckpt.columns != self.columns_joined
         {
             return false;
@@ -970,10 +980,9 @@ impl SweepRunner {
 
     fn write_ckpt(&self, bytes: u64) {
         let text = format!(
-            "{CKPT_VERSION}\nmode={}\nbackend={}\ntrace={}\ncolumns={}\nunits={}\nrows={}\nbytes={bytes}\ntrace_bytes={}\n",
+            "{CKPT_VERSION}\nmode={}\nknobs={}\ncolumns={}\nunits={}\nrows={}\nbytes={bytes}\ntrace_bytes={}\n",
             sweep_mode(),
-            backend_mode(),
-            trace_mode(),
+            self.knobs,
             self.columns_joined,
             self.merged,
             self.rows_written,
@@ -1240,14 +1249,32 @@ mod tests {
     #[test]
     fn incompatible_checkpoint_restarts_fresh() {
         let exp = "probe_stale_ckpt";
-        std::fs::write(
-            results_path(&format!("{exp}.ckpt")),
-            format!("{CKPT_VERSION}\nmode=quick\nbackend=auto\ncolumns=other\nunits=9\nrows=9\nbytes=9\n"),
-        )
-        .unwrap();
+        // A finished sweep leaves a CSV whose header a stale checkpoint
+        // could claim as its durable prefix.
         run_probe_sweep(exp, 1);
-        let text = csv_text(exp);
-        assert_eq!(text.lines().count(), 5, "header + 4 rows, no stale prefix");
+        let fresh = csv_text(exp);
+        let header = fresh.lines().next().unwrap();
+        let here = knob_record(|knob| std::env::var_os(knob));
+        let lossy = knob_record(|knob| match knob {
+            "LE_LOSS" => Some("0.1".into()),
+            _ => std::env::var_os(knob),
+        });
+        // Each checkpoint is complete, and differs from this process only
+        // in its columns or in one knob; resuming it would keep the header
+        // alone and skip the first two units.
+        for (knobs, columns) in [(&here, "other"), (&lossy, header)] {
+            std::fs::write(
+                results_path(&format!("{exp}.ckpt")),
+                format!(
+                    "{CKPT_VERSION}\nmode={}\nknobs={knobs}\ncolumns={columns}\nunits=2\nrows=2\nbytes={}\ntrace_bytes=0\n",
+                    sweep_mode(),
+                    header.len() + 1,
+                ),
+            )
+            .unwrap();
+            run_probe_sweep(exp, 1);
+            assert_eq!(csv_text(exp), fresh, "resumed {knobs} / {columns}");
+        }
     }
 
     #[test]
