@@ -52,8 +52,11 @@ use clique_sync::SyncArena;
 use le_analysis::stats::quantile;
 use le_analysis::CsvWriter;
 
-fn env_flag(var: &str) -> bool {
-    std::env::var_os(var).is_some_and(|v| v != "0")
+/// Whether an on/off knob's raw value means on: set, non-empty and not
+/// `0`, the rule `clique_model::prof` applies to `LE_PROF` and `LE_TIMING`.
+fn parse_flag(raw: Option<std::ffi::OsString>) -> bool {
+    raw.and_then(|v| v.into_string().ok())
+        .is_some_and(|v| !v.is_empty() && v != "0")
 }
 
 /// Whether the quick (CI-sized) sweep was requested via `LE_QUICK=1` or a
@@ -64,7 +67,9 @@ fn env_flag(var: &str) -> bool {
 /// the life of the process).
 pub fn quick() -> bool {
     static QUICK: OnceLock<bool> = OnceLock::new();
-    *QUICK.get_or_init(|| env_flag("LE_QUICK") || std::env::args().any(|a| a == "--quick"))
+    *QUICK.get_or_init(|| {
+        parse_flag(std::env::var_os("LE_QUICK")) || std::env::args().any(|a| a == "--quick")
+    })
 }
 
 /// Whether per-cell wall-clock reporting was requested via `LE_TIMING=1`.
@@ -72,7 +77,7 @@ pub fn quick() -> bool {
 /// Latched on first call, like [`quick`].
 pub fn timing() -> bool {
     static TIMING: OnceLock<bool> = OnceLock::new();
-    *TIMING.get_or_init(|| env_flag("LE_TIMING"))
+    *TIMING.get_or_init(|| parse_flag(std::env::var_os("LE_TIMING")))
 }
 
 fn parse_threads(raw: Option<std::ffi::OsString>) -> usize {
@@ -1089,6 +1094,14 @@ mod tests {
         assert_eq!(quick(), expect_quick, "latched flag never flips");
         assert_eq!(seeds(3), vec![0, 1, 2]);
         assert_eq!(ratio(3.0, 4.0), "0.75×");
+    }
+
+    #[test]
+    fn flag_parser_is_on_only_for_a_non_empty_non_zero_value() {
+        assert!(!parse_flag(None));
+        assert!(!parse_flag(Some("".into())));
+        assert!(!parse_flag(Some("0".into())));
+        assert!(parse_flag(Some("1".into())));
     }
 
     #[test]

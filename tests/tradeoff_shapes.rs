@@ -32,7 +32,7 @@ impl SuiteTimer {
 
 impl Drop for SuiteTimer {
     fn drop(&mut self) {
-        if std::env::var_os("LE_TIMING").is_some() {
+        if le_bench::timing() {
             eprintln!(
                 "LE_TIMING tradeoff_shapes::{}: {:.2?}",
                 self.name,
