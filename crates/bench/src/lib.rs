@@ -489,8 +489,9 @@ const CKPT_VERSION: &str = "le-sweep-ckpt v3";
 
 /// The knobs whose values change a sweep's rows or its trace. A checkpoint
 /// records their raw values, and only a run under the same values resumes
-/// it, so restored rows never precede rows from another store, topology or
-/// network. `LE_THREADS` is left out because the bytes do not depend on it,
+/// it: otherwise restored rows would precede rows from another store,
+/// topology or network, or the merged trace would lack the restored units'
+/// blocks. `LE_THREADS` is left out because the bytes do not depend on it,
 /// `LE_ABORT_AFTER_UNITS` because the resuming run drops it, and
 /// `LE_RESULTS_DIR` because it locates the checkpoint. The sweep mode and
 /// the column list cover `LE_QUICK`, `LE_PROF` and `LE_TIMING`.
