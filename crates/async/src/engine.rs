@@ -306,12 +306,11 @@ impl AsyncSimBuilder {
     /// loss, crash faults, and the reliability protocol (see
     /// [`NetworkConfig`]).
     ///
-    /// Default: the `LE_LOSS`/`LE_LINK_RATE`/`LE_QUEUE_CAP`/`LE_CRASH`
-    /// environment selection, and the transparent fault-free network when
-    /// all four are unset. Every network takes the same wire path; on the
-    /// transparent default ([`NetworkConfig::default`]) each fault step
-    /// is off, so executions reproduce pre-fault-layer runs
-    /// byte-identically and the fault counters stay zero.
+    /// Default: the transparent fault-free network
+    /// ([`NetworkConfig::default`]). Every network takes the same wire
+    /// path; on the transparent default each fault step is off, so
+    /// executions reproduce pre-fault-layer runs byte-identically and the
+    /// fault counters stay zero.
     pub fn network(mut self, network: NetworkConfig) -> Self {
         self.network = Some(network);
         self
@@ -365,10 +364,7 @@ impl AsyncSimBuilder {
         let wake = self
             .wake
             .unwrap_or_else(|| AsyncWakeSchedule::single(NodeIndex(0)));
-        let net = self
-            .network
-            .or_else(NetworkConfig::from_env)
-            .unwrap_or_default();
+        let net = self.network.unwrap_or_default();
         let woken = wake.entries().iter().map(|&(_, u)| u);
         let crashed = net.fault_plan().scheduled().iter().map(|cf| cf.node);
         let core = self

@@ -17,9 +17,7 @@
 //! network, with every fault step off — no admission, no loss coin, no
 //! adversarial loss, no crash directive — so all existing executions stay
 //! byte-identical and the fault counters stay zero. Configure faults through
-//! [`AsyncSimBuilder::network`](crate::AsyncSimBuilder::network) or the
-//! `LE_LOSS` / `LE_LINK_RATE` / `LE_QUEUE_CAP` / `LE_CRASH` environment
-//! knobs (validated and latched once, like `LE_BACKEND` / `LE_THREADS`).
+//! [`AsyncSimBuilder::network`](crate::AsyncSimBuilder::network).
 //!
 //! Per-link network state — the capacity model's busy horizons, the
 //! FIFO floors and the reliability protocol's entries — is indexed by the
@@ -38,8 +36,6 @@
 //! [`RecordedSchedule`](crate::RecordedSchedule).
 
 pub(crate) mod reliability;
-
-use std::sync::OnceLock;
 
 use clique_model::NodeIndex;
 
@@ -385,95 +381,6 @@ impl NetworkConfig {
     pub fn fault_plan(&self) -> &FaultPlan {
         &self.faults
     }
-
-    /// The environment-selected network configuration, or `None` when none
-    /// of `LE_LOSS`, `LE_LINK_RATE`, `LE_QUEUE_CAP`, `LE_CRASH` is set.
-    ///
-    /// Read once and latched for the process lifetime (like `LE_THREADS`),
-    /// so every trial of a sweep sees the same network. An env-driven
-    /// configuration enables the default [`Reliability`] protocol —
-    /// `LE_LOSS=0.05 cargo run ... ` answers "does the algorithm survive
-    /// 5% loss *with* retransmission"; compose programmatically for the
-    /// unreliable variant. Random crashes use a window of 2 time units.
-    ///
-    /// # Panics
-    ///
-    /// Panics (like `LE_BACKEND`) when any of the four variables is set to
-    /// a value that does not parse or is out of range.
-    pub fn from_env() -> Option<NetworkConfig> {
-        static NET: OnceLock<Option<NetworkConfig>> = OnceLock::new();
-        NET.get_or_init(|| {
-            let loss = std::env::var("LE_LOSS").ok();
-            let rate = std::env::var("LE_LINK_RATE").ok();
-            let cap = std::env::var("LE_QUEUE_CAP").ok();
-            let crash = std::env::var("LE_CRASH").ok();
-            if loss.is_none() && rate.is_none() && cap.is_none() && crash.is_none() {
-                return None;
-            }
-            let mut cfg = NetworkConfig::new().reliable(Reliability::default());
-            if let Some(raw) = loss {
-                cfg = cfg.loss(parse_loss(&raw));
-            }
-            if let Some(raw) = rate {
-                let rate = parse_rate(&raw);
-                if rate.is_finite() {
-                    cfg = cfg.link_rate(rate);
-                }
-            }
-            if let Some(raw) = cap {
-                let cap = parse_queue_cap(&raw);
-                if cap != usize::MAX {
-                    cfg = cfg.queue_cap(cap);
-                }
-            }
-            if let Some(raw) = crash {
-                let frac = parse_crash(&raw);
-                if frac > 0.0 {
-                    cfg = cfg.faults(FaultPlan::new().random_crashes(frac, 2.0));
-                }
-            }
-            Some(cfg)
-        })
-        .clone()
-    }
-}
-
-fn parse_loss(raw: &str) -> f64 {
-    match raw.trim().parse::<f64>() {
-        Ok(p) if (0.0..1.0).contains(&p) => p,
-        _ => panic!("LE_LOSS must be a probability in [0, 1), got {raw:?}"),
-    }
-}
-
-fn parse_rate(raw: &str) -> f64 {
-    let t = raw.trim();
-    if t.eq_ignore_ascii_case("inf") {
-        return f64::INFINITY;
-    }
-    match t.parse::<f64>() {
-        Ok(r) if r > 0.0 && r.is_finite() => r,
-        _ => {
-            panic!("LE_LINK_RATE must be a positive messages-per-unit rate or \"inf\", got {raw:?}")
-        }
-    }
-}
-
-fn parse_queue_cap(raw: &str) -> usize {
-    let t = raw.trim();
-    if t.eq_ignore_ascii_case("inf") {
-        return usize::MAX;
-    }
-    match t.parse::<usize>() {
-        Ok(c) if c >= 1 => c,
-        _ => panic!("LE_QUEUE_CAP must be a positive message count or \"inf\", got {raw:?}"),
-    }
-}
-
-fn parse_crash(raw: &str) -> f64 {
-    match raw.trim().parse::<f64>() {
-        Ok(p) if (0.0..1.0).contains(&p) => p,
-        _ => panic!("LE_CRASH must be a crash fraction in [0, 1), got {raw:?}"),
-    }
 }
 
 #[cfg(test)]
@@ -582,73 +489,5 @@ mod tests {
             rto: 0.0,
             ..Reliability::default()
         });
-    }
-
-    // Env-knob parsing: panic on typos/out-of-range exactly like
-    // `LE_BACKEND` (satellite requirement), tested against the parse
-    // functions directly so the latch is not consumed.
-    #[test]
-    fn env_parsers_accept_the_documented_grammar() {
-        assert_eq!(parse_loss("0.05"), 0.05);
-        assert_eq!(parse_loss(" 0 "), 0.0);
-        assert_eq!(parse_rate("32"), 32.0);
-        assert_eq!(parse_rate("inf"), f64::INFINITY);
-        assert_eq!(parse_rate("0.5"), 0.5);
-        assert_eq!(parse_queue_cap("8"), 8);
-        assert_eq!(parse_queue_cap("INF"), usize::MAX);
-        assert_eq!(parse_crash("0.25"), 0.25);
-    }
-
-    #[test]
-    #[should_panic(expected = "LE_LOSS must be a probability in [0, 1)")]
-    fn loss_knob_rejects_typos() {
-        let _ = parse_loss("5%");
-    }
-
-    #[test]
-    #[should_panic(expected = "LE_LOSS must be a probability in [0, 1)")]
-    fn loss_knob_rejects_out_of_range() {
-        let _ = parse_loss("1.0");
-    }
-
-    #[test]
-    #[should_panic(expected = "LE_LINK_RATE must be a positive")]
-    fn rate_knob_rejects_zero() {
-        let _ = parse_rate("0");
-    }
-
-    #[test]
-    #[should_panic(expected = "LE_LINK_RATE must be a positive")]
-    fn rate_knob_rejects_typos() {
-        let _ = parse_rate("fast");
-    }
-
-    #[test]
-    #[should_panic(expected = "LE_QUEUE_CAP must be a positive")]
-    fn queue_knob_rejects_zero() {
-        let _ = parse_queue_cap("0");
-    }
-
-    #[test]
-    #[should_panic(expected = "LE_QUEUE_CAP must be a positive")]
-    fn queue_knob_rejects_typos() {
-        let _ = parse_queue_cap("-3");
-    }
-
-    #[test]
-    #[should_panic(expected = "LE_CRASH must be a crash fraction")]
-    fn crash_knob_rejects_out_of_range() {
-        let _ = parse_crash("1.5");
-    }
-
-    #[test]
-    fn from_env_latches_once() {
-        // The suite runs with none of the four knobs set, so the latched
-        // value is None — and stays None even if a variable appears later
-        // (exactly the LE_THREADS latch-once contract).
-        assert_eq!(NetworkConfig::from_env(), None);
-        std::env::set_var("LE_LOSS", "0.5");
-        assert_eq!(NetworkConfig::from_env(), None);
-        std::env::remove_var("LE_LOSS");
     }
 }

@@ -4,12 +4,12 @@
 //! bound), and the cost is insensitive to *which* set the adversary wakes.
 
 use clique_model::rng::rng_from_seed;
-use clique_sync::{SyncArena, SyncSimBuilder, WakeSchedule};
+use clique_sync::{SyncArena, WakeSchedule};
 use le_analysis::regression::fit_power_law;
 use le_analysis::stats::{success_rate, Summary};
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
-use le_bench::{seeds, sweep, SweepRunner};
+use le_bench::{seeds, sweep, sync_sim, SweepRunner};
 use le_bounds::formulas;
 use leader_election::sync::two_round_adversarial::{Config, Node};
 
@@ -20,7 +20,7 @@ fn measure(
     seed: u64,
     arena: &mut SyncArena,
 ) -> (u64, bool) {
-    let outcome = SyncSimBuilder::new(n)
+    let outcome = sync_sim(n)
         .seed(seed)
         .wake(wake)
         .max_rounds(2)

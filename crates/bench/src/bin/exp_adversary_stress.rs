@@ -18,14 +18,14 @@
 //! compared to the oblivious baseline, but never past it.
 
 use clique_async::{
-    Adversary, AsyncSimBuilder, AsyncWakeSchedule, ConstDelay, MessageClass, Oblivious,
-    PartitionAdversary, RushingAdversary, TargetedSlowdown, UniformDelay,
+    Adversary, AsyncWakeSchedule, ConstDelay, MessageClass, Oblivious, PartitionAdversary,
+    RushingAdversary, TargetedSlowdown, UniformDelay,
 };
 use clique_model::NodeIndex;
 use le_analysis::stats::{success_rate, Summary};
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
-use le_bench::{seeds, sweep, SweepRunner};
+use le_bench::{async_sim, seeds, sweep, SweepRunner};
 use le_bounds::formulas;
 use leader_election::asynchronous::{afek_gafni, tradeoff};
 
@@ -102,7 +102,7 @@ fn main() {
                             &seed_list,
                             |seed, arenas| {
                                 let arena = &mut arenas.asynch;
-                                let builder = AsyncSimBuilder::new(n).seed(seed).adversary(make());
+                                let builder = async_sim(n).seed(seed).adversary(make());
                                 let outcome = match algo {
                                     "tradeoff(k=2)" => builder
                                         .wake(AsyncWakeSchedule::single(NodeIndex(0)))

@@ -12,21 +12,18 @@
 //! validated but counted: the run prints how many trials still elected
 //! one leader with every live, awake node decided.
 
-use clique_async::{
-    AsyncArena, AsyncSimBuilder, AsyncWakeSchedule, ConstDelay, DelayStrategy, NetworkConfig,
-    UniformDelay,
-};
+use clique_async::{AsyncArena, AsyncWakeSchedule, ConstDelay, DelayStrategy, UniformDelay};
 use le_analysis::regression::{fit_linear, fit_power_law};
 use le_analysis::stats::Summary;
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
-use le_bench::{seeds, sweep, SweepRunner};
+use le_bench::{async_sim, seeds, sweep, RunEnv, SweepRunner};
 use le_bounds::formulas;
 use leader_election::asynchronous::afek_gafni::Node;
 
-/// Whether the environment's network schedules crash faults.
+/// Whether the run's network ([`RunEnv::network`]) schedules crash faults.
 fn crash_faults() -> bool {
-    NetworkConfig::from_env().is_some_and(|net| !net.fault_plan().is_empty())
+    !RunEnv::get().network.fault_plan().is_empty()
 }
 
 /// Messages, time, and whether the trial elected despite any crashes.
@@ -36,7 +33,7 @@ fn measure(
     delays: Box<dyn DelayStrategy>,
     arena: &mut AsyncArena,
 ) -> (u64, f64, bool) {
-    let outcome = AsyncSimBuilder::new(n)
+    let outcome = async_sim(n)
         .seed(seed)
         .wake(AsyncWakeSchedule::simultaneous(n))
         .delays(delays)

@@ -8,15 +8,13 @@
 //! `1 + 1/k`; `k = 2` matches the Ω(n^{3/2}) line of Theorem 4.2 and large
 //! `k` approaches the `O(n·log n)` of \[14\]-style algorithms.
 
-use clique_async::{
-    AsyncArena, AsyncSimBuilder, AsyncWakeSchedule, ConstDelay, DelayStrategy, UniformDelay,
-};
+use clique_async::{AsyncArena, AsyncWakeSchedule, ConstDelay, DelayStrategy, UniformDelay};
 use clique_model::NodeIndex;
 use le_analysis::regression::fit_power_law;
 use le_analysis::stats::{success_rate, Summary};
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
-use le_bench::{seeds, sweep, SweepRunner};
+use le_bench::{async_sim, seeds, sweep, SweepRunner};
 use le_bounds::formulas;
 use leader_election::asynchronous::tradeoff::{Config, Node};
 
@@ -27,7 +25,7 @@ fn measure(
     delays: Box<dyn DelayStrategy>,
     arena: &mut AsyncArena,
 ) -> (u64, f64, bool) {
-    let outcome = AsyncSimBuilder::new(n)
+    let outcome = async_sim(n)
         .seed(seed)
         .wake(AsyncWakeSchedule::single(NodeIndex(0)))
         .delays(delays)

@@ -20,14 +20,14 @@
 //! never silently swallowed.
 
 use clique_async::{
-    Adversary, AsyncHaltReason, AsyncSimBuilder, AsyncWakeSchedule, CrashTopSender, FaultPlan,
-    NetworkConfig, Oblivious, Reliability, UniformDelay,
+    Adversary, AsyncHaltReason, AsyncWakeSchedule, CrashTopSender, FaultPlan, NetworkConfig,
+    Oblivious, Reliability, UniformDelay,
 };
 use clique_model::NodeIndex;
 use le_analysis::stats::{success_rate, Summary};
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
-use le_bench::{seeds, sweep, SweepRunner};
+use le_bench::{async_sim, seeds, sweep, SweepRunner};
 use le_bounds::formulas;
 use leader_election::asynchronous::{afek_gafni, tradeoff};
 
@@ -246,8 +246,7 @@ fn main() {
                             &seed_list,
                             |seed, arenas| {
                                 let arena = &mut arenas.asynch;
-                                let mut builder =
-                                    AsyncSimBuilder::new(n).seed(seed).network(make_net());
+                                let mut builder = async_sim(n).seed(seed).network(make_net());
                                 if let Some(make) = make_adv {
                                     builder = builder.adversary(make());
                                 }

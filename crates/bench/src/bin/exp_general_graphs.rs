@@ -45,19 +45,15 @@
 //! trial and the process's peak resident set (`VmHWM`); both are
 //! machine-dependent and stay out of the CSV.
 //!
-//! Topologies are pinned per cell via `SyncSimBuilder::topology`; runs
-//! that omit the builder call follow the process-latched `LE_TOPOLOGY`
-//! knob instead (printed in the preamble), exactly as `LE_BACKEND`
-//! latches the port-map backend.
+//! Topologies are pinned per cell via `SyncSimBuilder::topology`; a run
+//! without that call is on the clique.
 
 use std::time::Instant;
 
-use clique_model::topology::TopologySpec;
 use clique_model::Topology;
-use clique_sync::SyncSimBuilder;
 use le_analysis::stats::success_rate;
 use le_analysis::Table;
-use le_bench::{seeds, sweep, SweepRunner};
+use le_bench::{seeds, sweep, sync_sim, SweepRunner};
 use leader_election::sync::{las_vegas, singular, sublinear_mc};
 
 /// Round envelope: `3·D + SLACK` (see the module docs).
@@ -97,7 +93,7 @@ fn expander_degree(n: usize) -> usize {
 
 fn run_singular(topo: &Topology, seed: u64, arena: &mut clique_sync::SyncArena) -> Cell {
     let t0 = Instant::now();
-    let outcome = SyncSimBuilder::new(topo.n())
+    let outcome = sync_sim(topo.n())
         .seed(seed)
         .topology(topo.clone())
         .build_in(arena, |id, _| {
@@ -193,7 +189,7 @@ fn run_baseline(
 ) -> bool {
     let cfg = sublinear_mc::Config::default();
     let outcome = if which == "sublinear_mc" {
-        SyncSimBuilder::new(topo.n())
+        sync_sim(topo.n())
             .seed(seed)
             .topology(topo.clone())
             .max_rounds(2)
@@ -204,7 +200,7 @@ fn run_baseline(
     } else {
         // Ten 3-round Las Vegas attempts; a run still undecided after
         // them counts as a failure for the success column.
-        SyncSimBuilder::new(topo.n())
+        sync_sim(topo.n())
             .seed(seed)
             .topology(topo.clone())
             .max_rounds(30)
@@ -221,11 +217,6 @@ fn main() {
     let baseline_ns = sweep(&[64usize, 256], &[64]);
     let big_ns = sweep(&[1usize << 20], &[4096]);
     let seed_list = seeds(if le_bench::quick() { 4 } else { 12 });
-
-    println!(
-        "process-latched LE_TOPOLOGY default: {:?} (explicit grid cells override it)",
-        TopologySpec::from_env()
-    );
 
     let mut runner = SweepRunner::new(
         "exp_general_graphs",

@@ -5,12 +5,12 @@
 //! crossover — the time-versus-messages gap Section 4 formalises.
 
 use clique_model::rng::rng_from_seed;
-use clique_sync::{SyncArena, SyncSimBuilder, WakeSchedule};
+use clique_sync::{SyncArena, WakeSchedule};
 use le_analysis::regression::fit_power_law;
 use le_analysis::stats::Summary;
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
-use le_bench::{seeds, sweep, SweepRunner};
+use le_bench::{seeds, sweep, sync_sim, SweepRunner};
 use le_bounds::formulas;
 use leader_election::sync::gossip_baseline;
 use leader_election::sync::two_round_adversarial;
@@ -18,7 +18,7 @@ use leader_election::sync::two_round_adversarial;
 fn measure_gossip(n: usize, seed: u64, arena: &mut SyncArena) -> (u64, usize) {
     let cfg = gossip_baseline::Config::default();
     let mut wake_rng = rng_from_seed(seed ^ 0xF00D);
-    let outcome = SyncSimBuilder::new(n)
+    let outcome = sync_sim(n)
         .seed(seed)
         .wake(WakeSchedule::random_subset(n, 1, &mut wake_rng))
         .max_rounds(cfg.total_rounds(n) + 2)
@@ -34,7 +34,7 @@ fn measure_gossip(n: usize, seed: u64, arena: &mut SyncArena) -> (u64, usize) {
 
 fn measure_two_round(n: usize, seed: u64, arena: &mut SyncArena) -> u64 {
     let mut wake_rng = rng_from_seed(seed ^ 0xFEED);
-    let outcome = SyncSimBuilder::new(n)
+    let outcome = sync_sim(n)
         .seed(seed)
         .wake(WakeSchedule::random_subset(n, 1, &mut wake_rng))
         .max_rounds(2)

@@ -7,18 +7,18 @@
 //! near 1/2 (plus polylog drift), and the Las Vegas cost always clears the
 //! Ω(n) lower-bound line while the Monte Carlo cost dives under it.
 
-use clique_sync::{SyncArena, SyncSimBuilder};
+use clique_sync::SyncArena;
 use le_analysis::regression::fit_power_law;
 use le_analysis::stats::Summary;
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
-use le_bench::{seeds, sweep, SweepRunner};
+use le_bench::{seeds, sweep, sync_sim, SweepRunner};
 use le_bounds::formulas;
 use leader_election::sync::las_vegas;
 use leader_election::sync::sublinear_mc;
 
 fn measure_lv(n: usize, seed: u64, arena: &mut SyncArena) -> (u64, usize) {
-    let outcome = SyncSimBuilder::new(n)
+    let outcome = sync_sim(n)
         .seed(seed)
         .build_in(arena, |id, _| {
             las_vegas::Node::new(id, las_vegas::Config::default())
@@ -33,7 +33,7 @@ fn measure_lv(n: usize, seed: u64, arena: &mut SyncArena) -> (u64, usize) {
 }
 
 fn measure_mc(n: usize, seed: u64, arena: &mut SyncArena) -> (u64, bool) {
-    let outcome = SyncSimBuilder::new(n)
+    let outcome = sync_sim(n)
         .seed(seed)
         .build_in(arena, |_, _| {
             sublinear_mc::Node::new(sublinear_mc::Config::default())

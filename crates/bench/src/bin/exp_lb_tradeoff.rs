@@ -6,12 +6,12 @@
 //! one adversary block (Property A), and no component can cover a majority
 //! of the clique before the bound's round threshold.
 
-use clique_model::trace::{SharedSink, Tracer};
+use clique_model::trace::{SharedSink, Tracer, ALL_CLASSES};
 use clique_model::NodeIndex;
-use clique_sync::{HaltReason, NullObserver, SyncSimBuilder};
+use clique_sync::{HaltReason, NullObserver};
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
-use le_bench::{sweep, SweepRunner};
+use le_bench::{sweep, sync_sim, unit_trace, SweepRunner};
 use le_bounds::adversary::ComponentAdversary;
 use le_bounds::commgraph::CommGraph;
 use le_bounds::formulas;
@@ -49,12 +49,14 @@ fn main() {
                 // deterministic, so there is no seed dimension.
                 let rows = ws.cell_once(format!("n={n} f={f} ell={ell}"), |arenas| {
                     let arena = &mut arenas.sync;
-                    // A sink given to the builder overrides `LE_TRACE`, so
-                    // each event taken from it is passed on to the tracer
-                    // `LE_TRACE` configures.
+                    // A sink given to the builder replaces the unit's
+                    // trace sink, so each event taken from it is passed on
+                    // to a tracer over that sink, which keeps the
+                    // `LE_TRACE` classes.
                     let sink = SharedSink::new();
-                    let mut env_trace = Tracer::from_env();
-                    let mut sim = SyncSimBuilder::new(n)
+                    let mut env_trace = unit_trace()
+                        .map_or_else(Tracer::off, |s| Tracer::with_sink(s, ALL_CLASSES));
+                    let mut sim = sync_sim(n)
                         .seed(1)
                         .resolver(Box::new(adv))
                         .trace(Box::new(sink.clone()))

@@ -6,11 +6,11 @@
 
 use clique_model::ids::IdSpace;
 use clique_model::rng::rng_from_seed;
-use clique_sync::{SyncArena, SyncSimBuilder};
+use clique_sync::SyncArena;
 use le_analysis::stats::Summary;
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
-use le_bench::{seeds, sweep, SweepRunner};
+use le_bench::{seeds, sweep, sync_sim, SweepRunner};
 use le_bounds::formulas;
 use leader_election::sync::small_id;
 
@@ -20,7 +20,7 @@ fn measure(n: usize, d: usize, g: u64, seed: u64, arena: &mut SyncArena) -> (u64
     let ids = IdSpace::linear(n, g)
         .assign(n, &mut rng)
         .expect("universe covers n");
-    let outcome = SyncSimBuilder::new(n)
+    let outcome = sync_sim(n)
         .seed(seed)
         .ids(ids)
         .max_rounds(cfg.max_rounds(n) + 1)

@@ -20,11 +20,11 @@
 //! sweeps.
 
 use clique_model::PortBackend;
-use clique_sync::{SyncArena, SyncSimBuilder};
+use clique_sync::SyncArena;
 use le_analysis::stats::Summary;
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
-use le_bench::{seeds, sweep, SweepRunner};
+use le_bench::{seeds, sweep, sync_sim, SweepRunner};
 use le_bounds::formulas;
 use leader_election::sync::las_vegas;
 use leader_election::sync::sublinear_mc;
@@ -37,7 +37,7 @@ struct Cell {
 }
 
 fn run_trial(arena: &mut SyncArena, n: usize, alg: &str, s: u64) -> (u64, usize, bool) {
-    let builder = SyncSimBuilder::new(n).seed(s).backend(PortBackend::Sparse);
+    let builder = sync_sim(n).seed(s).backend(PortBackend::Sparse);
     let outcome = match alg {
         "las_vegas" => builder
             .build_in(arena, |id, _| {

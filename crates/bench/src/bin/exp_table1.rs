@@ -4,15 +4,15 @@
 //! value at the chosen `n` — they are proofs, not algorithms — so the
 //! table shows each algorithm sitting above its matching floor.
 
-use clique_async::{AsyncSimBuilder, AsyncWakeSchedule};
+use clique_async::AsyncWakeSchedule;
 use clique_model::ids::IdSpace;
 use clique_model::rng::rng_from_seed;
 use clique_model::NodeIndex;
-use clique_sync::{SyncSimBuilder, WakeSchedule};
+use clique_sync::WakeSchedule;
 use le_analysis::stats::{success_rate, Summary};
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
-use le_bench::{seeds, SweepRunner, Task};
+use le_bench::{async_sim, seeds, sync_sim, SweepRunner, Task};
 use le_bounds::formulas;
 use leader_election::asynchronous::{afek_gafni as a_ag, tradeoff as a_tr};
 use leader_election::sync::{
@@ -130,7 +130,7 @@ fn main() {
                     format!("n={n} alg=improved ell={ell}"),
                     &seed_list,
                     |s, arenas| {
-                        let o = SyncSimBuilder::new(n)
+                        let o = sync_sim(n)
                             .seed(s)
                             .build_in(&mut arenas.sync, |id, n| {
                                 improved_tradeoff::Node::new(id, n, cfg)
@@ -170,7 +170,7 @@ fn main() {
                     |s, arenas| {
                         let mut rng = rng_from_seed(s);
                         let ids = IdSpace::linear(n, g).assign(n, &mut rng).unwrap();
-                        let o = SyncSimBuilder::new(n)
+                        let o = sync_sim(n)
                             .seed(s)
                             .ids(ids)
                             .max_rounds(cfg.max_rounds(n) + 1)
@@ -213,7 +213,7 @@ fn main() {
                         // so the draw is a function of the seed alone.
                         let mut wake_rng = rng_from_seed(s ^ 7);
                         let wake = WakeSchedule::random_subset(n, n / 4, &mut wake_rng);
-                        let o = SyncSimBuilder::new(n)
+                        let o = sync_sim(n)
                             .seed(s)
                             .wake(wake)
                             .build_in(&mut arenas.sync, |id, n| afek_gafni::Node::new(id, n, cfg))
@@ -253,7 +253,7 @@ fn main() {
             format!("n={n} alg=las_vegas"),
             move |ws| {
                 let runs = ws.cell(format!("n={n} alg=las_vegas"), &seed_list, |s, arenas| {
-                    let o = SyncSimBuilder::new(n)
+                    let o = sync_sim(n)
                         .seed(s)
                         .build_in(&mut arenas.sync, |id, _| {
                             las_vegas::Node::new(id, las_vegas::Config::default())
@@ -289,7 +289,7 @@ fn main() {
                     format!("n={n} alg=sublinear_mc"),
                     &seed_list,
                     |s, arenas| {
-                        let o = SyncSimBuilder::new(n)
+                        let o = sync_sim(n)
                             .seed(s)
                             .build_in(&mut arenas.sync, |_, _| {
                                 sublinear_mc::Node::new(sublinear_mc::Config::default())
@@ -336,7 +336,7 @@ fn main() {
                     |s, arenas| {
                         let mut wake_rng = rng_from_seed(s ^ 11);
                         let wake = WakeSchedule::random_subset(n, 1, &mut wake_rng);
-                        let o = SyncSimBuilder::new(n)
+                        let o = sync_sim(n)
                             .seed(s)
                             .wake(wake)
                             .max_rounds(2)
@@ -385,7 +385,7 @@ fn main() {
                     |s, arenas| {
                         let mut wake_rng = rng_from_seed(s ^ 13);
                         let wake = WakeSchedule::random_subset(n, 1, &mut wake_rng);
-                        let o = SyncSimBuilder::new(n)
+                        let o = sync_sim(n)
                             .seed(s)
                             .wake(wake)
                             .max_rounds(cfg.total_rounds(n) + 2)
@@ -424,7 +424,7 @@ fn main() {
                     format!("n={n} alg=async_tradeoff k={k}"),
                     &seed_list,
                     |s, arenas| {
-                        let o = AsyncSimBuilder::new(n)
+                        let o = async_sim(n)
                             .seed(s)
                             .wake(AsyncWakeSchedule::single(NodeIndex(0)))
                             .build_in(&mut arenas.asynch, |_, _| {
@@ -461,7 +461,7 @@ fn main() {
                     format!("n={n} alg=async_afek_gafni"),
                     &seed_list,
                     |s, arenas| {
-                        let o = AsyncSimBuilder::new(n)
+                        let o = async_sim(n)
                             .seed(s)
                             .wake(AsyncWakeSchedule::simultaneous(n))
                             .build_in(&mut arenas.asynch, a_ag::Node::new)

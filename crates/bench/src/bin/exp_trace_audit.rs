@@ -29,14 +29,13 @@
 //! after an `LE_TRACE` smoke sweep) and prints a rollup summary per file.
 //! Exits non-zero on the first malformed line.
 
-use clique_async::{AsyncSimBuilder, AsyncWakeSchedule, ConstDelay, Oblivious};
+use clique_async::{AsyncWakeSchedule, ConstDelay, Oblivious};
 use clique_model::trace::SharedSink;
 use clique_model::NodeIndex;
-use clique_sync::SyncSimBuilder;
 use le_analysis::stats::success_rate;
 use le_analysis::trace::{self, CriticalPath, Rollup};
 use le_analysis::Table;
-use le_bench::{seeds, sweep, SweepRunner};
+use le_bench::{async_sim, seeds, sweep, sync_sim, SweepRunner};
 use le_bounds::formulas;
 use leader_election::asynchronous::tradeoff;
 use leader_election::sync::improved_tradeoff;
@@ -100,7 +99,7 @@ fn roundtrip(shared: &SharedSink, label: &str) -> (Rollup, CriticalPath, u64) {
 
 fn audit_async(n: usize, k: usize, seed: u64, arena: &mut clique_async::AsyncArena) -> AuditCell {
     let shared = SharedSink::new();
-    let outcome = AsyncSimBuilder::new(n)
+    let outcome = async_sim(n)
         .seed(seed)
         .adversary(Box::new(Oblivious::new(ConstDelay::max())))
         .wake(AsyncWakeSchedule::single(NodeIndex(0)))
@@ -132,7 +131,7 @@ fn audit_async(n: usize, k: usize, seed: u64, arena: &mut clique_async::AsyncAre
 fn audit_sync(n: usize, ell: usize, seed: u64, arena: &mut clique_sync::SyncArena) -> AuditCell {
     let shared = SharedSink::new();
     let cfg = improved_tradeoff::Config::with_rounds(ell);
-    let outcome = SyncSimBuilder::new(n)
+    let outcome = sync_sim(n)
         .seed(seed)
         .trace(Box::new(shared.clone()))
         .build_in(arena, |id, n| improved_tradeoff::Node::new(id, n, cfg))

@@ -8,17 +8,17 @@
 //! measured(AG at ℓ+1)`, with the improved algorithm's advantage largest at
 //! small constant ℓ.
 
-use clique_sync::{SyncArena, SyncSimBuilder};
+use clique_sync::SyncArena;
 use le_analysis::stats::Summary;
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
-use le_bench::{seeds, sweep, SweepRunner};
+use le_bench::{seeds, sweep, sync_sim, SweepRunner};
 use le_bounds::formulas;
 use leader_election::sync::{afek_gafni, improved_tradeoff};
 
 fn measure_improved(n: usize, ell: usize, seed: u64, arena: &mut SyncArena) -> u64 {
     let cfg = improved_tradeoff::Config::with_rounds(ell);
-    let outcome = SyncSimBuilder::new(n)
+    let outcome = sync_sim(n)
         .seed(seed)
         .build_in(arena, |id, n| improved_tradeoff::Node::new(id, n, cfg))
         .expect("valid configuration")
@@ -33,7 +33,7 @@ fn measure_improved(n: usize, ell: usize, seed: u64, arena: &mut SyncArena) -> u
 
 fn measure_afek_gafni(n: usize, ell: usize, seed: u64, arena: &mut SyncArena) -> u64 {
     let cfg = afek_gafni::Config::with_rounds(ell);
-    let outcome = SyncSimBuilder::new(n)
+    let outcome = sync_sim(n)
         .seed(seed)
         .build_in(arena, |id, n| afek_gafni::Node::new(id, n, cfg))
         .expect("valid configuration")

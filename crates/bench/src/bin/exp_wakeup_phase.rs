@@ -7,12 +7,12 @@
 //! traffic is the wake-up cascade; we measure the time by which the last
 //! node woke.
 
-use clique_async::{AsyncArena, AsyncSimBuilder, AsyncWakeSchedule};
+use clique_async::{AsyncArena, AsyncWakeSchedule};
 use clique_model::rng::rng_from_seed;
 use le_analysis::stats::{success_rate, Summary};
 use le_analysis::table::fmt_count;
 use le_analysis::Table;
-use le_bench::{seeds, sweep, SweepRunner};
+use le_bench::{async_sim, seeds, sweep, SweepRunner};
 use leader_election::asynchronous::tradeoff::{Config, Node};
 
 /// The pure wake-up configuration: Algorithm 2 with candidacy switched off.
@@ -32,7 +32,7 @@ fn measure(
     let mut wake_rng = rng_from_seed(seed ^ 0xBEEF);
     let wake = AsyncWakeSchedule::random_subset(n, wake_size, &mut wake_rng);
     let cfg = wakeup_only(k);
-    let outcome = AsyncSimBuilder::new(n)
+    let outcome = async_sim(n)
         .seed(seed)
         .wake(wake)
         .build_in(arena, |_, _| Node::new(cfg))

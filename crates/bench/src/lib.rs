@@ -13,7 +13,10 @@
 //! results directory (`results/` by default, `LE_RESULTS_DIR` overrides).
 //! Set `LE_QUICK=1` to shrink the sweeps (used by the smoke tests),
 //! `LE_TIMING=1` to print per-cell wall-clock timings, and `LE_THREADS=N`
-//! to fan the sweep's tasks out across `N` worker threads.
+//! to fan the sweep's tasks out across `N` worker threads. [`RunEnv`]
+//! holds every knob, parsed once per process; the library crates read no
+//! environment, so trials build through [`sync_sim`] and [`async_sim`],
+//! which apply the knobs to the builders.
 //!
 //! All binaries drive their Monte-Carlo grids through one [`SweepRunner`]:
 //! a deterministic parallel batch engine. A sweep is a sequence of
@@ -36,63 +39,237 @@
 #![warn(missing_docs)]
 
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::ffi::OsString;
 use std::io::Write;
 use std::marker::PhantomData;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-use clique_async::AsyncArena;
+use clique_async::{AsyncArena, AsyncSimBuilder, FaultPlan, NetworkConfig, Reliability};
+use clique_model::ports::PortBackend;
 use clique_model::prof::{self, Phase, TrialProfile};
 use clique_model::rng::{derive_seed, splitmix64};
-use clique_model::trace;
-use clique_sync::SyncArena;
+use clique_model::trace::{TraceEvent, TraceSink, TraceSpec};
+use clique_sync::{SyncArena, SyncSimBuilder};
 use le_analysis::stats::quantile;
 use le_analysis::CsvWriter;
 
+/// Every knob of a run, parsed once per process ([`RunEnv::get`]).
+///
+/// This is the one place configuration enters: the library crates read
+/// no environment, and [`sync_sim`] / [`async_sim`] hand the builders the
+/// store, network and trace sink chosen here.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RunEnv {
+    /// `LE_QUICK` or a `--quick` argument: run the CI-sized sweeps.
+    pub quick: bool,
+    /// `LE_TIMING`: print per-cell and total wall-clocks.
+    pub timing: bool,
+    /// `LE_PROF` or `LE_TIMING`: time each trial's build, run and reset
+    /// phases, and add the profiler columns to the CSV.
+    pub prof: bool,
+    /// `LE_THREADS`: sweep worker threads (default 1, clamped to
+    /// `1..=1024`).
+    pub threads: usize,
+    /// `LE_RESULTS_DIR`: where CSVs, traces and checkpoints go (default
+    /// `results`, relative to the working directory).
+    pub results_dir: PathBuf,
+    /// `LE_ABORT_AFTER_UNITS`: exit once this many units are durable in
+    /// this run, as a crash would (the resume smoke tests).
+    pub abort_after_units: Option<u64>,
+    /// `LE_BACKEND`: the port-map store (`dense`, `sparse` or `auto`, the
+    /// default).
+    pub backend: PortBackend,
+    /// `LE_TRACE`: the event classes a sweep writes to
+    /// `<exp>.trace.jsonl`; `None` when unset, empty or `0`.
+    pub trace: Option<TraceSpec>,
+    /// `LE_LOSS`, `LE_LINK_RATE`, `LE_QUEUE_CAP` and `LE_CRASH`: the
+    /// network of [`async_sim`]. Setting any of them also turns on the
+    /// default [`Reliability`] protocol, and random crashes strike within
+    /// 2 time units; with none set the network is transparent.
+    pub network: NetworkConfig,
+}
+
+/// A malformed knob value. The message names the knob, what it takes and
+/// the value it got.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KnobError(pub String);
+
+impl std::fmt::Display for KnobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for KnobError {}
+
+impl RunEnv {
+    /// This process's knobs, read from the environment on first use.
+    ///
+    /// On a malformed knob it prints the error and exits with status 2;
+    /// a bin reads its knobs before it creates any file.
+    pub fn get() -> &'static RunEnv {
+        static ENV: OnceLock<RunEnv> = OnceLock::new();
+        ENV.get_or_init(|| match RunEnv::parse(|knob| std::env::var_os(knob)) {
+            Ok(mut env) => {
+                env.quick |= std::env::args().any(|a| a == "--quick");
+                env
+            }
+            Err(err) => {
+                eprintln!("{err}");
+                std::process::exit(2);
+            }
+        })
+    }
+
+    /// Parses the knobs `lookup` returns raw values for (`None` = unset).
+    ///
+    /// # Errors
+    ///
+    /// The first of `LE_BACKEND`, `LE_TRACE`, `LE_LOSS`, `LE_LINK_RATE`,
+    /// `LE_QUEUE_CAP` and `LE_CRASH` whose value does not parse.
+    pub fn parse(lookup: impl Fn(&str) -> Option<OsString>) -> Result<RunEnv, KnobError> {
+        let text = |knob: &str| lookup(knob).map(|v| v.to_string_lossy().into_owned());
+        let timing = parse_flag(lookup("LE_TIMING"));
+        Ok(RunEnv {
+            quick: parse_flag(lookup("LE_QUICK")),
+            timing,
+            prof: timing || parse_flag(lookup("LE_PROF")),
+            threads: parse_threads(lookup("LE_THREADS")),
+            results_dir: lookup("LE_RESULTS_DIR").map_or_else(|| "results".into(), PathBuf::from),
+            abort_after_units: text("LE_ABORT_AFTER_UNITS").and_then(|v| v.parse().ok()),
+            backend: text("LE_BACKEND").map_or(Ok(PortBackend::Auto), |v| parse_backend(&v))?,
+            trace: text("LE_TRACE").map_or(Ok(None), |v| parse_trace(&v))?,
+            network: parse_network(&text)?,
+        })
+    }
+
+    /// The values that change a sweep's rows or its trace, on one line. A
+    /// checkpoint records them, and only a run under the same values
+    /// resumes it: otherwise restored rows would precede rows from another
+    /// store or network, or the merged trace would lack the restored
+    /// units' blocks. `threads` is left out because the bytes do not
+    /// depend on it, `abort_after_units` because the resuming run drops
+    /// it, and `results_dir` because it locates the checkpoint. The sweep
+    /// mode and the column list cover `quick`, `prof` and `timing`.
+    fn row_knobs(&self) -> String {
+        format!(
+            "backend={:?} trace={:?} network={:?}",
+            self.backend, self.trace, self.network
+        )
+    }
+}
+
 /// Whether an on/off knob's raw value means on: set, non-empty and not
-/// `0`, the rule `clique_model::prof` applies to `LE_PROF` and `LE_TIMING`.
-fn parse_flag(raw: Option<std::ffi::OsString>) -> bool {
+/// `0`, the rule every on/off knob follows.
+fn parse_flag(raw: Option<OsString>) -> bool {
     raw.and_then(|v| v.into_string().ok())
         .is_some_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Whether the quick (CI-sized) sweep was requested via `LE_QUICK=1` or a
-/// `--quick` argument.
-///
-/// Latched on first call: a mid-sweep environment change cannot produce a
-/// half-quick sweep (every consumer of the flag sees the same value for
-/// the life of the process).
-pub fn quick() -> bool {
-    static QUICK: OnceLock<bool> = OnceLock::new();
-    *QUICK.get_or_init(|| {
-        parse_flag(std::env::var_os("LE_QUICK")) || std::env::args().any(|a| a == "--quick")
-    })
-}
-
-/// Whether per-cell wall-clock reporting was requested via `LE_TIMING=1`.
-///
-/// Latched on first call, like [`quick`].
-pub fn timing() -> bool {
-    static TIMING: OnceLock<bool> = OnceLock::new();
-    *TIMING.get_or_init(|| parse_flag(std::env::var_os("LE_TIMING")))
-}
-
-fn parse_threads(raw: Option<std::ffi::OsString>) -> usize {
+fn parse_threads(raw: Option<OsString>) -> usize {
     raw.and_then(|v| v.into_string().ok())
         .and_then(|v| v.trim().parse::<usize>().ok())
         .map_or(1, |t| t.clamp(1, 1024))
 }
 
-/// The sweep worker-thread count requested via `LE_THREADS=N` (default 1).
-///
-/// Latched on first call. The CSV output of a sweep is byte-identical at
-/// every thread count; threads only change wall-clock.
-pub fn threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| parse_threads(std::env::var_os("LE_THREADS")))
+fn parse_backend(raw: &str) -> Result<PortBackend, KnobError> {
+    match raw {
+        "" => Ok(PortBackend::Auto),
+        _ => [PortBackend::Dense, PortBackend::Sparse, PortBackend::Auto]
+            .into_iter()
+            .find(|b| b.name() == raw)
+            .ok_or_else(|| KnobError(format!("LE_BACKEND must be dense|sparse|auto, got {raw:?}"))),
+    }
+}
+
+fn parse_trace(raw: &str) -> Result<Option<TraceSpec>, KnobError> {
+    if raw.is_empty() || raw == "0" {
+        return Ok(None);
+    }
+    TraceSpec::parse(raw).map(Some).map_err(|tok| {
+        KnobError(format!(
+            "LE_TRACE: unknown event class {tok:?} (expected `all` or a \
+             comma-list of round,send,deliver,wake,decide,fault,backend,topo)"
+        ))
+    })
+}
+
+fn parse_network(text: &impl Fn(&str) -> Option<String>) -> Result<NetworkConfig, KnobError> {
+    let [loss, rate, cap, crash] =
+        ["LE_LOSS", "LE_LINK_RATE", "LE_QUEUE_CAP", "LE_CRASH"].map(text);
+    if loss.is_none() && rate.is_none() && cap.is_none() && crash.is_none() {
+        return Ok(NetworkConfig::default());
+    }
+    let mut cfg = NetworkConfig::new().reliable(Reliability::default());
+    if let Some(raw) = loss {
+        cfg = cfg.loss(parse_fraction(&raw, "LE_LOSS must be a probability")?);
+    }
+    // `inf` parses to the transparent default, so setting it changes
+    // nothing.
+    if let Some(raw) = rate {
+        cfg = cfg.link_rate(parse_rate(&raw)?);
+    }
+    if let Some(raw) = cap {
+        cfg = cfg.queue_cap(parse_queue_cap(&raw)?);
+    }
+    if let Some(raw) = crash {
+        let frac = parse_fraction(&raw, "LE_CRASH must be a crash fraction")?;
+        if frac > 0.0 {
+            cfg = cfg.faults(FaultPlan::new().random_crashes(frac, 2.0));
+        }
+    }
+    Ok(cfg)
+}
+
+/// A number in `[0, 1)`; `what` names the knob and its meaning in the
+/// error.
+fn parse_fraction(raw: &str, what: &str) -> Result<f64, KnobError> {
+    match raw.trim().parse::<f64>() {
+        Ok(p) if (0.0..1.0).contains(&p) => Ok(p),
+        _ => Err(KnobError(format!("{what} in [0, 1), got {raw:?}"))),
+    }
+}
+
+fn parse_rate(raw: &str) -> Result<f64, KnobError> {
+    let t = raw.trim();
+    if t.eq_ignore_ascii_case("inf") {
+        return Ok(f64::INFINITY);
+    }
+    match t.parse::<f64>() {
+        Ok(r) if r > 0.0 && r.is_finite() => Ok(r),
+        _ => Err(KnobError(format!(
+            "LE_LINK_RATE must be a positive messages-per-unit rate or \"inf\", got {raw:?}"
+        ))),
+    }
+}
+
+fn parse_queue_cap(raw: &str) -> Result<usize, KnobError> {
+    let t = raw.trim();
+    if t.eq_ignore_ascii_case("inf") {
+        return Ok(usize::MAX);
+    }
+    match t.parse::<usize>() {
+        Ok(c) if c >= 1 => Ok(c),
+        _ => Err(KnobError(format!(
+            "LE_QUEUE_CAP must be a positive message count or \"inf\", got {raw:?}"
+        ))),
+    }
+}
+
+/// Whether the quick (CI-sized) sweep was requested ([`RunEnv::quick`]).
+pub fn quick() -> bool {
+    RunEnv::get().quick
+}
+
+/// Whether per-cell wall-clock reporting was requested
+/// ([`RunEnv::timing`]).
+pub fn timing() -> bool {
+    RunEnv::get().timing
 }
 
 /// Picks the full or quick variant of a sweep.
@@ -104,29 +281,89 @@ pub fn sweep<T: Clone>(full: &[T], quick_variant: &[T]) -> Vec<T> {
     }
 }
 
-fn results_dir() -> &'static Path {
-    static DIR: OnceLock<PathBuf> = OnceLock::new();
-    DIR.get_or_init(|| {
-        std::env::var_os("LE_RESULTS_DIR").map_or_else(|| PathBuf::from("results"), PathBuf::from)
-    })
-}
-
-/// Path under the results directory (created on demand).
-///
-/// The directory is `results/` relative to the working directory unless
-/// `LE_RESULTS_DIR` overrides it; the override is resolved **once** per
-/// process, so a bin launched from outside the repository root writes all
-/// of its artifacts — CSVs and checkpoints alike — to one place instead of
-/// scattering `results/` directories across working directories.
+/// Path under the results directory ([`RunEnv::results_dir`], created on
+/// demand). The directory is read once per process, so a bin launched
+/// from outside the repository root writes all of its artifacts — CSVs
+/// and checkpoints alike — to one place.
 ///
 /// # Panics
 ///
 /// Panics if the directory cannot be created — experiments cannot proceed
 /// without their output sink.
 pub fn results_path(file: &str) -> PathBuf {
-    let dir = results_dir();
+    let dir = &RunEnv::get().results_dir;
     std::fs::create_dir_all(dir).expect("cannot create results directory");
     dir.join(file)
+}
+
+thread_local! {
+    /// The trace block of the sweep unit running on this thread, while
+    /// `LE_TRACE` is on.
+    static UNIT_TRACE: RefCell<Option<String>> = const { RefCell::new(None) };
+}
+
+/// The sink [`unit_trace`] gives: it keeps the `LE_TRACE` classes of one
+/// run and appends their JSONL to the unit's block when the run finishes.
+struct UnitTrace {
+    mask: u8,
+    jsonl: String,
+}
+
+impl TraceSink for UnitTrace {
+    fn event(&mut self, ev: &TraceEvent) {
+        if self.mask & ev.class().bit() != 0 {
+            ev.write_jsonl(&mut self.jsonl);
+        }
+    }
+
+    fn flush(&mut self) {
+        let jsonl = std::mem::take(&mut self.jsonl);
+        UNIT_TRACE.with_borrow_mut(|block| {
+            if let Some(block) = block {
+                block.push_str(&jsonl);
+            }
+        });
+    }
+}
+
+/// A trace sink for one run inside a sweep unit, when `LE_TRACE` is on:
+/// it keeps the selected classes and, when the run finishes, appends them
+/// to the unit's block of `<exp>.trace.jsonl`, which the runner merges in
+/// submission order. `None` outside a unit or with tracing off.
+pub fn unit_trace() -> Option<Box<dyn TraceSink>> {
+    let spec = RunEnv::get().trace?;
+    let in_unit = UNIT_TRACE.with_borrow(Option::is_some);
+    in_unit.then(|| {
+        Box::new(UnitTrace {
+            mask: spec.mask,
+            jsonl: String::new(),
+        }) as Box<dyn TraceSink>
+    })
+}
+
+/// A synchronous builder for `n` nodes under this run's knobs: the
+/// `LE_BACKEND` store and, in a traced sweep unit, the [`unit_trace`]
+/// sink. Builder calls after it override either.
+pub fn sync_sim(n: usize) -> SyncSimBuilder {
+    let builder = SyncSimBuilder::new(n).backend(RunEnv::get().backend);
+    match unit_trace() {
+        Some(sink) => builder.trace(sink),
+        None => builder,
+    }
+}
+
+/// An asynchronous builder for `n` nodes under this run's knobs: the
+/// `LE_BACKEND` store, the [`RunEnv::network`] and, in a traced sweep
+/// unit, the [`unit_trace`] sink. Builder calls after it override each.
+pub fn async_sim(n: usize) -> AsyncSimBuilder {
+    let env = RunEnv::get();
+    let builder = AsyncSimBuilder::new(n)
+        .backend(env.backend)
+        .network(env.network.clone());
+    match unit_trace() {
+        Some(sink) => builder.trace(sink),
+        None => builder,
+    }
 }
 
 /// The seed list for `count` repetitions.
@@ -246,7 +483,7 @@ impl Workspace {
     ) -> Vec<T> {
         let label = label.as_ref();
         let stream = cell_stream(label);
-        let profiling = prof::enabled();
+        let profiling = RunEnv::get().prof;
         let t0 = Instant::now();
         let arenas = &mut self.arenas;
         let profiles = &mut self.profiles;
@@ -270,7 +507,7 @@ impl Workspace {
     /// Runs a single-trial cell (for deterministic experiments with no
     /// seed dimension), timing it like [`Workspace::cell`].
     pub fn cell_once<T>(&mut self, label: impl AsRef<str>, f: impl FnOnce(&mut Arenas) -> T) -> T {
-        let profiling = prof::enabled();
+        let profiling = RunEnv::get().prof;
         let t0 = Instant::now();
         if profiling {
             prof::begin_trial();
@@ -325,7 +562,7 @@ impl Workspace {
     pub fn emit<S: AsRef<str>>(&mut self, row: &[S]) {
         let mut full: Vec<String> = row.iter().map(|c| c.as_ref().to_string()).collect();
         full.push(std::mem::take(&mut self.peak_resident_bytes).to_string());
-        if prof::enabled() {
+        if RunEnv::get().prof {
             let runs: Vec<f64> = self.profiles.iter().map(|p| p.phase(Phase::Run)).collect();
             let mut totals = TrialProfile::default();
             for p in &self.profiles {
@@ -357,8 +594,8 @@ struct UnitOutput {
     timings: Vec<CellTiming>,
     cells: u64,
     trials: u64,
-    /// The unit's buffered `LE_TRACE` JSONL block (empty when tracing is
-    /// off), appended to `results/{exp}.trace.jsonl` in submission order.
+    /// The unit's `LE_TRACE` JSONL block (empty when tracing is off),
+    /// appended to `results/{exp}.trace.jsonl` in submission order.
     trace: String,
 }
 
@@ -487,32 +724,6 @@ pub struct Task<R> {
 
 const CKPT_VERSION: &str = "le-sweep-ckpt v3";
 
-/// The knobs whose values change a sweep's rows or its trace. A checkpoint
-/// records their raw values, and only a run under the same values resumes
-/// it: otherwise restored rows would precede rows from another store,
-/// topology or network, or the merged trace would lack the restored units'
-/// blocks. `LE_THREADS` is left out because the bytes do not depend on it,
-/// `LE_ABORT_AFTER_UNITS` because the resuming run drops it, and
-/// `LE_RESULTS_DIR` because it locates the checkpoint. The sweep mode and
-/// the column list cover `LE_QUICK`, `LE_PROF` and `LE_TIMING`.
-const ROW_KNOBS: [&str; 7] = [
-    "LE_BACKEND",
-    "LE_TOPOLOGY",
-    "LE_TRACE",
-    "LE_LOSS",
-    "LE_LINK_RATE",
-    "LE_QUEUE_CAP",
-    "LE_CRASH",
-];
-
-/// [`ROW_KNOBS`] with the raw value `value` reads for each, on one line
-/// (`Debug` escapes the values, and keeps unset apart from empty).
-fn knob_record(value: impl Fn(&str) -> Option<std::ffi::OsString>) -> String {
-    ROW_KNOBS
-        .map(|knob| format!("{knob}={:?}", value(knob)))
-        .join(" ")
-}
-
 struct Checkpoint {
     mode: String,
     knobs: String,
@@ -571,13 +782,16 @@ fn sweep_mode() -> &'static str {
 /// submission order**, each followed by a flush and a checkpoint update,
 /// so the CSV is byte-identical at every thread count and a sweep killed
 /// mid-flight resumes from its last durable unit (`results/{exp}.ckpt`)
-/// with byte-identical final output. [`SweepRunner::wait`] redeems a
-/// task's return value on the submitting thread — `None` when the unit
-/// was restored from a checkpoint instead of executed.
+/// with byte-identical final output. One exception: on the sparse store
+/// the `peak_resident_bytes` column and the trace's `backend` counters
+/// depend on which units shared a worker, since a worker's recycled
+/// sparse map keeps its capacity and lifetime counters across units.
+/// [`SweepRunner::wait`] redeems a task's return value on the submitting
+/// thread — `None` when the unit was restored from a checkpoint instead
+/// of executed.
 ///
 /// ```no_run
-/// use clique_sync::SyncSimBuilder;
-/// use le_bench::SweepRunner;
+/// use le_bench::{sync_sim, SweepRunner};
 /// # use clique_model::Decision;
 /// # use clique_sync::{Context, Received, SyncNode};
 /// # struct Quiet { decision: Decision }
@@ -593,7 +807,7 @@ fn sweep_mode() -> &'static str {
 /// for n in [64usize, 256] {
 ///     tasks.push(runner.task(format!("n={n}"), move |ws| {
 ///         let msgs = ws.cell(format!("n={n}"), &[0, 1, 2], |seed, arenas| {
-///             SyncSimBuilder::new(n)
+///             sync_sim(n)
 ///                 .seed(seed)
 ///                 .build_in(&mut arenas.sync, |_, _| Quiet { decision: Decision::Undecided })
 ///                 .expect("valid configuration")
@@ -615,13 +829,13 @@ fn sweep_mode() -> &'static str {
 pub struct SweepRunner {
     exp: String,
     columns_joined: String,
-    /// This process's [`knob_record`], which its checkpoints carry.
+    /// This process's [`RunEnv::row_knobs`], which its checkpoints carry.
     knobs: String,
     csv: Option<CsvWriter>,
     csv_path: PathBuf,
     ckpt_path: PathBuf,
     /// The merged `LE_TRACE` sink (`results/{exp}.trace.jsonl`), open only
-    /// while tracing is latched on; blocks land in submission order.
+    /// while tracing is on; blocks land in submission order.
     trace_file: Option<std::fs::File>,
     trace_path: PathBuf,
     trace_bytes: u64,
@@ -658,7 +872,7 @@ impl std::fmt::Debug for SweepRunner {
 impl SweepRunner {
     /// Opens the sweep for experiment `exp` with the given header plus an
     /// implicit trailing `peak_resident_bytes` column, running its tasks
-    /// across [`threads()`] worker threads.
+    /// across [`RunEnv::threads`] worker threads.
     ///
     /// The CSV sink is `results/{exp}.csv` (under `LE_RESULTS_DIR` if
     /// set). If a checkpoint sidecar `results/{exp}.ckpt` from an
@@ -671,7 +885,7 @@ impl SweepRunner {
     /// Panics if the results directory is not writable — experiments
     /// cannot proceed without their output sink.
     pub fn new(exp: &str, columns: &[&str]) -> SweepRunner {
-        SweepRunner::with_threads(exp, columns, threads())
+        SweepRunner::with_threads(exp, columns, RunEnv::get().threads)
     }
 
     /// [`SweepRunner::new`] with an explicit worker-thread count instead
@@ -683,7 +897,7 @@ impl SweepRunner {
         let trace_path = results_path(&format!("{exp}.trace.jsonl"));
         let mut columns = columns.to_vec();
         columns.push("peak_resident_bytes");
-        if prof::enabled() {
+        if RunEnv::get().prof {
             columns.extend_from_slice(&[
                 "prof_build_s",
                 "prof_run_p50_s",
@@ -696,7 +910,7 @@ impl SweepRunner {
         let mut runner = SweepRunner {
             exp: exp.to_string(),
             columns_joined,
-            knobs: knob_record(|knob| std::env::var_os(knob)),
+            knobs: RunEnv::get().row_knobs(),
             csv: None,
             csv_path,
             ckpt_path,
@@ -724,7 +938,7 @@ impl SweepRunner {
             // A stale checkpoint (e.g. from an incompatible sweep shape)
             // must not shadow the fresh run we are about to record.
             let _ = std::fs::remove_file(&runner.ckpt_path);
-            if trace::env_spec().is_some() {
+            if RunEnv::get().trace.is_some() {
                 let tf = std::fs::File::create(&runner.trace_path).expect("results is writable");
                 runner.trace_file = Some(tf);
             }
@@ -762,7 +976,7 @@ impl SweepRunner {
             return false;
         }
         drop(file);
-        if trace::env_spec().is_some() {
+        if RunEnv::get().trace.is_some() {
             // The trace file resumes the same way the CSV does: keep the
             // durable prefix, drop any partial tail, append from there.
             let Ok(tf) = std::fs::OpenOptions::new()
@@ -819,20 +1033,11 @@ impl SweepRunner {
             self.labels.insert(unit, label.into());
             let job: Box<dyn FnOnce(&mut Workspace) -> UnitOutput + Send> = Box::new(move |ws| {
                 ws.begin_unit();
-                // Route this unit's env-latched trace output into a
-                // per-unit buffer so the runner can merge blocks in
-                // submission order (trace files byte-identical at every
-                // thread count, like the CSV).
-                let tracing = trace::env_spec().is_some();
-                if tracing {
-                    trace::install_collector();
-                }
+                // Collect this unit's traced runs in a block of its own
+                // so the runner can merge blocks in submission order.
+                UNIT_TRACE.set(RunEnv::get().trace.map(|_| String::new()));
                 let value = f(ws);
-                let trace = if tracing {
-                    trace::take_collected().unwrap_or_default()
-                } else {
-                    String::new()
-                };
+                let trace = UNIT_TRACE.take().unwrap_or_default();
                 UnitOutput {
                     rows: std::mem::take(&mut ws.rows),
                     value: Some(Box::new(value)),
@@ -868,7 +1073,7 @@ impl SweepRunner {
         if unit >= self.restored {
             let mut full: Vec<String> = row.iter().map(|c| c.as_ref().to_string()).collect();
             full.push("0".to_string());
-            if prof::enabled() {
+            if RunEnv::get().prof {
                 // Literal rows do no trial work; keep the profiler
                 // columns aligned with zeros.
                 for _ in 0..4 {
@@ -1003,13 +1208,7 @@ impl SweepRunner {
     /// `LE_ABORT_AFTER_UNITS=k` kills the process (skipping destructors,
     /// like a real interruption) once `k` units are durable in this run.
     fn maybe_abort_for_test(&self) {
-        static ABORT_AFTER: OnceLock<Option<u64>> = OnceLock::new();
-        let abort_after = *ABORT_AFTER.get_or_init(|| {
-            std::env::var("LE_ABORT_AFTER_UNITS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-        });
-        if let Some(k) = abort_after {
+        if let Some(k) = RunEnv::get().abort_after_units {
             if self.merged >= self.restored.max(k) && self.merged > self.restored {
                 eprintln!(
                     "{}: LE_ABORT_AFTER_UNITS={k} — simulating a crash after {} durable units",
@@ -1083,8 +1282,8 @@ mod tests {
 
     #[test]
     fn sweep_picks_by_mode() {
-        // quick() is latched per process, so the pick is stable: both
-        // calls must agree with the latched mode and with each other.
+        // quick() is read once per process, so the pick is stable: both
+        // calls must agree with the process's mode and with each other.
         let expect_quick = quick();
         let s = sweep(&[1, 2, 3], &[1]);
         assert_eq!(s, if expect_quick { vec![1] } else { vec![1, 2, 3] });
@@ -1092,7 +1291,7 @@ mod tests {
             sweep(&[4, 5], &[6]),
             if expect_quick { vec![6] } else { vec![4, 5] }
         );
-        assert_eq!(quick(), expect_quick, "latched flag never flips");
+        assert_eq!(quick(), expect_quick, "the flag never flips");
         assert_eq!(seeds(3), vec![0, 1, 2]);
         assert_eq!(ratio(3.0, 4.0), "0.75×");
     }
@@ -1115,11 +1314,168 @@ mod tests {
         assert_eq!(parse_threads(Some("1000000".into())), 1024);
     }
 
+    /// [`RunEnv::parse`] over the given `(knob, value)` pairs alone.
+    fn parse_knobs(knobs: &[(&str, &str)]) -> Result<RunEnv, KnobError> {
+        RunEnv::parse(|knob| {
+            knobs
+                .iter()
+                .find(|(k, _)| *k == knob)
+                .map(|(_, v)| OsString::from(v))
+        })
+    }
+
+    fn knob_error(knob: &str, value: &str) -> String {
+        parse_knobs(&[(knob, value)]).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn unset_knobs_give_the_library_defaults() {
+        let env = parse_knobs(&[]).unwrap();
+        assert!(!env.quick && !env.timing && !env.prof);
+        assert_eq!(env.threads, 1);
+        assert_eq!(env.results_dir, PathBuf::from("results"));
+        assert_eq!(env.abort_after_units, None);
+        assert_eq!(env.backend, PortBackend::Auto);
+        assert_eq!(env.trace, None);
+        assert_eq!(env.network, NetworkConfig::default());
+        // Empty values mean unset for the store, the trace and the flags.
+        let empty = ["LE_QUICK", "LE_TIMING", "LE_PROF", "LE_BACKEND", "LE_TRACE"];
+        assert_eq!(parse_knobs(&empty.map(|knob| (knob, ""))).unwrap(), env);
+        assert_eq!(parse_knobs(&[("LE_TRACE", "0")]).unwrap(), env);
+    }
+
+    #[test]
+    fn every_knob_parses_into_its_field() {
+        let env = parse_knobs(&[
+            ("LE_QUICK", "1"),
+            ("LE_TIMING", "1"),
+            ("LE_THREADS", "3"),
+            ("LE_RESULTS_DIR", "/tmp/out"),
+            ("LE_ABORT_AFTER_UNITS", "2"),
+            ("LE_BACKEND", "sparse"),
+            ("LE_TRACE", "send,fault"),
+            ("LE_LOSS", "0.1"),
+            ("LE_LINK_RATE", "16"),
+            ("LE_QUEUE_CAP", "8"),
+            ("LE_CRASH", "0.05"),
+        ])
+        .unwrap();
+        assert!(
+            env.quick && env.timing && env.prof,
+            "LE_TIMING implies LE_PROF"
+        );
+        assert_eq!(env.threads, 3);
+        assert_eq!(env.results_dir, PathBuf::from("/tmp/out"));
+        assert_eq!(env.abort_after_units, Some(2));
+        assert_eq!(env.backend, PortBackend::Sparse);
+        assert_eq!(env.trace, TraceSpec::parse("send,fault").ok());
+        let network = NetworkConfig::new()
+            .reliable(Reliability::default())
+            .loss(0.1)
+            .link_rate(16.0)
+            .queue_cap(8)
+            .faults(FaultPlan::new().random_crashes(0.05, 2.0));
+        assert_eq!(env.network, network);
+        // `inf` and a zero crash fraction leave their feature off, but any
+        // set network knob turns on the reliability protocol.
+        let env = parse_knobs(&[("LE_LINK_RATE", "inf"), ("LE_CRASH", "0")]).unwrap();
+        assert_eq!(
+            env.network,
+            NetworkConfig::new().reliable(Reliability::default())
+        );
+        assert!(parse_knobs(&[("LE_PROF", "1")]).unwrap().prof);
+    }
+
+    #[test]
+    fn store_and_trace_knobs_reject_typos() {
+        assert_eq!(
+            knob_error("LE_BACKEND", "chunked"),
+            "LE_BACKEND must be dense|sparse|auto, got \"chunked\""
+        );
+        assert_eq!(
+            knob_error("LE_TRACE", "send,sends"),
+            "LE_TRACE: unknown event class \"sends\" (expected `all` or a comma-list of \
+             round,send,deliver,wake,decide,fault,backend,topo)"
+        );
+    }
+
+    #[test]
+    fn env_parsers_accept_the_documented_grammar() {
+        let (loss, crash) = (
+            "LE_LOSS must be a probability",
+            "LE_CRASH must be a crash fraction",
+        );
+        assert_eq!(parse_fraction("0.05", loss), Ok(0.05));
+        assert_eq!(parse_fraction(" 0 ", loss), Ok(0.0));
+        assert_eq!(parse_rate("32"), Ok(32.0));
+        assert_eq!(parse_rate("inf"), Ok(f64::INFINITY));
+        assert_eq!(parse_rate("0.5"), Ok(0.5));
+        assert_eq!(parse_queue_cap("8"), Ok(8));
+        assert_eq!(parse_queue_cap("INF"), Ok(usize::MAX));
+        assert_eq!(parse_fraction("0.25", crash), Ok(0.25));
+    }
+
+    #[test]
+    fn loss_knob_rejects_typos() {
+        assert_eq!(
+            knob_error("LE_LOSS", "5%"),
+            "LE_LOSS must be a probability in [0, 1), got \"5%\""
+        );
+    }
+
+    #[test]
+    fn loss_knob_rejects_out_of_range() {
+        assert_eq!(
+            knob_error("LE_LOSS", "1.0"),
+            "LE_LOSS must be a probability in [0, 1), got \"1.0\""
+        );
+    }
+
+    #[test]
+    fn rate_knob_rejects_zero() {
+        assert_eq!(
+            knob_error("LE_LINK_RATE", "0"),
+            "LE_LINK_RATE must be a positive messages-per-unit rate or \"inf\", got \"0\""
+        );
+    }
+
+    #[test]
+    fn rate_knob_rejects_typos() {
+        assert_eq!(
+            knob_error("LE_LINK_RATE", "fast"),
+            "LE_LINK_RATE must be a positive messages-per-unit rate or \"inf\", got \"fast\""
+        );
+    }
+
+    #[test]
+    fn queue_knob_rejects_zero() {
+        assert_eq!(
+            knob_error("LE_QUEUE_CAP", "0"),
+            "LE_QUEUE_CAP must be a positive message count or \"inf\", got \"0\""
+        );
+    }
+
+    #[test]
+    fn queue_knob_rejects_typos() {
+        assert_eq!(
+            knob_error("LE_QUEUE_CAP", "-3"),
+            "LE_QUEUE_CAP must be a positive message count or \"inf\", got \"-3\""
+        );
+    }
+
+    #[test]
+    fn crash_knob_rejects_out_of_range() {
+        assert_eq!(
+            knob_error("LE_CRASH", "1.5"),
+            "LE_CRASH must be a crash fraction in [0, 1), got \"1.5\""
+        );
+    }
+
     #[test]
     fn results_path_creates_directory_and_is_stable() {
         let p = results_path("probe.csv");
         assert!(p.parent().unwrap().exists());
-        // The base directory is latched once per process.
+        // The base directory is read once per process.
         assert_eq!(p, results_path("probe.csv"));
     }
 
@@ -1268,15 +1624,23 @@ mod tests {
         run_probe_sweep(exp, 1);
         let fresh = csv_text(exp);
         let header = fresh.lines().next().unwrap();
-        let here = knob_record(|knob| std::env::var_os(knob));
-        let lossy = knob_record(|knob| match knob {
-            "LE_LOSS" => Some("0.1".into()),
-            _ => std::env::var_os(knob),
-        });
+        let env = RunEnv::get();
+        let here = env.row_knobs();
+        // A network unlike this process's, whatever knobs it runs under.
+        let network = if env.network.is_active() {
+            NetworkConfig::default()
+        } else {
+            NetworkConfig::new().loss(0.1)
+        };
+        let other = RunEnv {
+            network,
+            ..env.clone()
+        }
+        .row_knobs();
         // Each checkpoint is complete, and differs from this process only
-        // in its columns or in one knob; resuming it would keep the header
-        // alone and skip the first two units.
-        for (knobs, columns) in [(&here, "other"), (&lossy, header)] {
+        // in its columns or in its network; resuming it would keep the
+        // header alone and skip the first two units.
+        for (knobs, columns) in [(&here, "other"), (&other, header)] {
             std::fs::write(
                 results_path(&format!("{exp}.ckpt")),
                 format!(

@@ -23,14 +23,13 @@
 //! * [`rng`] — deterministic seed derivation and sampling helpers,
 //! * [`decision`] — the tri-state leader/non-leader output of a node,
 //! * [`metrics`] — message accounting histograms,
-//! * [`trace`] — structured execution tracing (typed events, sinks, the
-//!   latched `LE_TRACE` knob) shared by both engines,
+//! * [`trace`] — structured execution tracing (typed events, class
+//!   specs and sinks) shared by both engines,
 //! * [`topology`] — general communication graphs (clique, ring, torus,
-//!   random-regular, explicit edge lists; the latched `LE_TOPOLOGY`
-//!   knob) whose per-node port spaces the engines and port backends
-//!   draw from,
-//! * [`prof`] — the `LE_PROF`/`LE_TIMING` phase profiler (span timers
-//!   folded into per-cell timing columns by the sweep runner),
+//!   random-regular, explicit edge lists) whose per-node port spaces the
+//!   engines and port backends draw from,
+//! * [`prof`] — the phase profiler (span timers that record inside an
+//!   open trial, folded into per-cell timing columns by the sweep runner),
 //! * [`sim`] — the engine core: the settings, build steps, arena slot,
 //!   port resolution, decision tracking and trace summary that both
 //!   engines run on, written once,
@@ -86,7 +85,7 @@ pub use ports::{
     CirculantResolver, Endpoint, Port, PortBackend, PortMap, PortResolver, RandomResolver,
     RoundRobinResolver,
 };
-pub use topology::{Topology, TopologyKind, TopologySpec};
+pub use topology::{Topology, TopologyKind};
 
 /// Index of a node inside the simulated network, in `0..n`.
 ///

@@ -56,10 +56,9 @@
 //!   which reopens `n = 65536+` for the paper's sublinear-message regime;
 //!   operations stay O(1) expected.
 //!
-//! Selection: [`PortMap::new`] honours the `LE_BACKEND` environment
-//! variable (`dense`, `sparse`, or `auto`; unset means `auto`), and
-//! [`PortMap::with_backend`] / the engine builders' `.backend(…)` pin a
-//! choice programmatically. `auto` picks dense while the budget's cost
+//! Selection: [`PortMap::new`] takes `auto`, and [`PortMap::with_backend`]
+//! / the engine builders' `.backend(…)` pin a choice (`dense`, `sparse`
+//! or `auto`). `auto` picks dense while the budget's cost
 //! model ([`PortBackend::dense_table_bytes`], 28 bytes per ordered pair)
 //! fits 8 GiB, i.e. up to `n = 16384`, and sparse beyond.
 //!
@@ -302,7 +301,7 @@ pub enum PortBackend {
     Sparse,
     /// Resolve per size: dense while [`PortBackend::dense_table_bytes`]
     /// fits [`PortBackend::AUTO_DENSE_CAP_BYTES`] (up to `n = 16384`),
-    /// sparse beyond. The default, and what unset `LE_BACKEND` means.
+    /// sparse beyond. The default.
     #[default]
     Auto,
 }
@@ -332,29 +331,6 @@ impl PortBackend {
     /// Pin `PortBackend::Sparse` explicitly to run a sublinear workload
     /// sparse at a small `n`.
     pub const AUTO_DENSE_CAP_BYTES: u64 = 8 * 1024 * 1024 * 1024;
-
-    /// Reads the backend selection from the `LE_BACKEND` environment
-    /// variable: `dense`, `sparse`, or `auto`; unset (or empty) means
-    /// [`PortBackend::Auto`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value — a typo silently falling back to a
-    /// different backend would invalidate recorded numbers.
-    pub fn from_env() -> PortBackend {
-        match std::env::var("LE_BACKEND") {
-            Err(std::env::VarError::NotPresent) => PortBackend::Auto,
-            Err(std::env::VarError::NotUnicode(v)) => {
-                panic!("LE_BACKEND must be dense|sparse|auto, got non-unicode {v:?}")
-            }
-            Ok(v) => match v.as_str() {
-                "dense" => PortBackend::Dense,
-                "sparse" => PortBackend::Sparse,
-                "auto" | "" => PortBackend::Auto,
-                other => panic!("LE_BACKEND must be dense|sparse|auto, got {other:?}"),
-            },
-        }
-    }
 
     /// Resolves `Auto` against the network size: dense within the budget,
     /// sparse past it. Concrete backends return themselves, so the result
@@ -709,14 +685,13 @@ pub struct PortMap {
 
 impl PortMap {
     /// Creates an empty partial mapping for an `n`-node clique on the
-    /// backend selected by `LE_BACKEND` (unset means `auto` — see
-    /// [`PortBackend::from_env`] and [`PortBackend::resolve`]).
+    /// `auto` backend (see [`PortBackend::resolve`]).
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::NetworkTooSmall`] if `n < 2`.
     pub fn new(n: usize) -> Result<Self, ModelError> {
-        PortMap::with_backend(n, PortBackend::from_env())
+        PortMap::with_backend(n, PortBackend::Auto)
     }
 
     /// Creates an empty partial mapping on an explicit backend (`Auto`

@@ -1,19 +1,19 @@
 //! The phase profiler: monotonic span timers for engine phases.
 //!
-//! `LE_PROF=1` (or `LE_TIMING=1`, which implies it) latches profiling on
-//! for the process. Both engine builders and run loops bracket their
-//! phases with [`span`]; the spans accumulate into a per-thread,
-//! per-trial [`TrialProfile`] that `le_bench::Workspace::cell` drains
-//! around every trial and folds into per-cell `p50`/`p99` timing columns
-//! of the experiment CSVs (merged deterministically in submission order
-//! by the sweep runner).
+//! Both engine builders and run loops bracket their phases with [`span`].
+//! A span records only while a trial is open on its thread, from
+//! [`begin_trial`] to [`take_trial`]: it adds its elapsed time to that
+//! trial's [`TrialProfile`]. `le_bench::Workspace::cell` opens a trial
+//! around each one it runs when the sweep is profiled, and folds the
+//! profiles into per-cell `p50`/`p99` timing columns of the experiment
+//! CSVs (merged deterministically in submission order by the sweep
+//! runner).
 //!
-//! When profiling is off, [`span`] takes no clock reading at all — the
+//! Outside an open trial, [`span`] takes no clock reading at all — the
 //! guard holds `None` and its `Drop` is a single branch — so the
 //! fingerprinted hot paths are untouched.
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// The engine phases the profiler distinguishes.
@@ -73,24 +73,14 @@ impl TrialProfile {
     }
 }
 
-/// Whether the profiler is latched on for this process
-/// (`LE_PROF=1` or `LE_TIMING=1`).
-pub fn enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        let set = |var: &str| std::env::var(var).is_ok_and(|v| !v.is_empty() && v != "0");
-        set("LE_PROF") || set("LE_TIMING")
-    })
-}
-
 thread_local! {
-    static CURRENT: RefCell<TrialProfile> = const {
-        RefCell::new(TrialProfile { secs: [0.0; PHASES] })
-    };
+    /// The trial open on this thread, if any.
+    static CURRENT: RefCell<Option<TrialProfile>> = const { RefCell::new(None) };
 }
 
-/// A live span: accumulates its elapsed time into the current trial's
-/// profile when dropped. Inert (no clock reading) when profiling is off.
+/// A live span: accumulates its elapsed time into the open trial's
+/// profile when dropped. Inert (no clock reading) when no trial was open
+/// at [`span`].
 #[derive(Debug)]
 pub struct Span {
     phase: Phase,
@@ -101,7 +91,11 @@ impl Drop for Span {
     fn drop(&mut self) {
         if let Some(start) = self.start {
             let secs = start.elapsed().as_secs_f64();
-            CURRENT.with(|c| c.borrow_mut().secs[self.phase.index()] += secs);
+            CURRENT.with_borrow_mut(|trial| {
+                if let Some(trial) = trial {
+                    trial.secs[self.phase.index()] += secs;
+                }
+            });
         }
     }
 }
@@ -111,19 +105,19 @@ impl Drop for Span {
 pub fn span(phase: Phase) -> Span {
     Span {
         phase,
-        start: enabled().then(Instant::now),
+        start: CURRENT.with_borrow(Option::is_some).then(Instant::now),
     }
 }
 
-/// Clears this thread's trial accumulator (call before a trial).
+/// Opens a trial on this thread, from zero (call before a trial).
 pub fn begin_trial() {
-    CURRENT.with(|c| *c.borrow_mut() = TrialProfile::default());
+    CURRENT.set(Some(TrialProfile::default()));
 }
 
-/// Takes this thread's trial accumulator (call after a trial), leaving
-/// it cleared.
+/// Closes this thread's trial and returns its profile (call after a
+/// trial); all zero when no trial was open.
 pub fn take_trial() -> TrialProfile {
-    CURRENT.with(|c| std::mem::take(&mut *c.borrow_mut()))
+    CURRENT.take().unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -154,19 +148,21 @@ mod tests {
     }
 
     #[test]
-    fn spans_are_inert_or_accumulate_per_latch() {
-        // The latch is process-wide; exercise whichever branch it took.
+    fn spans_record_only_inside_an_open_trial() {
+        // A span outside an open trial reads no clock and records nothing.
+        drop(span(Phase::Run));
+        assert_eq!(take_trial(), TrialProfile::default());
+        // Inside one, it records its phase and only its phase.
         begin_trial();
-        {
-            let _s = span(Phase::Run);
-        }
+        let s = span(Phase::Run);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        drop(s);
         let trial = take_trial();
-        if enabled() {
-            assert!(trial.phase(Phase::Run) >= 0.0);
-        } else {
-            assert_eq!(trial, TrialProfile::default());
-        }
-        // A fresh trial starts from zero either way.
+        assert!(trial.phase(Phase::Run) > 0.0, "{trial:?}");
+        assert_eq!(trial.phase(Phase::Build), 0.0);
+        assert_eq!(trial.phase(Phase::Reset), 0.0);
+        // Taking the profile closes the trial.
+        drop(span(Phase::Run));
         assert_eq!(take_trial(), TrialProfile::default());
     }
 }

@@ -75,10 +75,9 @@ pub struct Settings {
     /// draws from a stream independent of all node coins, so it is also
     /// the *oblivious* mapping of the asynchronous model (Section 5).
     pub resolver: Option<Box<dyn PortResolver>>,
-    /// The port-map storage backend (default: the `LE_BACKEND`
-    /// environment selection, which is `auto` when unset — dense tables
-    /// while they fit the budget, sparse touched-state tables beyond; see
-    /// [`PortBackend`]).
+    /// The port-map storage backend (default: [`PortBackend::Auto`] —
+    /// dense tables while they fit the budget, sparse touched-state tables
+    /// beyond).
     ///
     /// RNG-free resolvers resolve identically on every backend; under the
     /// default uniform rule the backends draw different, identically
@@ -86,18 +85,17 @@ pub struct Settings {
     /// per-link state by the map's link ids on every backend, so a
     /// sparse-backend trial holds no `Θ(n²)` state at all.
     pub backend: Option<PortBackend>,
-    /// The communication graph (default: the `LE_TOPOLOGY` environment
-    /// selection, which is the clique when unset). Its node count must
-    /// equal `n`.
+    /// The communication graph (default: the clique, the paper's model).
+    /// Its node count must equal `n`.
     ///
     /// On the clique the port map keeps its dense or sparse tables; on
     /// any other topology ports are degree-indexed (`0..deg(v)` per node)
     /// and served by the graph store.
     pub topology: Option<Topology>,
-    /// An explicit sink streaming every trace event class, overriding the
-    /// `LE_TRACE` environment selection. The tracer observes without
-    /// influencing: it draws no randomness and touches no schedule, so
-    /// the execution is bit-identical to an untraced one.
+    /// A sink streaming every trace event class (default: no trace). The
+    /// tracer observes without influencing: it draws no randomness and
+    /// touches no schedule, so the execution is bit-identical to an
+    /// untraced one.
     pub trace: Option<Box<dyn TraceSink>>,
 }
 
@@ -160,13 +158,16 @@ impl Settings {
             let node = NodeIndex(ids.len());
             return Err(ModelError::NodeOutOfRange { node, n });
         }
-        let topo = self.topology.unwrap_or_else(|| Topology::from_env(n));
+        let topo = match self.topology {
+            Some(topo) => topo,
+            None => Topology::clique(n)?,
+        };
         if topo.n() != n {
             return Err(ModelError::InvalidTopology {
                 reason: "topology node count does not match the builder's n",
             });
         }
-        let backend = self.backend.unwrap_or_else(PortBackend::from_env);
+        let backend = self.backend.unwrap_or(PortBackend::Auto);
         let ports = arena.take_ports(&topo, backend.resolve_for(n, topo.m()))?;
         Ok(Core {
             n,
@@ -180,7 +181,7 @@ impl Settings {
             resolver_rng: stream(self.seed, STREAM_RESOLVER),
             tracer: match self.trace {
                 Some(sink) => Tracer::with_sink(sink, ALL_CLASSES),
-                None => Tracer::from_env(),
+                None => Tracer::off(),
             },
             stats: MessageStats::new(n),
             awake: vec![false; n],
@@ -336,8 +337,7 @@ impl<N> Core<N> {
 
     /// Emits the end-of-run trace records — the topology summary, the
     /// backend counter snapshot, and the halt record at `at` for `reason`
-    /// — and finishes the tracer (flushing a boxed sink or submitting the
-    /// buffered env-trace block to the collector).
+    /// — and finishes the tracer, flushing its sink.
     pub fn finish_trace(&mut self, at: At, reason: &'static str) {
         if self.tracer.enabled() {
             let (generator, n, m, maxdeg) = self.ports.topology_summary();

@@ -33,18 +33,14 @@
 //!
 //! # Selection
 //!
-//! Like `LE_BACKEND`, the `LE_TOPOLOGY` environment knob
-//! ([`TopologySpec::from_env`], latched once per process, panicking on
-//! typos) selects a topology family for the engines: `clique` (the
-//! default), `ring`, `torus` (square, `n` must be a perfect square), or
-//! `regular:<d>[:<seed>]`. Engine builders accept an explicit
-//! `.topology(…)` that overrides the knob, mirroring `.backend(…)`.
+//! The engines run on the clique unless a builder is given an explicit
+//! `.topology(…)`, mirroring `.backend(…)`.
 //!
 //! Shared graph utilities used across crates live here too: a
 //! union-find ([`Dsu`]) and the timed directed arc ([`TimedArc`]) that
 //! `le_bounds`' communication graph records.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use crate::error::ModelError;
 use crate::rng::{derive_seed, rng_from_seed, splitmix64};
@@ -77,8 +73,8 @@ pub enum TopologyKind {
 }
 
 impl TopologyKind {
-    /// The generator's lowercase tag — the `LE_TOPOLOGY` family name and
-    /// the `topo` trace event's `gen` field.
+    /// The generator's lowercase tag — the `topo` trace event's `gen`
+    /// field.
     pub fn name(self) -> &'static str {
         match self {
             TopologyKind::Clique => "clique",
@@ -503,32 +499,6 @@ impl Topology {
     pub fn fingerprint(&self) -> u64 {
         self.inner.fingerprint
     }
-
-    /// The topology selected by the `LE_TOPOLOGY` environment knob (the
-    /// implicit clique when unset), instantiated at size `n`. The parsed
-    /// spec is latched once per process like `LE_BACKEND`, and built
-    /// topologies are memoized per `n`, so repeated engine builds share
-    /// one adjacency.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unparsable `LE_TOPOLOGY` value, or when the latched
-    /// family cannot be instantiated at `n` (e.g. `torus` at a
-    /// non-square size) — silently substituting a different graph would
-    /// invalidate recorded numbers.
-    pub fn from_env(n: usize) -> Topology {
-        static CACHE: Mutex<Vec<(usize, Topology)>> = Mutex::new(Vec::new());
-        let mut cache = CACHE.lock().unwrap();
-        if let Some((_, t)) = cache.iter().find(|(size, _)| *size == n) {
-            return t.clone();
-        }
-        let spec = TopologySpec::from_env();
-        let topo = spec
-            .build(n)
-            .unwrap_or_else(|e| panic!("LE_TOPOLOGY={} unusable at n = {n}: {e}", spec));
-        cache.push((n, topo.clone()));
-        topo
-    }
 }
 
 impl std::fmt::Display for Topology {
@@ -695,102 +665,6 @@ fn build_csr(kind: TopologyKind, n: usize, edges: Vec<(u32, u32)>, fingerprint: 
             fingerprint,
             diameter: OnceLock::new(),
         }),
-    }
-}
-
-/// A parsed `LE_TOPOLOGY` value: a topology *family*, instantiated at a
-/// concrete size via [`TopologySpec::build`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TopologySpec {
-    /// The complete graph (unset / `clique`) — the paper's model.
-    #[default]
-    Clique,
-    /// `ring`.
-    Ring,
-    /// `torus` — square, so `n` must be a perfect square of side ≥ 3.
-    Torus,
-    /// `regular:<d>[:<seed>]` (seed defaults to 0).
-    Regular {
-        /// The uniform degree.
-        d: u32,
-        /// The generator seed.
-        seed: u64,
-    },
-}
-
-impl TopologySpec {
-    /// Parses an `LE_TOPOLOGY` spelling.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the malformed value.
-    pub fn parse(value: &str) -> Result<TopologySpec, String> {
-        match value {
-            "" | "clique" => return Ok(TopologySpec::Clique),
-            "ring" => return Ok(TopologySpec::Ring),
-            "torus" => return Ok(TopologySpec::Torus),
-            _ => {}
-        }
-        if let Some(rest) = value.strip_prefix("regular:") {
-            let mut parts = rest.splitn(2, ':');
-            let d: u32 = parts
-                .next()
-                .unwrap_or("")
-                .parse()
-                .map_err(|_| format!("bad degree in {value:?}"))?;
-            let seed: u64 = match parts.next() {
-                None => 0,
-                Some(s) => s.parse().map_err(|_| format!("bad seed in {value:?}"))?,
-            };
-            return Ok(TopologySpec::Regular { d, seed });
-        }
-        Err(format!(
-            "LE_TOPOLOGY must be clique|ring|torus|regular:<d>[:<seed>], got {value:?}"
-        ))
-    }
-
-    /// Reads and latches the `LE_TOPOLOGY` environment knob (unset or
-    /// empty means [`TopologySpec::Clique`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value — a typo silently falling back to
-    /// the clique would invalidate recorded numbers.
-    pub fn from_env() -> TopologySpec {
-        static LATCHED: OnceLock<TopologySpec> = OnceLock::new();
-        *LATCHED.get_or_init(|| match std::env::var("LE_TOPOLOGY") {
-            Err(std::env::VarError::NotPresent) => TopologySpec::Clique,
-            Err(std::env::VarError::NotUnicode(v)) => {
-                panic!("LE_TOPOLOGY must be unicode, got {v:?}")
-            }
-            Ok(v) => TopologySpec::parse(&v).unwrap_or_else(|e| panic!("{e}")),
-        })
-    }
-
-    /// Instantiates the family at `n` nodes.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the underlying generator reports (size/squareness/parity
-    /// constraints).
-    pub fn build(self, n: usize) -> Result<Topology, ModelError> {
-        match self {
-            TopologySpec::Clique => Topology::clique(n),
-            TopologySpec::Ring => Topology::ring(n),
-            TopologySpec::Torus => Topology::torus_square(n),
-            TopologySpec::Regular { d, seed } => Topology::random_regular(n, d as usize, seed),
-        }
-    }
-}
-
-impl std::fmt::Display for TopologySpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TopologySpec::Clique => f.write_str("clique"),
-            TopologySpec::Ring => f.write_str("ring"),
-            TopologySpec::Torus => f.write_str("torus"),
-            TopologySpec::Regular { d, seed } => write!(f, "regular:{d}:{seed}"),
-        }
     }
 }
 
@@ -1017,34 +891,6 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), fps.len(), "fingerprint collision: {fps:?}");
-    }
-
-    #[test]
-    fn spec_parsing_round_trips() {
-        assert_eq!(TopologySpec::parse("").unwrap(), TopologySpec::Clique);
-        assert_eq!(TopologySpec::parse("clique").unwrap(), TopologySpec::Clique);
-        assert_eq!(TopologySpec::parse("ring").unwrap(), TopologySpec::Ring);
-        assert_eq!(TopologySpec::parse("torus").unwrap(), TopologySpec::Torus);
-        assert_eq!(
-            TopologySpec::parse("regular:8").unwrap(),
-            TopologySpec::Regular { d: 8, seed: 0 }
-        );
-        assert_eq!(
-            TopologySpec::parse("regular:6:99").unwrap(),
-            TopologySpec::Regular { d: 6, seed: 99 }
-        );
-        assert!(TopologySpec::parse("mesh").is_err());
-        assert!(TopologySpec::parse("regular:x").is_err());
-        assert!(TopologySpec::parse("regular:4:y").is_err());
-        // Family instantiation honors generator constraints.
-        assert!(TopologySpec::Torus.build(60).is_err());
-        assert_eq!(
-            TopologySpec::Regular { d: 8, seed: 0 }
-                .build(64)
-                .unwrap()
-                .max_degree(),
-            8
-        );
     }
 
     #[test]

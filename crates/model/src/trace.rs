@@ -18,19 +18,12 @@
 //!
 //! # Enabling
 //!
-//! * **Environment:** `LE_TRACE=<spec>` (latched once per process, like
-//!   every other `LE_*` knob). The spec is `all` (or `1`) or a
-//!   comma-separated subset of
-//!   `round,send,deliver,wake,decide,fault,backend`. Env-enabled tracers
-//!   buffer serialized JSONL in memory and route the finished block
-//!   through the per-thread collector ([`install_collector`] /
-//!   [`take_collected`]) that `le_bench::SweepRunner` installs around each
-//!   unit of work — which is what makes the merged
-//!   `results/<exp>.trace.jsonl` byte-identical at any `LE_THREADS`.
-//! * **Builder:** both engine builders accept an explicit boxed
-//!   [`TraceSink`] (see [`SharedSink`] and [`RingSink`]) that overrides
-//!   the environment; tests and the `exp_trace_audit` bin use this to
-//!   inspect events in process.
+//! Both engine builders accept an explicit boxed [`TraceSink`], which
+//! receives every event class; without one, nothing is traced. Tests and
+//! the `exp_trace_audit` bin pass a [`SharedSink`] to inspect events in
+//! process. A [`TraceSpec`] parses the `all` / comma-list spelling of a
+//! class selection; `le_bench` reads `LE_TRACE` with it and writes the
+//! selected classes of a sweep's runs to one merged JSONL file.
 //!
 //! # Wire format
 //!
@@ -39,9 +32,7 @@
 //! formatting, so serialization is deterministic given identical bits).
 //! `le_analysis::trace` is the matching parser/validator.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use crate::WakeCause;
 
@@ -101,7 +92,7 @@ impl TraceClass {
 /// Mask covering every event class.
 pub const ALL_CLASSES: u8 = 0xff;
 
-/// A parsed `LE_TRACE` specification: which event classes to record.
+/// A parsed trace specification: which event classes to record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSpec {
     /// Bitwise OR of [`TraceClass::bit`]s.
@@ -145,31 +136,6 @@ impl TraceSpec {
         }
         Ok(TraceSpec { mask })
     }
-}
-
-/// The latched `LE_TRACE` spec, read once per process.
-///
-/// Unset, empty, or `0` means tracing is off.
-///
-/// # Panics
-///
-/// Panics on a malformed spec — a silently ignored typo would "measure"
-/// nothing and look like a clean run.
-pub fn env_spec() -> Option<TraceSpec> {
-    static SPEC: OnceLock<Option<TraceSpec>> = OnceLock::new();
-    *SPEC.get_or_init(|| {
-        let raw = std::env::var("LE_TRACE").ok()?;
-        if raw.is_empty() || raw == "0" {
-            return None;
-        }
-        match TraceSpec::parse(&raw) {
-            Ok(spec) => Some(spec),
-            Err(tok) => panic!(
-                "LE_TRACE: unknown event class {tok:?} (expected `all` or a \
-                 comma-list of round,send,deliver,wake,decide,fault,backend,topo)"
-            ),
-        }
-    })
 }
 
 /// When in an execution an event happened: a synchronous round number or
@@ -474,51 +440,6 @@ pub trait TraceSink: Send {
     fn flush(&mut self) {}
 }
 
-/// A bounded in-memory recording sink: keeps the most recent `cap`
-/// events, counting (not silently swallowing) the overflow.
-#[derive(Debug)]
-pub struct RingSink {
-    cap: usize,
-    buf: VecDeque<TraceEvent>,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// A ring that retains at most `cap` events (`cap ≥ 1`).
-    pub fn new(cap: usize) -> RingSink {
-        RingSink {
-            cap: cap.max(1),
-            buf: VecDeque::new(),
-            dropped: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// How many events were evicted to stay within capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Consumes the ring, returning the retained events oldest first.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.buf.into()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn event(&mut self, ev: &TraceEvent) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(ev.clone());
-    }
-}
-
 /// A cloneable shared recording sink.
 ///
 /// Hand one clone to an engine builder and keep the other: after the run
@@ -548,44 +469,6 @@ impl TraceSink for SharedSink {
     }
 }
 
-/// A sink that serializes events as JSONL into any writer.
-pub struct JsonlSink<W: std::io::Write + Send> {
-    writer: W,
-    line: String,
-}
-
-impl<W: std::io::Write + Send> JsonlSink<W> {
-    /// Wraps `writer`; consider a `BufWriter` for files.
-    pub fn new(writer: W) -> JsonlSink<W> {
-        JsonlSink {
-            writer,
-            line: String::new(),
-        }
-    }
-}
-
-impl<W: std::io::Write + Send> TraceSink for JsonlSink<W> {
-    fn event(&mut self, ev: &TraceEvent) {
-        self.line.clear();
-        ev.write_jsonl(&mut self.line);
-        self.writer
-            .write_all(self.line.as_bytes())
-            .expect("trace write failed");
-    }
-
-    fn flush(&mut self) {
-        self.writer.flush().expect("trace flush failed");
-    }
-}
-
-enum Sink {
-    Off,
-    /// Env-enabled: buffer JSONL, route through the collector at finish.
-    Buffer(String),
-    /// Builder-supplied sink.
-    Boxed(Box<dyn TraceSink>),
-}
-
 /// The engine-side tracer: a spec mask plus a destination.
 ///
 /// The disabled path is a single `bool` load ([`Tracer::enabled`]); every
@@ -593,7 +476,7 @@ enum Sink {
 pub struct Tracer {
     active: bool,
     mask: u8,
-    sink: Sink,
+    sink: Option<Box<dyn TraceSink>>,
 }
 
 impl std::fmt::Debug for Tracer {
@@ -617,21 +500,7 @@ impl Tracer {
         Tracer {
             active: false,
             mask: 0,
-            sink: Sink::Off,
-        }
-    }
-
-    /// A tracer honoring the latched `LE_TRACE` spec (disabled when the
-    /// variable is unset). Env tracers buffer JSONL and submit the block
-    /// through the per-thread collector at [`Tracer::finish`].
-    pub fn from_env() -> Tracer {
-        match env_spec() {
-            Some(spec) => Tracer {
-                active: true,
-                mask: spec.mask,
-                sink: Sink::Buffer(String::new()),
-            },
-            None => Tracer::off(),
+            sink: None,
         }
     }
 
@@ -641,7 +510,7 @@ impl Tracer {
         Tracer {
             active: mask != 0,
             mask,
-            sink: Sink::Boxed(sink),
+            sink: Some(sink),
         }
     }
 
@@ -663,94 +532,20 @@ impl Tracer {
         if !self.on(ev.class()) {
             return;
         }
-        match &mut self.sink {
-            Sink::Off => {}
-            Sink::Buffer(buf) => ev.write_jsonl(buf),
-            Sink::Boxed(sink) => sink.event(&ev),
+        if let Some(sink) = &mut self.sink {
+            sink.event(&ev);
         }
     }
 
-    /// Finishes the trace: flushes a boxed sink, or submits a buffered
-    /// env-trace block to the per-thread collector. The tracer is
-    /// disabled afterwards.
+    /// Finishes the trace: flushes the sink. The tracer is disabled
+    /// afterwards.
     pub fn finish(&mut self) {
-        match std::mem::replace(&mut self.sink, Sink::Off) {
-            Sink::Off => {}
-            Sink::Buffer(buf) => {
-                if !buf.is_empty() {
-                    submit_block(buf);
-                }
-            }
-            Sink::Boxed(mut sink) => sink.flush(),
+        if let Some(mut sink) = self.sink.take() {
+            sink.flush();
         }
         self.active = false;
         self.mask = 0;
     }
-}
-
-thread_local! {
-    static COLLECTOR: RefCell<Option<String>> = const { RefCell::new(None) };
-}
-
-/// How many unrouted trace blocks [`submit_block`] retains before
-/// discarding the oldest.
-const SPILL_CAP: usize = 1024;
-
-fn spill() -> &'static Mutex<VecDeque<String>> {
-    static SPILL: OnceLock<Mutex<VecDeque<String>>> = OnceLock::new();
-    SPILL.get_or_init(|| Mutex::new(VecDeque::new()))
-}
-
-/// Installs (or resets) this thread's trace collector. Blocks submitted
-/// by env-enabled tracers on this thread accumulate until
-/// [`take_collected`].
-pub fn install_collector() {
-    COLLECTOR.with(|c| *c.borrow_mut() = Some(String::new()));
-}
-
-/// Takes everything collected on this thread since [`install_collector`],
-/// leaving the collector installed and empty. `None` if no collector is
-/// installed.
-pub fn take_collected() -> Option<String> {
-    COLLECTOR.with(|c| c.borrow_mut().as_mut().map(std::mem::take))
-}
-
-/// Removes this thread's collector, returning anything still buffered.
-pub fn uninstall_collector() -> Option<String> {
-    COLLECTOR
-        .with(|c| c.borrow_mut().take())
-        .filter(|s| !s.is_empty())
-}
-
-/// Routes a finished JSONL block: appended to this thread's collector if
-/// one is installed, otherwise parked in a bounded global spill
-/// retrievable with [`drain_spill`] (standalone runs outside a sweep).
-pub fn submit_block(block: String) {
-    let routed = COLLECTOR.with(|c| {
-        if let Some(buf) = c.borrow_mut().as_mut() {
-            buf.push_str(&block);
-            true
-        } else {
-            false
-        }
-    });
-    if !routed {
-        let mut spill = spill().lock().expect("trace spill poisoned");
-        if spill.len() == SPILL_CAP {
-            spill.pop_front();
-        }
-        spill.push_back(block);
-    }
-}
-
-/// Drains the global spill of blocks that were submitted with no
-/// collector installed, oldest first.
-pub fn drain_spill() -> Vec<String> {
-    spill()
-        .lock()
-        .expect("trace spill poisoned")
-        .drain(..)
-        .collect()
 }
 
 #[cfg(test)]
@@ -787,18 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_the_most_recent_events() {
-        let mut ring = RingSink::new(2);
-        for round in 1..=4 {
-            ring.event(&TraceEvent::Round { round, msgs: 0 });
-        }
-        assert_eq!(ring.dropped(), 2);
-        let evs = ring.into_events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0], TraceEvent::Round { round: 3, msgs: 0 });
-    }
-
-    #[test]
     fn tracer_filters_by_class() {
         let shared = SharedSink::new();
         let mut tracer = Tracer::with_sink(Box::new(shared.clone()), TraceClass::Round.bit());
@@ -812,19 +595,6 @@ mod tests {
         let evs = shared.take();
         assert_eq!(evs.len(), 1);
         assert!(matches!(evs[0], TraceEvent::Round { .. }));
-    }
-
-    #[test]
-    fn collector_routes_blocks_in_submission_order() {
-        install_collector();
-        submit_block("a\n".into());
-        submit_block("b\n".into());
-        assert_eq!(take_collected().as_deref(), Some("a\nb\n"));
-        assert_eq!(take_collected().as_deref(), Some(""));
-        assert!(uninstall_collector().is_none());
-        // With no collector, blocks park in the spill.
-        submit_block("c\n".into());
-        assert_eq!(drain_spill(), vec!["c\n".to_string()]);
     }
 
     #[test]

@@ -3,33 +3,32 @@
 //! produce byte-identical CSVs at every `LE_THREADS` setting, and an
 //! interrupted run must resume from its checkpoint to the same bytes.
 //!
-//! The whole binary runs with `LE_TRACE=all` latched (see
-//! [`private_results_dir`]), so every sweep here also writes a merged
-//! `*.trace.jsonl` — which must obey the same thread-count-invariance and
-//! resume contracts as the CSV.
+//! The whole binary runs with `LE_TRACE=all` (see [`private_results_dir`]),
+//! and its trials build through `le_bench::sync_sim`, so every sweep here
+//! also writes a merged `*.trace.jsonl` — which must obey the same
+//! thread-count-invariance and resume contracts as the CSV.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-use clique_sync::SyncSimBuilder;
-use le_bench::{results_path, Arenas, SweepRunner, Task};
+use le_bench::{results_path, sync_sim, Arenas, SweepRunner, Task};
 use leader_election::sync::{improved_tradeoff, las_vegas};
 
 const SEEDS: [u64; 3] = [0, 1, 2];
 const NS: [usize; 2] = [32, 64];
 
-/// Route this test binary's CSVs into a private temp directory. The base
-/// directory is latched once per process, so the env var must be set
-/// before the first `results_path` / `SweepRunner` call in any test.
+/// Route this test binary's CSVs into a private temp directory. `le_bench`
+/// reads its knobs once per process, so the env vars must be set before
+/// the first `results_path` / `SweepRunner` call in any test.
 fn private_results_dir() -> &'static PathBuf {
     static DIR: OnceLock<PathBuf> = OnceLock::new();
     DIR.get_or_init(|| {
         let dir = std::env::temp_dir().join(format!("le_parallel_det_{}", std::process::id()));
         std::env::set_var("LE_RESULTS_DIR", &dir);
-        // Latch full tracing before the first SweepRunner touches the
-        // spec: every sweep in this binary then writes a merged trace
-        // file, which the tests below hold to the same byte-identity
-        // contracts as the CSV.
+        // Full tracing, set before the first SweepRunner reads the knobs:
+        // every sweep in this binary then writes a merged trace file,
+        // which the tests below hold to the same byte-identity contracts
+        // as the CSV.
         std::env::set_var("LE_TRACE", "all");
         dir
     })
@@ -40,7 +39,7 @@ fn trace_text(exp: &str) -> String {
 }
 
 fn run_las_vegas(n: usize, seed: u64, arenas: &mut Arenas) -> u64 {
-    let outcome = SyncSimBuilder::new(n)
+    let outcome = sync_sim(n)
         .seed(seed)
         .build_in(&mut arenas.sync, |id, _| {
             las_vegas::Node::new(id, las_vegas::Config::default())
@@ -54,7 +53,7 @@ fn run_las_vegas(n: usize, seed: u64, arenas: &mut Arenas) -> u64 {
 
 fn run_tradeoff(n: usize, seed: u64, arenas: &mut Arenas) -> u64 {
     let cfg = improved_tradeoff::Config::with_rounds(3);
-    let outcome = SyncSimBuilder::new(n)
+    let outcome = sync_sim(n)
         .seed(seed)
         .build_in(&mut arenas.sync, |id, n| {
             improved_tradeoff::Node::new(id, n, cfg)
