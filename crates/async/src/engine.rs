@@ -14,7 +14,7 @@ use rand::Rng;
 use crate::adversary::{
     Adversary, DelayStrategy, MessageClass, Oblivious, Observation, Transcript, UniformDelay,
 };
-use crate::network::reliability::{Outstanding, RelState};
+use crate::network::reliability::{Held, HeldKind, RelState};
 use crate::network::{link_dir, link_entry, NetworkConfig, Reliability};
 use crate::node::{AsyncContext, AsyncNode, Received};
 use crate::outcome::{AsyncHaltReason, AsyncOutcome};
@@ -296,7 +296,11 @@ impl AsyncSimBuilder {
     }
 
     /// Sets the event cap guarding against non-terminating algorithms
-    /// (default `64·n² + 4096`).
+    /// (default `64·n² + 4096`). The cap counts popped events. A reliable
+    /// link holds its in-flight payload's retransmission timer and, in a
+    /// crash-free run, its ack, and queues them only when they can still
+    /// change the execution; a held event that is never queued is never
+    /// popped, so it is not counted.
     pub fn max_events(mut self, max_events: u64) -> Self {
         self.max_events = Some(max_events);
         self
@@ -427,7 +431,9 @@ impl AsyncSimBuilder {
             awake_count: 0,
             outbox: bufs.outbox,
             now: 0.0,
+            event_seq: 0,
             busy_now: 0.0,
+            ack_horizon: 0.0,
             wake_all_time: None,
             last_scheduled_wake,
             net_active,
@@ -435,6 +441,7 @@ impl AsyncSimBuilder {
             net_queue_cap: net.queue_capacity(),
             net_loss: net.loss_probability(),
             rel_cfg: net.reliability(),
+            crash_free: net.fault_plan().is_empty(),
             adaptive_crashes: net.fault_plan().adaptive(),
             fault_rng,
             adv_fault_rng: stream(seed, STREAM_ADV_FAULTS),
@@ -467,12 +474,20 @@ pub struct AsyncSim<N: AsyncNode> {
     awake_count: usize,
     outbox: Vec<(Port, N::Message)>,
     now: f64,
+    /// The queue `seq` of the event being processed: with `now`, its
+    /// place in the pop order, which a reliable link's held ack is
+    /// compared against.
+    event_seq: u64,
     /// Time of the last *effective* event — everything except a stale
-    /// retransmission-timer pop. This is the reported time complexity:
-    /// an uncancellable timer whose payload was already acknowledged
-    /// must not inflate it. Identical to `now` without the reliability
-    /// protocol.
+    /// retransmission-timer pop. With `ack_horizon`, this is the reported
+    /// time complexity: an uncancellable timer whose payload was already
+    /// acknowledged must not inflate it. Identical to `now` without the
+    /// reliability protocol.
     busy_now: f64,
+    /// The latest time of an ack that was held or dropped instead of
+    /// queued. Every ack pop is effective, so the reported time takes the
+    /// later of this and `busy_now`.
+    ack_horizon: f64,
     wake_all_time: Option<f64>,
     last_scheduled_wake: f64,
     /// Whether any fault/capacity feature is on; `false` keeps the fault
@@ -486,6 +501,9 @@ pub struct AsyncSim<N: AsyncNode> {
     net_loss: f64,
     /// The reliability protocol's timers, if enabled.
     rel_cfg: Option<Reliability>,
+    /// Whether the fault plan is empty, so no node ever crashes: acks are
+    /// then held or dropped where they change nothing.
+    crash_free: bool,
     /// Remaining adaptive crash budget ([`FaultPlan::adaptive_crashes`]).
     ///
     /// [`FaultPlan::adaptive_crashes`]: crate::network::FaultPlan::adaptive_crashes
@@ -628,6 +646,7 @@ impl<N: AsyncNode> AsyncSim<N> {
         };
         debug_assert!(ev.time >= self.now, "events must be processed in order");
         self.now = self.now.max(ev.time);
+        self.event_seq = ev.seq;
         let mut effective = true;
         match ev.kind {
             EventKind::Wake(u) => {
@@ -666,6 +685,7 @@ impl<N: AsyncNode> AsyncSim<N> {
                 data_seq,
                 msg,
             } => {
+                self.apply_held_ack(link);
                 let l = &self.rel[link];
                 let (src, dst) = (l.src, node(l.dst));
                 let fresh = data_seq > l.delivered_hi;
@@ -673,8 +693,14 @@ impl<N: AsyncNode> AsyncSim<N> {
                 // means the previous ack was lost or late. Crashed
                 // receivers neither deliver nor acknowledge; the sender's
                 // retransmission timer keeps trying.
-                if !self.crashed[dst.0] {
-                    self.send_ack(link, data_seq)?;
+                let ack = if self.crashed[dst.0] {
+                    None
+                } else {
+                    self.send_ack(link)?
+                };
+                self.settle_timer(link, data_seq, ack.map(|(t, _)| t));
+                if let Some((t, seq)) = ack {
+                    self.route_ack(link, data_seq, t, seq);
                 }
                 // Checked after the ack, whose crash directive can fell the
                 // receiver. The ack has left, as the message under
@@ -699,10 +725,14 @@ impl<N: AsyncNode> AsyncSim<N> {
                 }
             }
             EventKind::DeliverAck { link, data_seq } => {
+                self.apply_held_ack(link);
                 let l = &self.rel[link];
                 if self.crashed[l.src as usize] {
                     self.core.stats.faults.crash_drops += 1;
-                } else if l.inflight.as_ref().is_some_and(|o| o.seq == data_seq) {
+                    // The ack takes no effect, so a timer held behind it
+                    // can still fire.
+                    self.queue_held_timer(link);
+                } else if l.in_flight(data_seq) {
                     self.begin_next_payload(link)?;
                 }
                 // A stale ack (duplicate, or for an abandoned payload) is
@@ -713,16 +743,16 @@ impl<N: AsyncNode> AsyncSim<N> {
                 data_seq,
                 attempt,
             } => {
-                // Timers are uncancellable queue entries; one is live only
-                // if the exact (payload, attempt) it was armed for is
-                // still in flight. Stale pops are non-events and must not
-                // advance the reported time complexity.
+                // A queued timer is live only if the exact (payload,
+                // attempt) it was armed for is still in flight. Stale pops
+                // are non-events and must not advance the reported time
+                // complexity.
+                self.apply_held_ack(link);
                 let l = &self.rel[link];
                 let (src, dst) = (l.src, l.dst);
                 effective = !self.crashed[src as usize]
-                    && l.inflight
-                        .as_ref()
-                        .is_some_and(|o| o.seq == data_seq && o.attempts == attempt);
+                    && l.in_flight(data_seq)
+                    && l.inflight.as_ref().map(|o| o.attempts.get()) == Some(attempt);
                 if effective {
                     let budget = self.rel_cfg.as_ref().map_or(0, |r| r.budget);
                     if attempt > budget {
@@ -740,6 +770,8 @@ impl<N: AsyncNode> AsyncSim<N> {
                         }
                         self.begin_next_payload(link)?;
                     } else {
+                        let o = self.rel[link].inflight.as_mut().expect("live timer");
+                        o.attempts = o.attempts.saturating_add(1);
                         self.send_reliable_copy(link)?;
                     }
                 }
@@ -799,12 +831,13 @@ impl<N: AsyncNode> AsyncSim<N> {
         let src = ix(v);
         for (link, l) in (0u32..).zip(self.rel.iter()).filter(|(_, l)| l.src == src) {
             if let Some(o) = &l.inflight {
+                let attempt = o.attempts.get();
                 self.queue.push(
-                    self.now + rel_cfg.timeout_after(o.attempts),
+                    self.now + rel_cfg.timeout_after(attempt),
                     EventKind::Retry {
                         link,
-                        data_seq: o.seq,
-                        attempt: o.attempts,
+                        data_seq: l.next_seq,
+                        attempt,
                     },
                 );
             }
@@ -940,19 +973,25 @@ impl<N: AsyncNode> AsyncSim<N> {
             // backlog: every attempt's observation sees it.
             self.transcript.record_send(src);
             let rel = self.rel.touch(ix(src), ix(dst.node), link);
-            if self.rel[rel].inflight.is_some() {
+            self.apply_held_ack(rel);
+            let dst_port = dst.port.0 as u32;
+            let l = &mut self.rel[rel];
+            if l.inflight.is_some() {
                 // Stop-and-wait: one unacknowledged payload per link; the
-                // rest wait in the backlog.
-                self.rel.push_backlog(rel, (dst.port, msg));
+                // rest wait in the backlog. A held ack that pops after
+                // this event will start the payload, so it is queued.
+                if l.held.kind() == HeldKind::Ack {
+                    let (held, data_seq) =
+                        (std::mem::replace(&mut l.held, Held::EMPTY), l.next_seq);
+                    let ack = EventKind::DeliverAck {
+                        link: rel,
+                        data_seq,
+                    };
+                    self.queue.push_reserved(held.time(), held.seq(), ack);
+                }
+                self.rel.push_backlog(rel, (dst_port, msg));
             } else {
-                let l = &mut self.rel[rel];
-                l.next_seq += 1;
-                l.inflight = Some(Outstanding {
-                    seq: l.next_seq,
-                    dst_port: dst.port,
-                    msg,
-                    attempts: 0,
-                });
+                l.start(dst_port, msg);
                 self.send_reliable_copy(rel)?;
             }
             return Ok(());
@@ -1073,16 +1112,19 @@ impl<N: AsyncNode> AsyncSim<N> {
 
     /// Transmits the current in-flight payload of reliable link `link`
     /// (first attempt or retransmission) and arms its retransmission
-    /// timer.
+    /// timer. The timer's `seq` is reserved right after the copy's push,
+    /// as if it were pushed, and the timer is held while its copy is on
+    /// the wire by the deadline and the slot holds no ack; otherwise it is
+    /// queued at once.
     fn send_reliable_copy(&mut self, link: u32) -> Result<(), ModelError> {
         let l = &self.rel[link];
-        let (src, dst, link_id) = (node(l.src), node(l.dst), l.link);
+        let (src, dst, link_id, data_seq) = (node(l.src), node(l.dst), l.link, l.next_seq);
         let o = l
             .inflight
             .as_ref()
             .expect("send_reliable_copy requires an in-flight payload");
-        let (data_seq, attempts, dst_port, msg) = (o.seq, o.attempts, o.dst_port, o.msg.clone());
-        if attempts > 0 {
+        let (attempt, dst_port, msg) = (o.attempts.get(), o.dst_port, o.msg.clone());
+        if attempt > 1 {
             self.core.stats.faults.retransmits += 1;
             if self.core.tracer.enabled() {
                 self.core.tracer.emit(TraceEvent::Fault {
@@ -1094,43 +1136,49 @@ impl<N: AsyncNode> AsyncSim<N> {
             }
         }
         let class = N::classify(&msg);
-        if let Some(t) = self.transmit_raw(src, dst, link_id, class)? {
+        let copy = self.transmit_raw(src, dst, link_id, class)?;
+        if let Some(t) = copy {
             self.queue.push(
                 t,
                 EventKind::DeliverData {
                     link,
-                    dst_port: dst_port.0 as u32,
+                    dst_port,
                     data_seq,
                     msg,
                 },
             );
         }
-        // Count the attempt and arm the timer whether or not the copy
-        // survived the wire — the sender cannot know.
-        let o = self.rel[link]
-            .inflight
-            .as_mut()
-            .expect("in-flight payload persists across its own transmission");
-        o.attempts += 1;
-        let attempt = o.attempts;
+        // Arm the timer whether or not the copy survived the wire — the
+        // sender cannot know.
         let rel_cfg = self.rel_cfg.expect("reliable send requires a config");
-        self.queue.push(
-            self.now + rel_cfg.timeout_after(attempt),
-            EventKind::Retry {
+        let deadline = self.now + rel_cfg.timeout_after(attempt);
+        let seq = self.queue.reserve();
+        let l = &mut self.rel[link];
+        if l.held.kind() == HeldKind::Timer {
+            // Armed for an earlier attempt, it would pop stale.
+            l.held = Held::EMPTY;
+        }
+        if l.held.kind() == HeldKind::Empty && copy.is_some_and(|t| t <= deadline) {
+            l.held = Held::new(HeldKind::Timer, deadline, seq);
+        } else {
+            let timer = EventKind::Retry {
                 link,
                 data_seq,
                 attempt,
-            },
-        );
+            };
+            self.queue.push_reserved(deadline, seq, timer);
+        }
         Ok(())
     }
 
-    /// Sends a delivery acknowledgement for `data_seq` back over reliable
-    /// link `link`, from its receiver to its sender. Acks are real wire
+    /// Sends a delivery acknowledgement of the copy that just arrived back
+    /// over reliable link `link`, from its receiver to its sender, and
+    /// returns its arrival time and reserved queue `seq` unless the wire
+    /// dropped it; the caller routes it ([`AsyncSim::route_ack`]). Acks are real wire
     /// messages: they occupy the reverse link, queue, and can be lost —
     /// but are never retransmitted themselves (a lost ack is repaired by
     /// the data retransmission provoking a fresh one).
-    fn send_ack(&mut self, link: u32, data_seq: u32) -> Result<(), ModelError> {
+    fn send_ack(&mut self, link: u32) -> Result<Option<(f64, u64)>, ModelError> {
         let l = &self.rel[link];
         let (from, to, link_id) = (node(l.dst), node(l.src), l.link);
         self.core.stats.faults.acks += 1;
@@ -1142,25 +1190,97 @@ impl<N: AsyncNode> AsyncSim<N> {
                 dst: ix(to),
             });
         }
-        if let Some(t) = self.transmit_raw(from, to, link_id, MessageClass::Ack)? {
-            self.queue.push(t, EventKind::DeliverAck { link, data_seq });
-        }
-        Ok(())
+        let at = self.transmit_raw(from, to, link_id, MessageClass::Ack)?;
+        Ok(at.map(|t| (t, self.queue.reserve())))
     }
 
-    /// Clears reliable link `link`'s in-flight slot and starts the next
-    /// backlog payload, if any.
-    fn begin_next_payload(&mut self, link: u32) -> Result<(), ModelError> {
-        self.rel[link].inflight = None;
-        if let Some((dst_port, msg)) = self.rel.pop_backlog(link) {
+    /// Queues, holds or drops the ack of payload `data_seq` on reliable
+    /// link `link`, which lands at `t` under the reserved queue `seq`.
+    /// With crash faults every ack is queued. In a crash-free run an ack
+    /// for a payload that has left flight, or one trailing the held ack of
+    /// its payload, would pop as a no-op and is dropped; the in-flight
+    /// payload's ack waits in the free slot of a link with no backlog, and
+    /// is queued otherwise. An ack that is not queued still counts toward
+    /// the reported time.
+    fn route_ack(&mut self, link: u32, data_seq: u32, t: f64, seq: u64) {
+        if self.crash_free {
+            let idle = self.rel.backlog_is_empty(link);
             let l = &mut self.rel[link];
-            l.next_seq += 1;
-            l.inflight = Some(Outstanding {
-                seq: l.next_seq,
-                dst_port,
-                msg,
-                attempts: 0,
-            });
+            if l.in_flight(data_seq) && l.held.kind() != HeldKind::Ack {
+                if !idle || l.held.kind() != HeldKind::Empty {
+                    let ack = EventKind::DeliverAck { link, data_seq };
+                    self.queue.push_reserved(t, seq, ack);
+                    return;
+                }
+                l.held = Held::new(HeldKind::Ack, t, seq);
+            }
+            self.ack_horizon = self.ack_horizon.max(t);
+            return;
+        }
+        let ack = EventKind::DeliverAck { link, data_seq };
+        self.queue.push_reserved(t, seq, ack);
+    }
+
+    /// Applies reliable link `link`'s held ack if it pops before the event
+    /// being processed: it clears the in-flight payload, and, the backlog
+    /// being empty, does nothing else.
+    fn apply_held_ack(&mut self, link: u32) {
+        let l = &mut self.rel[link];
+        if l.held.kind() == HeldKind::Ack && l.held.precedes(self.now, self.event_seq) {
+            l.inflight = None;
+            l.held = Held::EMPTY;
+        }
+    }
+
+    /// Settles reliable link `link`'s held timer as a copy of payload
+    /// `data_seq` arrives, acknowledged by an ack landing at `ack` (`None`:
+    /// lost, or not sent by a crashed receiver). Only the in-flight
+    /// payload's copies settle it. An ack landing strictly before the
+    /// deadline makes the timer stale in a crash-free run, so it is
+    /// dropped; with crash faults it stays held behind that ack, which
+    /// queues it if it finds its sender crashed. Otherwise the timer will
+    /// fire and is queued.
+    fn settle_timer(&mut self, link: u32, data_seq: u32, ack: Option<f64>) {
+        let l = &mut self.rel[link];
+        if l.held.kind() != HeldKind::Timer || !l.in_flight(data_seq) {
+            return;
+        }
+        if ack.is_some_and(|t| t < l.held.time()) {
+            if self.crash_free {
+                l.held = Held::EMPTY;
+            }
+        } else {
+            self.queue_held_timer(link);
+        }
+    }
+
+    /// Queues reliable link `link`'s held timer, if it holds one.
+    fn queue_held_timer(&mut self, link: u32) {
+        let l = &mut self.rel[link];
+        if l.held.kind() == HeldKind::Timer {
+            let held = std::mem::replace(&mut l.held, Held::EMPTY);
+            let attempt = l
+                .inflight
+                .as_ref()
+                .expect("a held timer's payload")
+                .attempts;
+            let timer = EventKind::Retry {
+                link,
+                data_seq: l.next_seq,
+                attempt: attempt.get(),
+            };
+            self.queue.push_reserved(held.time(), held.seq(), timer);
+        }
+    }
+
+    /// Clears reliable link `link`'s in-flight slot, with the timer or ack
+    /// held for it, and starts the next backlog payload, if any.
+    fn begin_next_payload(&mut self, link: u32) -> Result<(), ModelError> {
+        let l = &mut self.rel[link];
+        l.inflight = None;
+        l.held = Held::EMPTY;
+        if let Some((dst_port, msg)) = self.rel.pop_backlog(link) {
+            self.rel[link].start(dst_port, msg);
             self.send_reliable_copy(link)?;
         }
         Ok(())
@@ -1192,7 +1312,10 @@ impl<N: AsyncNode> AsyncSim<N> {
             AsyncHaltReason::MaxEvents => "max_events",
             AsyncHaltReason::FaultLivelock => "livelock",
         };
-        self.core.finish_trace(At::Time(self.busy_now), reason);
+        // An ack held or dropped instead of queued would have popped as an
+        // effective event.
+        let time = self.busy_now.max(self.ack_horizon);
+        self.core.finish_trace(At::Time(time), reason);
         let AsyncSim {
             core,
             mut queue,
@@ -1200,7 +1323,6 @@ impl<N: AsyncNode> AsyncSim<N> {
             link_busy,
             rel,
             mut outbox,
-            busy_now,
             wake_all_time,
             last_scheduled_wake,
             crashed,
@@ -1218,7 +1340,7 @@ impl<N: AsyncNode> AsyncSim<N> {
             .stash(core.ports, AsyncBuffers { queue, outbox, rel });
         AsyncOutcome {
             n: core.n,
-            time: busy_now,
+            time,
             last_adversarial_wake: last_scheduled_wake,
             wake_all_time,
             stats: core.stats,
@@ -2379,6 +2501,77 @@ mod tests {
                 "identical trials must reuse identical storage"
             );
         }
+    }
+
+    #[test]
+    fn a_crash_free_reliable_run_pops_one_event_per_payload() {
+        // Flood sends one payload over every directed link, and nothing is
+        // lost: each ack beats its timer, which would pop stale, and no
+        // later event reads the link, so neither is queued. The run pops
+        // the wake-up and the 56 copies; with every timer and ack queued it
+        // took three pops a payload (copy, ack, stale timer), 1 + 168.
+        let mut sim = AsyncSimBuilder::new(8)
+            .seed(4)
+            .delays(Box::new(ConstDelay::max()))
+            .network(NetworkConfig::new().reliable(Reliability::default()))
+            .build(Flood::new)
+            .unwrap();
+        let mut steps = 0;
+        while sim.step().unwrap() {
+            steps += 1;
+        }
+        assert_eq!(sim.stats().faults.payloads, 56);
+        assert_eq!(sim.stats().faults.acks, 56);
+        assert_eq!(steps, 1 + 56);
+        // The last copies land at 2 and their acks at 3: an ack that was
+        // never queued still counts toward the reported time.
+        assert_eq!(sim.now(), 2.0);
+        let o = sim.into_outcome(AsyncHaltReason::QueueDrained);
+        o.validate_explicit().unwrap();
+        assert_eq!(o.time, 3.0);
+    }
+
+    #[test]
+    fn an_ack_lost_to_a_crashed_sender_leaves_its_timer_live() {
+        // n = 2, every delay 0.5. Node 0's copy lands at 0.5, and its ack,
+        // which lands at 1.0 before the deadline 2.5, finds node 0 down
+        // (crashed 0.75 to 1.5). The timer held behind that ack must
+        // still fire at 2.5. Dropped with the ack, the payload would wait
+        // for the timer recovery re-arms at 4.0, and the run would end at
+        // 5.0 instead of 4.0.
+        use clique_model::trace::SharedSink;
+        let sink = SharedSink::new();
+        let o = AsyncSimBuilder::new(2)
+            .seed(1)
+            .delays(Box::new(ConstDelay::new(0.5)))
+            .network(
+                NetworkConfig::new()
+                    .reliable(Reliability::default())
+                    .faults(FaultPlan::new().crash_recovering(NodeIndex(0), 0.75, 1.5)),
+            )
+            .trace(Box::new(sink.clone()))
+            .build(Flood::new)
+            .unwrap()
+            .run()
+            .unwrap();
+        let retransmits: Vec<(f64, u32, u32)> = sink
+            .take()
+            .into_iter()
+            .filter_map(|e| match e {
+                TraceEvent::Fault {
+                    at: At::Time(t),
+                    kind: FaultKind::Retransmit,
+                    src,
+                    dst,
+                } => Some((t, src, dst)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(retransmits, [(2.5, 0, 1), (3.0, 1, 0)]);
+        assert_eq!(o.stats.faults.crash_drops, 2, "the ack and node 1's copy");
+        assert_eq!(o.halt, AsyncHaltReason::QueueDrained);
+        assert_eq!(o.time, 4.0);
+        o.validate_explicit().unwrap();
     }
 
     #[test]

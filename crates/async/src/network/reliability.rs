@@ -26,10 +26,44 @@
 //! beside the slab: a link gets one when a payload first has to wait, and
 //! its entry holds the backlog's `u32` index, which keeps an entry at 64
 //! bytes with a 16-byte message. Reset drops every backlog.
+//!
+//! # The held slot
+//!
+//! Most of a reliable link's timers and acks change nothing: on a link
+//! that carries one payload, the ack beats the timer, which then pops
+//! stale, and the ack only clears the in-flight slot. So each entry holds
+//! one event of its in-flight payload in a [`Held`] slot instead of
+//! queuing it, under the queue `seq` the engine reserved where it would
+//! have pushed it, and queues it only when it can still change the
+//! execution. Every queued event then pops in the same `(time, seq)`
+//! order as when all were queued.
+//!
+//! * **The retransmission timer.** A copy that reaches the wire by its
+//!   deadline leaves its timer held; a dropped or late copy, or a slot
+//!   that holds an ack, queues it at once. The in-flight payload's next
+//!   data pop settles a held timer: an ack that lands strictly before the
+//!   deadline makes it stale in a crash-free run, where it is dropped,
+//!   and in a run with crash faults it stays held behind that queued ack;
+//!   a lost or late ack, or a crashed receiver, queues it. An ack that
+//!   finds its sender crashed queues it too, and a new attempt or the
+//!   payload's leaving flight drops it, since it would pop stale.
+//! * **The ack, in crash-free runs.** The in-flight payload's ack waits
+//!   in a free slot when the link has no backlog. An ack for a payload
+//!   that has left flight, or one trailing a held ack of the same payload,
+//!   would pop as a no-op and is dropped. The next event that reads the
+//!   entry (a data, ack or timer pop on the link, or a dispatch onto it)
+//!   applies a held ack that pops before it, which clears the in-flight
+//!   payload and does nothing else, since the backlog is empty; a
+//!   dispatch queues a held ack that pops after it before the new payload
+//!   joins the backlog. With crash faults every ack is queued: whether it
+//!   takes effect depends on a crash decided after it is sent.
+//!
+//! A held event that is never queued is never popped: the engine's event
+//! cap does not count it, and the reported time takes the latest ack that
+//! was held or dropped, since every ack pop counts as effective.
 
 use std::collections::VecDeque;
-
-use clique_model::ports::Port;
+use std::num::NonZeroU32;
 
 use super::{link_dir, link_entry};
 
@@ -39,16 +73,75 @@ const NO_BACKLOG: u32 = u32::MAX;
 /// The slab index of a direction no payload has used yet.
 const UNTOUCHED: u32 = u32::MAX;
 
-/// The single unacknowledged payload in flight on a directed link.
+/// The single unacknowledged payload in flight on a directed link. Its
+/// link-local sequence number is its entry's `next_seq`.
 pub(crate) struct Outstanding<M> {
-    /// Link-local sequence number (1-based).
-    pub(crate) seq: u32,
     /// The receiver-side port the payload is addressed to.
-    pub(crate) dst_port: Port,
+    pub(crate) dst_port: u32,
+    /// Wire transmissions so far, the one under way included. Never 0,
+    /// which lets `Option<Outstanding>` take no room of its own.
+    pub(crate) attempts: NonZeroU32,
     /// The payload, retained for retransmission.
     pub(crate) msg: M,
-    /// Wire transmissions performed so far (1 after the initial send).
-    pub(crate) attempts: u32,
+}
+
+/// What a [`Held`] slot holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum HeldKind {
+    /// Nothing.
+    Empty = 0,
+    /// The in-flight payload's retransmission timer, armed after its
+    /// latest attempt.
+    Timer = 1,
+    /// The in-flight payload's ack (crash-free runs only).
+    Ack = 2,
+}
+
+/// An event a reliable link holds instead of queuing (see module docs):
+/// its time, and one word packing the queue `seq` reserved for it above
+/// the two bits of its [`HeldKind`], which keeps an entry at 64 bytes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Held {
+    time: f64,
+    word: u64,
+}
+
+impl Held {
+    /// The empty slot.
+    pub(crate) const EMPTY: Held = Held { time: 0.0, word: 0 };
+
+    /// A held event of `kind` at `time`, under the reserved queue `seq`.
+    pub(crate) fn new(kind: HeldKind, time: f64, seq: u64) -> Held {
+        debug_assert!(seq < 1 << 62, "a queue seq fits above the kind bits");
+        Held {
+            time,
+            word: seq << 2 | kind as u64,
+        }
+    }
+
+    /// What the slot holds.
+    pub(crate) fn kind(self) -> HeldKind {
+        match self.word & 3 {
+            0 => HeldKind::Empty,
+            1 => HeldKind::Timer,
+            _ => HeldKind::Ack,
+        }
+    }
+
+    /// The held event's time.
+    pub(crate) fn time(self) -> f64 {
+        self.time
+    }
+
+    /// The held event's reserved queue `seq`.
+    pub(crate) fn seq(self) -> u64 {
+        self.word >> 2
+    }
+
+    /// Whether the held event pops before the event at `(time, seq)`.
+    pub(crate) fn precedes(self, time: f64, seq: u64) -> bool {
+        self.time < time || (self.time == time && self.seq() < seq)
+    }
 }
 
 /// Per-directed-link protocol state (both endpoint roles; see module
@@ -61,7 +154,8 @@ pub(crate) struct RelLink<M> {
     pub(crate) dst: u32,
     /// The port-map id of the link, shared with the reverse direction.
     pub(crate) link: u32,
-    /// Sequence number most recently assigned by the sender (0 = none).
+    /// Sequence number most recently assigned by the sender (0 = none):
+    /// the in-flight payload's, while there is one.
     pub(crate) next_seq: u32,
     /// The sender's unacknowledged in-flight payload.
     pub(crate) inflight: Option<Outstanding<M>>,
@@ -71,6 +165,9 @@ pub(crate) struct RelLink<M> {
     /// Highest sequence the receiver accepted on this link (duplicate
     /// suppression; gaps appear only when the sender abandoned a payload).
     pub(crate) delivered_hi: u32,
+    /// The in-flight payload's timer or ack, held unqueued (see module
+    /// docs); empty while no payload is in flight.
+    pub(crate) held: Held,
 }
 
 impl<M> RelLink<M> {
@@ -83,7 +180,23 @@ impl<M> RelLink<M> {
             inflight: None,
             backlog: NO_BACKLOG,
             delivered_hi: 0,
+            held: Held::EMPTY,
         }
+    }
+
+    /// Whether `data_seq` is the payload in flight.
+    pub(crate) fn in_flight(&self, data_seq: u32) -> bool {
+        self.inflight.is_some() && self.next_seq == data_seq
+    }
+
+    /// Puts the next payload in flight, before its first transmission.
+    pub(crate) fn start(&mut self, dst_port: u32, msg: M) {
+        self.next_seq += 1;
+        self.inflight = Some(Outstanding {
+            dst_port,
+            attempts: NonZeroU32::MIN,
+            msg,
+        });
     }
 }
 
@@ -101,8 +214,9 @@ pub(crate) struct RelState<M> {
     /// Touched links in insertion order.
     slab: Vec<RelLink<M>>,
     /// Payloads waiting for a link (stop-and-wait admits one at a time),
-    /// one queue per link that has had one waiting this trial.
-    backlogs: Vec<VecDeque<(Port, M)>>,
+    /// as their receiver-side port and message, one queue per link that
+    /// has had one waiting this trial.
+    backlogs: Vec<VecDeque<(u32, M)>>,
 }
 
 impl<M> Default for RelState<M> {
@@ -140,7 +254,7 @@ impl<M> RelState<M> {
     }
 
     /// Queues `payload` behind the payload in flight on link `link`.
-    pub(crate) fn push_backlog(&mut self, link: u32, payload: (Port, M)) {
+    pub(crate) fn push_backlog(&mut self, link: u32, payload: (u32, M)) {
         let l = &mut self.slab[link as usize];
         if l.backlog == NO_BACKLOG {
             l.backlog = u32::try_from(self.backlogs.len())
@@ -153,10 +267,18 @@ impl<M> RelState<M> {
     }
 
     /// Removes and returns the oldest payload waiting for link `link`.
-    pub(crate) fn pop_backlog(&mut self, link: u32) -> Option<(Port, M)> {
+    pub(crate) fn pop_backlog(&mut self, link: u32) -> Option<(u32, M)> {
         match self.slab[link as usize].backlog {
             NO_BACKLOG => None,
             b => self.backlogs[b as usize].pop_front(),
+        }
+    }
+
+    /// Whether no payload waits for link `link`.
+    pub(crate) fn backlog_is_empty(&self, link: u32) -> bool {
+        match self.slab[link as usize].backlog {
+            NO_BACKLOG => true,
+            b => self.backlogs[b as usize].is_empty(),
         }
     }
 
@@ -170,9 +292,9 @@ impl<M> RelState<M> {
     pub(crate) fn resident_bytes(&self) -> u64 {
         let index = self.index.capacity() * std::mem::size_of::<[u32; 2]>();
         let entries = self.slab.capacity() * std::mem::size_of::<RelLink<M>>();
-        let backlogs = self.backlogs.capacity() * std::mem::size_of::<VecDeque<(Port, M)>>();
+        let backlogs = self.backlogs.capacity() * std::mem::size_of::<VecDeque<(u32, M)>>();
         let waiting: usize = self.backlogs.iter().map(VecDeque::capacity).sum();
-        let buffers = waiting * std::mem::size_of::<(Port, M)>();
+        let buffers = waiting * std::mem::size_of::<(u32, M)>();
         (index + entries + backlogs + buffers) as u64
     }
 }
@@ -222,6 +344,19 @@ mod tests {
     }
 
     #[test]
+    fn a_held_event_packs_its_seq_with_its_kind() {
+        let timer = Held::new(HeldKind::Timer, 2.5, (1 << 62) - 1);
+        assert_eq!(timer.kind(), HeldKind::Timer);
+        assert_eq!((timer.time(), timer.seq()), (2.5, (1 << 62) - 1));
+        let ack = Held::new(HeldKind::Ack, 1.0, 7);
+        assert_eq!((ack.kind(), ack.seq()), (HeldKind::Ack, 7));
+        assert_eq!(Held::EMPTY.kind(), HeldKind::Empty);
+        // `(time, seq)` order, as the queue pops.
+        assert!(ack.precedes(1.5, 0) && ack.precedes(1.0, 8));
+        assert!(!ack.precedes(1.0, 7) && !ack.precedes(1.0, 6) && !ack.precedes(0.5, 9));
+    }
+
+    #[test]
     fn reset_clears_entries_and_drops_backlogs() {
         let mut rel: RelState<u32> = RelState::default();
         for src in 0..4 {
@@ -229,7 +364,7 @@ mod tests {
             rel[link].next_seq = 5;
             rel[link].delivered_hi = 3;
             for j in 0..16 {
-                rel.push_backlog(link, (Port(0), j));
+                rel.push_backlog(link, (0, j));
             }
         }
         assert_eq!(rel.pop_backlog(2).map(|(_, m)| m), Some(0), "FIFO");
@@ -248,6 +383,7 @@ mod tests {
         assert!(l.inflight.is_none());
         assert_eq!(l.backlog, NO_BACKLOG, "a new entry holds no backlog");
         assert_eq!(l.delivered_hi, 0);
-        assert!(rel.pop_backlog(link).is_none());
+        assert_eq!(l.held.kind(), HeldKind::Empty);
+        assert!(rel.pop_backlog(link).is_none() && rel.backlog_is_empty(link));
     }
 }

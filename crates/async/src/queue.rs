@@ -25,6 +25,20 @@
 //! order exactly. Most events are popped from `run`, for one sort per
 //! bucket instead of a heap sift per event; `near` only takes pushes
 //! behind the clock, such as a rushing adversary's, at O(log) each.
+//! Every comparison reads one integer key, `((time + 0.0).to_bits(),
+//! seq)`: for the non-negative, non-NaN times the queue admits, the bits
+//! order like the values.
+//!
+//! An event can take its `seq` before it is pushed: [`EventQueue::reserve`]
+//! hands out the next `seq`, and [`EventQueue::push_reserved`] queues an
+//! event under it later, or never. A late push goes to `near`, the ring or
+//! `far` by its time like any other, so it pops exactly where it would have
+//! had it been pushed at once, and a `seq` never pushed is one no pop
+//! returns. The engine reserves the `seq`s of a reliable link's
+//! retransmission timer and ack where it would push them, and holds the
+//! events in the link's entry until they can still change the execution
+//! (see `network::reliability`); a held event that is never queued is
+//! never popped, so the engine's event cap does not count it.
 //!
 //! Both bucket constants come from the model, and neither is a tuning knob:
 //! message delays lie in `(0, 1]`, so almost every event lands within 256
@@ -76,17 +90,30 @@ fn slot(b: u64) -> usize {
 }
 
 /// A scheduled event. Ordered by `(time, seq)`; `seq` is the queue's push
-/// counter, which makes the pop order fully deterministic and acts as the
-/// FIFO tie-break for simultaneous events.
+/// counter (taken at the push, or reserved before it), which makes the pop
+/// order fully deterministic and acts as the FIFO tie-break for
+/// simultaneous events.
 pub(crate) struct Event<K> {
     pub(crate) time: f64,
     pub(crate) seq: u64,
     pub(crate) kind: K,
 }
 
+impl<K> Event<K> {
+    /// The event's place in the pop order, as one integer pair. Times are
+    /// non-negative and never NaN ([`EventQueue::push_reserved`] checks),
+    /// and the bits of such floats order like their values, `+∞` last;
+    /// adding `0.0` folds `-0.0`, which a wake-up or crash time may be,
+    /// onto `+0.0`, equal as the values are.
+    #[inline]
+    fn key(&self) -> (u64, u64) {
+        ((self.time + 0.0).to_bits(), self.seq)
+    }
+}
+
 impl<K> PartialEq for Event<K> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 
@@ -101,14 +128,7 @@ impl<K> PartialOrd for Event<K> {
 impl<K> Ord for Event<K> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        // Times are never NaN: the engine validates every adversary delay
-        // (rejecting NaN/out-of-range) before scheduling, and wake-up and
-        // crash times are checked non-negative. `+∞` is a valid time.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("event times are never NaN")
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -163,12 +183,31 @@ impl<K> Default for EventQueue<K> {
 impl<K> EventQueue<K> {
     /// Schedules `kind` at `time`, stamped with the next `seq`.
     pub(crate) fn push(&mut self, time: f64, kind: K) {
-        let ev = Event {
-            time,
-            seq: self.seq,
-            kind,
-        };
+        let seq = self.reserve();
+        self.push_reserved(time, seq, kind);
+    }
+
+    /// Takes the next `seq` for an event that may be pushed later, with
+    /// [`EventQueue::push_reserved`], or never.
+    pub(crate) fn reserve(&mut self) -> u64 {
+        let seq = self.seq;
         self.seq += 1;
+        seq
+    }
+
+    /// Schedules `kind` at `time` under a `seq` taken earlier by
+    /// [`EventQueue::reserve`]. The event goes to `near`, the ring or `far`
+    /// by its time alone, so it pops exactly where it would have, had it
+    /// been pushed when its `seq` was reserved.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a negative or NaN time, which the pop order's integer key
+    /// cannot rank. The engine validates every delay and every wake-up and
+    /// crash time before it schedules them.
+    pub(crate) fn push_reserved(&mut self, time: f64, seq: u64, kind: K) {
+        assert!(time >= 0.0, "event times are non-negative, got {time}");
+        let ev = Event { time, seq, kind };
         let b = bucket(time);
         if b <= self.cur {
             self.near.push(ev);
@@ -321,12 +360,47 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::Rng;
 
+    /// The reference order: `(time, seq)` with times compared as floats
+    /// (`-0.0 == +0.0`), reversed for the max-heap, independently of the
+    /// queue's integer key.
+    struct Ref {
+        time: f64,
+        seq: u64,
+        kind: u64,
+    }
+
+    impl PartialEq for Ref {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other) == Ordering::Equal
+        }
+    }
+
+    impl Eq for Ref {}
+
+    impl PartialOrd for Ref {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Ref {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .time
+                .partial_cmp(&self.time)
+                .expect("test times are never NaN")
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
     /// Drives an [`EventQueue`] and a reference `BinaryHeap` through the
     /// same seeded interleaving of `ops` pushes and pops (`next_time` picks
     /// each push time from the last popped time), asserting the same
     /// `(time, seq, kind)` pop sequence and the same `len()` after every
-    /// operation, then the same drain order. The queue is borrowed, so a
-    /// test can hand in a cleared, previously used one.
+    /// operation, then the same drain order. A fifth of the pushes reserve
+    /// their `seq` and reach both heaps only at a later push, as a held
+    /// event does; the rest take `push`. The queue is borrowed, so a test
+    /// can hand in a cleared, previously used one.
     fn differential(
         queue: &mut EventQueue<u64>,
         seed: u64,
@@ -334,33 +408,55 @@ mod tests {
         mut next_time: impl FnMut(&mut SmallRng, f64) -> f64,
     ) {
         let mut rng = rng_from_seed(seed);
-        let mut reference: BinaryHeap<Event<u64>> = BinaryHeap::new();
+        let mut reference: BinaryHeap<Ref> = BinaryHeap::new();
+        let mut held: Vec<(f64, u64)> = Vec::new();
         let mut seq = 0u64;
         let mut now = 0.0f64;
-        let key = |e: Event<u64>| (e.time.to_bits(), e.seq, e.kind);
+        let got = |e: Event<u64>| (e.time.to_bits(), e.seq, e.kind);
+        let want = |e: Ref| (e.time.to_bits(), e.seq, e.kind);
+        // The payload travels with the event: a second check that the
+        // queue hands back the event it was given.
+        let push_reserved = |queue: &mut EventQueue<u64>,
+                             reference: &mut BinaryHeap<Ref>,
+                             (time, seq): (f64, u64)| {
+            queue.push_reserved(time, seq, seq ^ 0xA5A5);
+            let kind = seq ^ 0xA5A5;
+            reference.push(Ref { time, seq, kind });
+        };
         for _ in 0..ops {
             if reference.is_empty() || rng.gen_bool(0.55) {
                 let time = next_time(&mut rng, now);
-                // The payload travels with the event: a second check that
-                // the queue hands back the event it was given.
-                queue.push(time, seq ^ 0xA5A5);
-                reference.push(Event {
-                    time,
-                    seq,
-                    kind: seq ^ 0xA5A5,
-                });
+                if held.len() < 4 && rng.gen_bool(0.2) {
+                    assert_eq!(queue.reserve(), seq, "seed {seed}: reserve");
+                    held.push((time, seq));
+                } else {
+                    queue.push(time, seq ^ 0xA5A5);
+                    let kind = seq ^ 0xA5A5;
+                    reference.push(Ref { time, seq, kind });
+                }
                 seq += 1;
+                if !held.is_empty() && rng.gen_bool(0.3) {
+                    let late = held.swap_remove(rng.gen_range(0..held.len()));
+                    push_reserved(queue, &mut reference, late);
+                }
             } else {
-                let got = queue.pop().map(key);
-                let want = reference.pop().map(key);
-                assert_eq!(got, want, "seed {seed}: pop diverged");
-                now = f64::from_bits(want.expect("reference non-empty").0);
+                let popped = queue.pop().map(got);
+                let expected = reference.pop().map(want);
+                assert_eq!(popped, expected, "seed {seed}: pop diverged");
+                now = f64::from_bits(expected.expect("reference non-empty").0);
             }
             assert_eq!(queue.len(), reference.len(), "seed {seed}: len diverged");
             assert_eq!(queue.is_empty(), reference.is_empty());
         }
-        while let Some(want) = reference.pop() {
-            assert_eq!(queue.pop().map(key), Some(key(want)), "seed {seed}: drain");
+        for late in held {
+            push_reserved(queue, &mut reference, late);
+        }
+        while let Some(expected) = reference.pop() {
+            assert_eq!(
+                queue.pop().map(got),
+                Some(want(expected)),
+                "seed {seed}: drain"
+            );
         }
         assert!(queue.pop().is_none() && queue.is_empty());
         assert_eq!(queue.len(), 0);
@@ -465,6 +561,29 @@ mod tests {
         q.push(f64::INFINITY, 4);
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|e| e.kind)).collect();
         assert_eq!(order, [3, 2, 4]);
+    }
+
+    #[test]
+    fn matches_a_heap_on_signed_zero_ties() {
+        // A wake-up or crash at `-0.0` ties with one at `+0.0` and pops in
+        // push order, as the float comparison ranks them; their bits
+        // differ, so the key must fold the sign.
+        for seed in 0..20 {
+            differential(&mut EventQueue::default(), seed, 3000, |rng, now| match rng
+                .gen_range(0..4u32)
+            {
+                0 => -0.0,
+                1 => 0.0,
+                2 => now,
+                _ => delay(rng, now),
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "event times are non-negative")]
+    fn a_nan_time_is_refused_at_the_push() {
+        EventQueue::default().push(f64::NAN, 0u64);
     }
 
     #[test]
