@@ -729,6 +729,14 @@ impl<N: AsyncNode> AsyncSim<N> {
                 let l = &self.rel[link];
                 if self.crashed[l.src as usize] {
                     self.core.stats.faults.crash_drops += 1;
+                    if self.core.tracer.enabled() {
+                        self.core.tracer.emit(TraceEvent::Fault {
+                            at: At::Time(self.now),
+                            kind: FaultKind::CrashDrop,
+                            src: l.dst,
+                            dst: l.src,
+                        });
+                    }
                     // The ack takes no effect, so a timer held behind it
                     // can still fire.
                     self.queue_held_timer(link);

@@ -387,6 +387,50 @@ fn golden_fingerprint_async_seed0_faulty_network() {
     }
 }
 
+/// The trace names every crash drop the fault counters count: on the
+/// faulty-network golden's crash-recover case, the data copies that reach
+/// node 0 while it is down and the acks that land on it. Each names node 0
+/// as its destination: an ack's drop runs from its sender, the copy's
+/// receiver, back to the copy's sender.
+#[test]
+fn the_crash_recover_golden_traces_every_crash_drop() {
+    use improved_le::asynchronous::{FaultPlan, NetworkConfig, Reliability};
+    use improved_le::model::trace::{FaultKind, SharedSink, TraceEvent};
+
+    let sink = SharedSink::new();
+    let o = AsyncSimBuilder::new(64)
+        .seed(0)
+        .wake(AsyncWakeSchedule::single(NodeIndex(0)))
+        .network(
+            NetworkConfig::new()
+                .link_rate(8.0)
+                .queue_cap(8)
+                .loss(0.05)
+                .reliable(Reliability::default())
+                .faults(FaultPlan::new().crash_recovering(NodeIndex(0), 0.5, 2.5)),
+        )
+        .trace(Box::new(sink.clone()))
+        .build(|_, _| a_tr::Node::new(a_tr::Config::new(2)))
+        .unwrap()
+        .run()
+        .unwrap();
+    let drops: Vec<u32> = sink
+        .take()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::Fault {
+                kind: FaultKind::CrashDrop,
+                dst,
+                ..
+            } => Some(dst),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(o.stats.faults.crash_drops, 41);
+    assert_eq!(drops.len() as u64, o.stats.faults.crash_drops);
+    assert!(drops.iter().all(|&dst| dst == 0), "{drops:?}");
+}
+
 #[test]
 fn seed_isolation_between_components() {
     // Changing only the wake schedule must not change the ID assignment
