@@ -760,7 +760,9 @@ impl<N: AsyncNode> AsyncSim<N> {
                 let (src, dst) = (l.src, l.dst);
                 effective = !self.crashed[src as usize]
                     && l.in_flight(data_seq)
-                    && l.inflight.as_ref().map(|o| o.attempts.get()) == Some(attempt);
+                    && l.inflight
+                        .as_ref()
+                        .is_some_and(|o| o.attempts.get() == attempt);
                 if effective {
                     let budget = self.rel_cfg.as_ref().map_or(0, |r| r.budget);
                     if attempt > budget {
@@ -988,12 +990,12 @@ impl<N: AsyncNode> AsyncSim<N> {
                 // Stop-and-wait: one unacknowledged payload per link; the
                 // rest wait in the backlog. A held ack that pops after
                 // this event will start the payload, so it is queued.
-                if l.held.kind() == HeldKind::Ack {
-                    let (held, data_seq) =
-                        (std::mem::replace(&mut l.held, Held::EMPTY), l.next_seq);
+                let held = l.held;
+                if held.kind() == HeldKind::Ack {
+                    l.held = Held::EMPTY;
                     let ack = EventKind::DeliverAck {
                         link: rel,
-                        data_seq,
+                        data_seq: l.next_seq,
                     };
                     self.queue.push_reserved(held.time(), held.seq(), ack);
                 }
@@ -1121,9 +1123,8 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// Transmits the current in-flight payload of reliable link `link`
     /// (first attempt or retransmission) and arms its retransmission
     /// timer. The timer's `seq` is reserved right after the copy's push,
-    /// as if it were pushed, and the timer is held while its copy is on
-    /// the wire by the deadline and the slot holds no ack; otherwise it is
-    /// queued at once.
+    /// as if it were pushed. The timer is held when its copy lands by the
+    /// deadline and the slot holds no ack, and queued at once otherwise.
     fn send_reliable_copy(&mut self, link: u32) -> Result<(), ModelError> {
         let l = &self.rel[link];
         let (src, dst, link_id, data_seq) = (node(l.src), node(l.dst), l.link, l.next_seq);
@@ -1182,10 +1183,10 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// Sends a delivery acknowledgement of the copy that just arrived back
     /// over reliable link `link`, from its receiver to its sender, and
     /// returns its arrival time and reserved queue `seq` unless the wire
-    /// dropped it; the caller routes it ([`AsyncSim::route_ack`]). Acks are real wire
-    /// messages: they occupy the reverse link, queue, and can be lost —
-    /// but are never retransmitted themselves (a lost ack is repaired by
-    /// the data retransmission provoking a fresh one).
+    /// dropped it; the caller routes it ([`AsyncSim::route_ack`]). Acks
+    /// are real wire messages: they occupy the reverse link, queue, and
+    /// can be lost — but are never retransmitted themselves (a lost ack is
+    /// repaired by the data retransmission provoking a fresh one).
     fn send_ack(&mut self, link: u32) -> Result<Option<(f64, u64)>, ModelError> {
         let l = &self.rel[link];
         let (from, to, link_id) = (node(l.dst), node(l.src), l.link);
@@ -1211,22 +1212,20 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// is queued otherwise. An ack that is not queued still counts toward
     /// the reported time.
     fn route_ack(&mut self, link: u32, data_seq: u32, t: f64, seq: u64) {
-        if self.crash_free {
-            let idle = self.rel.backlog_is_empty(link);
-            let l = &mut self.rel[link];
-            if l.in_flight(data_seq) && l.held.kind() != HeldKind::Ack {
-                if !idle || l.held.kind() != HeldKind::Empty {
-                    let ack = EventKind::DeliverAck { link, data_seq };
-                    self.queue.push_reserved(t, seq, ack);
-                    return;
-                }
-                l.held = Held::new(HeldKind::Ack, t, seq);
-            }
-            self.ack_horizon = self.ack_horizon.max(t);
+        let l = &self.rel[link];
+        // Whether the ack can still clear its payload's flight.
+        let live = l.in_flight(data_seq) && l.held.kind() != HeldKind::Ack;
+        if !self.crash_free || (live && !self.rel.backlog_is_empty(link)) {
+            let ack = EventKind::DeliverAck { link, data_seq };
+            self.queue.push_reserved(t, seq, ack);
             return;
         }
-        let ack = EventKind::DeliverAck { link, data_seq };
-        self.queue.push_reserved(t, seq, ack);
+        if live {
+            let l = &mut self.rel[link];
+            debug_assert_eq!(l.held.kind(), HeldKind::Empty, "the copy settled the timer");
+            l.held = Held::new(HeldKind::Ack, t, seq);
+        }
+        self.ack_horizon = self.ack_horizon.max(t);
     }
 
     /// Applies reliable link `link`'s held ack if it pops before the event
@@ -1265,17 +1264,14 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// Queues reliable link `link`'s held timer, if it holds one.
     fn queue_held_timer(&mut self, link: u32) {
         let l = &mut self.rel[link];
-        if l.held.kind() == HeldKind::Timer {
-            let held = std::mem::replace(&mut l.held, Held::EMPTY);
-            let attempt = l
-                .inflight
-                .as_ref()
-                .expect("a held timer's payload")
-                .attempts;
+        let held = l.held;
+        if held.kind() == HeldKind::Timer {
+            l.held = Held::EMPTY;
+            let o = l.inflight.as_ref().expect("a held timer's payload");
             let timer = EventKind::Retry {
                 link,
                 data_seq: l.next_seq,
-                attempt: attempt.get(),
+                attempt: o.attempts.get(),
             };
             self.queue.push_reserved(held.time(), held.seq(), timer);
         }
@@ -2584,9 +2580,9 @@ mod tests {
 
     #[test]
     fn stale_retry_timers_do_not_inflate_time() {
-        // A clean reliable run still arms one timer per transmission; the
-        // timers fire long after quiescence of useful work and must not
-        // count toward the reported time complexity.
+        // A clean reliable run still arms one timer per transmission; none
+        // may count toward the reported time complexity, whether it pops
+        // stale or is never queued.
         let reliable = AsyncSimBuilder::new(6)
             .seed(4)
             .network(NetworkConfig::new().reliable(Reliability::default()))

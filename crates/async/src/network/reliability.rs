@@ -38,9 +38,9 @@
 //! execution. Every queued event then pops in the same `(time, seq)`
 //! order as when all were queued.
 //!
-//! * **The retransmission timer.** A copy that reaches the wire by its
-//!   deadline leaves its timer held; a dropped or late copy, or a slot
-//!   that holds an ack, queues it at once. The in-flight payload's next
+//! * **The retransmission timer.** A copy that lands by its deadline
+//!   leaves its timer held; a dropped or late copy, or a slot that holds
+//!   an ack, has it queued at once. The in-flight payload's next
 //!   data pop settles a held timer: an ack that lands strictly before the
 //!   deadline makes it stale in a crash-free run, where it is dropped,
 //!   and in a run with crash faults it stays held behind that queued ack;
