@@ -296,11 +296,12 @@ impl AsyncSimBuilder {
     }
 
     /// Sets the event cap guarding against non-terminating algorithms
-    /// (default `64·n² + 4096`). The cap counts popped events. A reliable
-    /// link holds its in-flight payload's retransmission timer and, in a
-    /// crash-free run, its ack, and queues them only when they can still
-    /// change the execution; a held event that is never queued is never
-    /// popped, so it is not counted.
+    /// (default `64·n² + 4096`). The cap counts popped events. In a
+    /// crash-free run a reliable link holds its in-flight payload's
+    /// retransmission timer and ack, and queues them only when they can
+    /// still change the execution; a held event that is never queued is
+    /// never popped, so it is not counted. A capped run reports no time
+    /// past its last popped event.
     pub fn max_events(mut self, max_events: u64) -> Self {
         self.max_events = Some(max_events);
         self
@@ -486,7 +487,8 @@ pub struct AsyncSim<N: AsyncNode> {
     busy_now: f64,
     /// The latest time of an ack that was held or dropped instead of
     /// queued. Every ack pop is effective, so the reported time takes the
-    /// later of this and `busy_now`.
+    /// later of this, capped at `now` in a run the event cap halted, and
+    /// `busy_now`.
     ack_horizon: f64,
     wake_all_time: Option<f64>,
     last_scheduled_wake: f64,
@@ -501,8 +503,9 @@ pub struct AsyncSim<N: AsyncNode> {
     net_loss: f64,
     /// The reliability protocol's timers, if enabled.
     rel_cfg: Option<Reliability>,
-    /// Whether the fault plan is empty, so no node ever crashes: acks are
-    /// then held or dropped where they change nothing.
+    /// Whether the fault plan is empty, so no node ever crashes: reliable
+    /// links' timers and acks are then held or dropped where they change
+    /// nothing.
     crash_free: bool,
     /// Remaining adaptive crash budget ([`FaultPlan::adaptive_crashes`]).
     ///
@@ -737,9 +740,6 @@ impl<N: AsyncNode> AsyncSim<N> {
                             dst: l.src,
                         });
                     }
-                    // The ack takes no effect, so a timer held behind it
-                    // can still fire.
-                    self.queue_held_timer(link);
                 } else if l.in_flight(data_seq) {
                     self.begin_next_payload(link)?;
                 }
@@ -759,10 +759,9 @@ impl<N: AsyncNode> AsyncSim<N> {
                 let l = &self.rel[link];
                 let (src, dst) = (l.src, l.dst);
                 effective = !self.crashed[src as usize]
-                    && l.in_flight(data_seq)
                     && l.inflight
                         .as_ref()
-                        .is_some_and(|o| o.attempts.get() == attempt);
+                        .is_some_and(|o| l.next_seq == data_seq && o.attempts.get() == attempt);
                 if effective {
                     let budget = self.rel_cfg.as_ref().map_or(0, |r| r.budget);
                     if attempt > budget {
@@ -990,14 +989,8 @@ impl<N: AsyncNode> AsyncSim<N> {
                 // Stop-and-wait: one unacknowledged payload per link; the
                 // rest wait in the backlog. A held ack that pops after
                 // this event will start the payload, so it is queued.
-                let held = l.held;
-                if held.kind() == HeldKind::Ack {
-                    l.held = Held::EMPTY;
-                    let ack = EventKind::DeliverAck {
-                        link: rel,
-                        data_seq: l.next_seq,
-                    };
-                    self.queue.push_reserved(held.time(), held.seq(), ack);
+                if l.held.kind() == HeldKind::Ack {
+                    self.queue_held(rel);
                 }
                 self.rel.push_backlog(rel, (dst_port, msg));
             } else {
@@ -1123,8 +1116,9 @@ impl<N: AsyncNode> AsyncSim<N> {
     /// Transmits the current in-flight payload of reliable link `link`
     /// (first attempt or retransmission) and arms its retransmission
     /// timer. The timer's `seq` is reserved right after the copy's push,
-    /// as if it were pushed. The timer is held when its copy lands by the
-    /// deadline and the slot holds no ack, and queued at once otherwise.
+    /// as if it were pushed. In a crash-free run the timer is held when
+    /// its copy lands by the deadline and the slot holds no ack; otherwise
+    /// it is queued at once.
     fn send_reliable_copy(&mut self, link: u32) -> Result<(), ModelError> {
         let l = &self.rel[link];
         let (src, dst, link_id, data_seq) = (node(l.src), node(l.dst), l.link, l.next_seq);
@@ -1163,11 +1157,11 @@ impl<N: AsyncNode> AsyncSim<N> {
         let deadline = self.now + rel_cfg.timeout_after(attempt);
         let seq = self.queue.reserve();
         let l = &mut self.rel[link];
-        if l.held.kind() == HeldKind::Timer {
-            // Armed for an earlier attempt, it would pop stale.
-            l.held = Held::EMPTY;
-        }
-        if l.held.kind() == HeldKind::Empty && copy.is_some_and(|t| t <= deadline) {
+        debug_assert_ne!(l.held.kind(), HeldKind::Timer, "one timer per payload");
+        if self.crash_free
+            && l.held.kind() == HeldKind::Empty
+            && copy.is_some_and(|t| t <= deadline)
+        {
             l.held = Held::new(HeldKind::Timer, deadline, seq);
         } else {
             let timer = EventKind::Retry {
@@ -1241,40 +1235,41 @@ impl<N: AsyncNode> AsyncSim<N> {
 
     /// Settles reliable link `link`'s held timer as a copy of payload
     /// `data_seq` arrives, acknowledged by an ack landing at `ack` (`None`:
-    /// lost, or not sent by a crashed receiver). Only the in-flight
-    /// payload's copies settle it. An ack landing strictly before the
-    /// deadline makes the timer stale in a crash-free run, so it is
-    /// dropped; with crash faults it stays held behind that ack, which
-    /// queues it if it finds its sender crashed. Otherwise the timer will
-    /// fire and is queued.
+    /// lost). Only the in-flight payload's copies settle it. An ack landing
+    /// strictly before the deadline makes the timer stale, so it is
+    /// dropped; otherwise the timer will fire and is queued.
     fn settle_timer(&mut self, link: u32, data_seq: u32, ack: Option<f64>) {
         let l = &mut self.rel[link];
         if l.held.kind() != HeldKind::Timer || !l.in_flight(data_seq) {
             return;
         }
         if ack.is_some_and(|t| t < l.held.time()) {
-            if self.crash_free {
-                l.held = Held::EMPTY;
-            }
+            l.held = Held::EMPTY;
         } else {
-            self.queue_held_timer(link);
+            self.queue_held(link);
         }
     }
 
-    /// Queues reliable link `link`'s held timer, if it holds one.
-    fn queue_held_timer(&mut self, link: u32) {
+    /// Queues reliable link `link`'s held timer or ack for the in-flight
+    /// payload, under its reserved `seq`, and empties the slot.
+    fn queue_held(&mut self, link: u32) {
         let l = &mut self.rel[link];
-        let held = l.held;
-        if held.kind() == HeldKind::Timer {
-            l.held = Held::EMPTY;
-            let o = l.inflight.as_ref().expect("a held timer's payload");
-            let timer = EventKind::Retry {
-                link,
-                data_seq: l.next_seq,
-                attempt: o.attempts.get(),
-            };
-            self.queue.push_reserved(held.time(), held.seq(), timer);
-        }
+        let held = std::mem::replace(&mut l.held, Held::EMPTY);
+        let data_seq = l.next_seq;
+        let kind = match held.kind() {
+            HeldKind::Empty => return,
+            HeldKind::Timer => {
+                let o = l.inflight.as_ref().expect("a held timer's payload");
+                let attempt = o.attempts.get();
+                EventKind::Retry {
+                    link,
+                    data_seq,
+                    attempt,
+                }
+            }
+            HeldKind::Ack => EventKind::DeliverAck { link, data_seq },
+        };
+        self.queue.push_reserved(held.time(), held.seq(), kind);
     }
 
     /// Clears reliable link `link`'s in-flight slot, with the timer or ack
@@ -1317,8 +1312,12 @@ impl<N: AsyncNode> AsyncSim<N> {
             AsyncHaltReason::FaultLivelock => "livelock",
         };
         // An ack held or dropped instead of queued would have popped as an
-        // effective event.
-        let time = self.busy_now.max(self.ack_horizon);
+        // effective event, but a capped run pops none past its last event.
+        let acks = match halt {
+            AsyncHaltReason::MaxEvents => self.ack_horizon.min(self.now),
+            _ => self.ack_horizon,
+        };
+        let time = self.busy_now.max(acks);
         self.core.finish_trace(At::Time(time), reason);
         let AsyncSim {
             core,
@@ -2536,13 +2535,32 @@ mod tests {
     }
 
     #[test]
+    fn a_capped_reliable_run_reports_no_time_past_its_last_pop() {
+        // The cap of 8 pops the wake-up at 0 and the seven copies at 1. Their
+        // acks, held for 2, lie past the cap and must not count toward the
+        // reported time, as they never popped.
+        let o = AsyncSimBuilder::new(8)
+            .seed(4)
+            .delays(Box::new(ConstDelay::max()))
+            .network(NetworkConfig::new().reliable(Reliability::default()))
+            .max_events(8)
+            .build(Flood::new)
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_eq!(o.halt, AsyncHaltReason::MaxEvents);
+        assert_eq!(o.stats.faults.acks, 7);
+        assert_eq!(o.time, 1.0);
+    }
+
+    #[test]
     fn an_ack_lost_to_a_crashed_sender_leaves_its_timer_live() {
         // n = 2, every delay 0.5. Node 0's copy lands at 0.5, and its ack,
         // which lands at 1.0 before the deadline 2.5, finds node 0 down
-        // (crashed 0.75 to 1.5). The timer held behind that ack must
-        // still fire at 2.5. Dropped with the ack, the payload would wait
-        // for the timer recovery re-arms at 4.0, and the run would end at
-        // 5.0 instead of 4.0.
+        // (crashed 0.75 to 1.5). A run with crash faults queues its
+        // timers, so this one still fires at 2.5. Dropped as stale behind
+        // the ack, the payload would wait for the timer recovery re-arms
+        // at 4.0, and the run would end at 5.0 instead of 4.0.
         use clique_model::trace::SharedSink;
         let sink = SharedSink::new();
         let o = AsyncSimBuilder::new(2)

@@ -31,36 +31,37 @@
 //!
 //! Most of a reliable link's timers and acks change nothing: on a link
 //! that carries one payload, the ack beats the timer, which then pops
-//! stale, and the ack only clears the in-flight slot. So each entry holds
-//! one event of its in-flight payload in a [`Held`] slot instead of
-//! queuing it, under the queue `seq` the engine reserved where it would
-//! have pushed it, and queues it only when it can still change the
-//! execution. Every queued event then pops in the same `(time, seq)`
-//! order as when all were queued.
+//! stale, and the ack only clears the in-flight slot. So in a crash-free
+//! run (an empty fault plan) each entry holds one event of its in-flight
+//! payload in a [`Held`] slot instead of queuing it, under the queue `seq`
+//! the engine reserved where it would have pushed it, and queues it only
+//! when it can still change the execution. Every queued event then pops
+//! in the same `(time, seq)` order as when all were queued.
 //!
 //! * **The retransmission timer.** A copy that lands by its deadline
 //!   leaves its timer held; a dropped or late copy, or a slot that holds
-//!   an ack, has it queued at once. The in-flight payload's next
-//!   data pop settles a held timer: an ack that lands strictly before the
-//!   deadline makes it stale in a crash-free run, where it is dropped,
-//!   and in a run with crash faults it stays held behind that queued ack;
-//!   a lost or late ack, or a crashed receiver, queues it. An ack that
-//!   finds its sender crashed queues it too, and a new attempt or the
-//!   payload's leaving flight drops it, since it would pop stale.
-//! * **The ack, in crash-free runs.** The in-flight payload's ack waits
-//!   in a free slot when the link has no backlog. An ack for a payload
-//!   that has left flight, or one trailing a held ack of the same payload,
-//!   would pop as a no-op and is dropped. The next event that reads the
-//!   entry (a data, ack or timer pop on the link, or a dispatch onto it)
-//!   applies a held ack that pops before it, which clears the in-flight
-//!   payload and does nothing else, since the backlog is empty; a
-//!   dispatch queues a held ack that pops after it before the new payload
-//!   joins the backlog. With crash faults every ack is queued: whether it
-//!   takes effect depends on a crash decided after it is sent.
+//!   an ack, has it queued at once. The in-flight payload's next data pop
+//!   settles a held timer: an ack that lands strictly before the deadline
+//!   makes it stale, and it is dropped; a lost or late ack queues it. An
+//!   earlier attempt's ack that moves the payload out of flight first
+//!   drops it too, since it would pop stale.
+//! * **The ack.** The in-flight payload's ack waits in a free slot when
+//!   the link has no backlog. An ack for a payload that has left flight,
+//!   or one trailing a held ack of the same payload, would pop as a no-op
+//!   and is dropped. The next event that reads the entry (a data, ack or
+//!   timer pop on the link, or a dispatch onto it) applies a held ack that
+//!   pops before it, which clears the in-flight payload and does nothing
+//!   else, since the backlog is empty; a dispatch queues a held ack that
+//!   pops after it before the new payload joins the backlog.
+//!
+//! With crash faults every timer and ack is queued: whether an ack takes
+//! effect, and so whether its timer pops stale, depends on a crash decided
+//! after both are sent.
 //!
 //! A held event that is never queued is never popped: the engine's event
 //! cap does not count it, and the reported time takes the latest ack that
-//! was held or dropped, since every ack pop counts as effective.
+//! was held or dropped, since every ack pop counts as effective (in a run
+//! the cap halted, only up to the last popped event).
 
 use std::collections::VecDeque;
 use std::num::NonZeroU32;
@@ -91,7 +92,7 @@ pub(crate) enum HeldKind {
     /// Nothing.
     Empty = 0,
     /// The in-flight payload's retransmission timer, armed after its
-    /// latest attempt.
+    /// latest attempt (crash-free runs only).
     Timer = 1,
     /// The in-flight payload's ack (crash-free runs only).
     Ack = 2,

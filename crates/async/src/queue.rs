@@ -35,10 +35,11 @@
 //! `far` by its time like any other, so it pops exactly where it would have
 //! had it been pushed at once, and a `seq` never pushed is one no pop
 //! returns. The engine reserves the `seq`s of a reliable link's
-//! retransmission timer and ack where it would push them, holds the events
-//! in the link's entry, and queues them only when they can still change
-//! the execution (see `network::reliability`); a held event that is never
-//! queued is never popped, so the engine's event cap does not count it.
+//! retransmission timer and ack where it would push them; in a crash-free
+//! run it holds the events in the link's entry and queues them only when
+//! they can still change the execution (see `network::reliability`). A
+//! held event that is never queued is never popped, so the engine's event
+//! cap does not count it.
 //!
 //! Both bucket constants come from the model, and neither is a tuning knob:
 //! message delays lie in `(0, 1]`, so almost every event lands within 256
